@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks._report import write_benchmark_report
 from repro.cadt import Cadt
 from repro.engine import EngineRuntime
-from repro.engine.executor import _chunk_rngs, _tally_chunks, cancer_class_labels, plan_chunks
+from repro.engine.executor import _chunk_rngs, cancer_class_codes, plan_chunks
 from repro.engine.runtime import _decide_jobs
 from repro.obs import Instrumentation
 from repro.reader import MILD_BIAS, ReaderModel, ReaderSkill
@@ -38,7 +39,8 @@ from repro.screening import (
     routine_screening_population,
     trial_workload,
 )
-from repro.system import AssistedReading
+from repro.system import AssistedReading, FailureTally
+from repro.system.simulate import count_failures
 
 NUM_CASES = 6_000
 CHUNK_SIZE = 512
@@ -73,24 +75,27 @@ def workload():
     )
 
 
-def bare_compare(systems, workload, chunks, positions, labels):
-    """The pre-observability runtime's warm serial loop, reconstructed.
+def bare_compare(systems, workload, chunks, positions, codes, classes):
+    """The runtime's warm serial loop with every instrumentation call site
+    bypassed, reconstructed.
 
-    Per evaluation this is what a warm serial ``EngineRuntime.evaluate``
-    did before instrumentation existed: the fingerprint-checked
-    columnisation cache (``workload.to_arrays()``), the chunk plan, the
-    per-chunk generators, :func:`_decide_jobs` over the same jobs, and
-    the same tally over precomputed labels.  The only thing a warm
-    ``EngineRuntime.compare`` at ``workers=1`` adds on top is the
-    instrumentation call sites — exactly the cost under test.
+    Per comparison this is what a warm serial ``EngineRuntime.compare``
+    does: the content-checked columnisation cache
+    (``workload.to_arrays()``) once, then per system the chunk plan's
+    generators, :func:`_decide_jobs` over the same jobs, and one
+    :func:`count_failures` tally over the precomputed class codes.  The
+    only thing the runtime adds on top is the instrumentation call sites
+    — exactly the cost under test.
     """
+    arrays = workload.to_arrays()  # warm, but content-checked per call
     results = {}
     for system in systems:
-        arrays = workload.to_arrays()  # warm, but fingerprint-checked per call
         rngs = _chunk_rngs(SEED, len(chunks))
         jobs = [(start, stop, rng) for (start, stop), rng in zip(chunks, rngs)]
-        chunk_failures = _decide_jobs(system, arrays, jobs)
-        tally = _tally_chunks(arrays, chunks, chunk_failures, positions, labels)
+        failed = np.concatenate(_decide_jobs(system, arrays, jobs))
+        tally = FailureTally.from_counts(
+            count_failures(failed, positions, codes, len(classes)), classes
+        )
         results[system.name] = tally.to_evaluation(system.name, workload.name, LEVEL)
     return results
 
@@ -113,12 +118,14 @@ def test_disabled_instrumentation_keeps_98_percent_throughput(workload):
 
     arrays = workload.to_arrays()
     chunks = plan_chunks(len(arrays), CHUNK_SIZE)
-    positions, labels = cancer_class_labels(workload, classifier, arrays)
+    positions = np.flatnonzero(arrays.has_cancer)
+    codes = cancer_class_codes(workload, classifier, arrays, positions)
+    classes = tuple(classifier.classes)
 
     bare_times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        bare = bare_compare(systems, workload, chunks, positions, labels)
+        bare = bare_compare(systems, workload, chunks, positions, codes, classes)
         bare_times.append(time.perf_counter() - start)
     bare_elapsed = min(bare_times)
 

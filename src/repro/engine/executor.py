@@ -1,8 +1,9 @@
 """Chunked execution of batch-capable systems over workloads.
 
-The executor is the engine's outer loop: it columnises a workload once,
-splits it into chunks, drives each chunk through the system's
-``decide_batch``, and merges the per-chunk failure counts into the same
+The executor is the engine's outer loop: it columnises and classifies a
+workload once per call, splits it into chunks, drives each chunk through
+each system's ``decide_batch``, and tallies each system's failure flags
+once (:func:`~repro.system.simulate.count_failures`) into the same
 :class:`~repro.system.simulate.SystemEvaluation` the scalar loop
 produces.  Three properties are load-bearing:
 
@@ -32,7 +33,7 @@ across calls; both entry points accept one via ``runtime=``.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +42,12 @@ from ..exceptions import SimulationError
 from ..obs import get_instrumentation
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
-from ..system.simulate import FailureTally, SystemEvaluation, evaluate_system
+from ..system.simulate import (
+    FailureTally,
+    SystemEvaluation,
+    count_failures,
+    evaluate_system,
+)
 from ..system.single import ScreeningSystem
 from .arrays import CaseArrays
 
@@ -53,6 +59,7 @@ __all__ = [
     "plan_chunks",
     "supports_batch",
     "supports_stream",
+    "cancer_class_codes",
     "cancer_class_labels",
     "evaluate_system_batch",
     "compare_systems_batch",
@@ -161,31 +168,33 @@ def _chunk_rngs(
     ]
 
 
-def cancer_class_labels(
+def cancer_class_codes(
     workload: Workload,
     classifier: CaseClassifier,
-    arrays: CaseArrays | None = None,
+    arrays: CaseArrays,
+    positions: np.ndarray,
     *,
     on_scalar_fallback: Callable[[], None] | None = None,
-) -> tuple[np.ndarray, list[CaseClass]]:
-    """Positions and classes of the workload's cancer cases, in order.
+) -> np.ndarray:
+    """Class codes of the workload's cancer cases, in order.
 
-    Uses the classifier's vectorized ``classify_batch`` (indices into
-    ``classifier.classes``) when it offers one; classifiers that only
-    implement the per-case ``classify`` — including third-party ones —
-    fall back to the original case loop and produce identical labels.
+    A code indexes ``classifier.classes``.  Uses the classifier's
+    vectorized ``classify_batch`` when it offers one; classifiers that
+    only implement the per-case ``classify`` — including third-party
+    ones — fall back to the case loop and produce identical codes.
     ``on_scalar_fallback`` (if given) is invoked exactly when that loop
     is taken, so callers like the runtime can surface the degradation.
 
-    Returns:
-        ``(positions, labels)`` where ``positions`` is the sorted
-        ``int64`` array of cancer-case indices into the workload and
-        ``labels[i]`` is the class of the cancer case at
-        ``positions[i]``.
+    Args:
+        workload: The cases, in order.
+        classifier: The classification criterion.
+        arrays: ``workload`` columnised.
+        positions: The sorted indices of the cancer cases.
+
+    Raises:
+        SimulationError: if ``classify_batch`` returns the wrong shape, or
+            ``classify`` returns a class the classifier does not declare.
     """
-    if arrays is None:
-        arrays = workload.to_arrays()
-    positions = np.flatnonzero(arrays.has_cancer)
     batch = getattr(classifier, "classify_batch", None)
     if batch is not None:
         try:
@@ -198,30 +207,73 @@ def cancer_class_labels(
                     f"classify_batch returned shape {codes.shape}, expected "
                     f"({len(arrays)},)"
                 )
-            classes = classifier.classes
-            return positions, [classes[int(code)] for code in codes[positions]]
+            return codes[positions].astype(np.int64)
     if on_scalar_fallback is not None:
         on_scalar_fallback()
-    return positions, [
-        classifier.classify(case) for case in workload.cases if case.has_cancer
-    ]
-
-
-def _tally_chunks(
-    arrays: CaseArrays,
-    chunks: Sequence[tuple[int, int]],
-    chunk_failures: Sequence[np.ndarray],
-    positions: np.ndarray,
-    labels: list[CaseClass],
-) -> FailureTally:
-    """Merge per-chunk failure flags into one tally, classes attached."""
-    tally = FailureTally()
-    for (start, stop), failed in zip(chunks, chunk_failures):
-        low, high = np.searchsorted(positions, (start, stop))
-        tally.record_batch(
-            arrays.has_cancer[start:stop], failed, labels[low:high]
+    index = {case_class: code for code, case_class in enumerate(classifier.classes)}
+    labels = [classifier.classify(case) for case in workload.cases if case.has_cancer]
+    undeclared = set(labels) - set(index)
+    if undeclared:
+        raise SimulationError(
+            f"classifier {type(classifier).__name__} returned undeclared "
+            f"classes {sorted(c.name for c in undeclared)!r}"
         )
-    return tally
+    return np.array([index[label] for label in labels], dtype=np.int64)
+
+
+class _Columns(NamedTuple):
+    """A columnised workload and its cancer cases' classes under one
+    classifier: made once per call, shared by every system it runs."""
+
+    arrays: CaseArrays
+    positions: np.ndarray
+    codes: np.ndarray
+    classes: tuple[CaseClass, ...]
+
+
+def _columnise(
+    workload: Workload,
+    arrays: CaseArrays,
+    classifier: CaseClassifier,
+    on_scalar_fallback: Callable[[], None] | None = None,
+) -> _Columns:
+    """Classify a columnised workload's cancer cases (see :class:`_Columns`)."""
+    positions = np.flatnonzero(arrays.has_cancer)
+    codes = cancer_class_codes(
+        workload, classifier, arrays, positions, on_scalar_fallback=on_scalar_fallback
+    )
+    return _Columns(arrays, positions, codes, tuple(classifier.classes))
+
+
+def cancer_class_labels(
+    workload: Workload,
+    classifier: CaseClassifier,
+    arrays: CaseArrays | None = None,
+    *,
+    on_scalar_fallback: Callable[[], None] | None = None,
+) -> tuple[np.ndarray, list[CaseClass]]:
+    """Positions and classes of the workload's cancer cases, in order.
+
+    :func:`cancer_class_codes` mapped onto the classifier's own
+    :class:`CaseClass` objects; ``on_scalar_fallback`` is passed through.
+
+    Returns:
+        ``(positions, labels)`` where ``positions`` is the sorted
+        ``int64`` array of cancer-case indices into the workload and
+        ``labels[i]`` is the class of the cancer case at
+        ``positions[i]``.
+    """
+    if arrays is None:
+        arrays = workload.to_arrays()
+    columns = _columnise(workload, arrays, classifier, on_scalar_fallback)
+    return columns.positions, [columns.classes[code] for code in columns.codes.tolist()]
+
+
+def _tally(chunk_failures: Sequence[np.ndarray], columns: _Columns) -> FailureTally:
+    """One system's counts: a single :func:`count_failures` over all chunks."""
+    failed = np.concatenate(chunk_failures)
+    counts = count_failures(failed, columns.positions, columns.codes, len(columns.classes))
+    return FailureTally.from_counts(counts, columns.classes)
 
 
 def evaluate_system_batch(
@@ -280,63 +332,92 @@ def evaluate_system_batch(
         return runtime.evaluate(
             system, workload, classifier, level, seed=seed, chunk_size=chunk_size
         )
-    if not supports_batch(system) and not supports_stream(system):
-        return evaluate_system(system, workload, classifier, level, seed=seed)
-    if len(workload) == 0:
-        raise SimulationError("cannot evaluate a system on an empty workload")
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers!r}")
-    if workers > 1 and seed is None:
-        raise SimulationError(
-            "parallel evaluation requires a seed: without one, components "
-            "draw from private generators that cannot be shared coherently "
-            "across processes"
-        )
+    evaluations = _evaluate_systems(
+        [system], workload, classifier, level, seed, workers, chunk_size
+    )
+    return evaluations[system.name]
+
+
+def _evaluate_systems(
+    systems: Sequence[ScreeningSystem],
+    workload: Workload,
+    classifier: CaseClassifier | None,
+    level: float,
+    seed: int | None,
+    workers: int,
+    chunk_size: int | None,
+) -> dict[str, SystemEvaluation]:
+    """The per-call engine loop behind both public entry points.
+
+    Systems supporting neither batch nor stream execution take the
+    scalar loop.  The rest share one columnisation and classification of
+    the workload, made when the first of them needs it.
+    """
     classifier = classifier if classifier is not None else SingleClassClassifier()
-
     obs = get_instrumentation()
-    with obs.span(
-        "executor.evaluate", system=system.name, cases=len(workload)
-    ) as span:
-        arrays = workload.to_arrays()
-        if chunk_size is None:
-            from .runtime import plan_chunk_size
-
-            chunk_size = plan_chunk_size(
-                len(arrays), workers, bytes_per_case=arrays.bytes_per_case
+    columns: _Columns | None = None
+    evaluations = {}
+    for system in systems:
+        if not supports_batch(system) and not supports_stream(system):
+            evaluations[system.name] = evaluate_system(
+                system, workload, classifier, level, seed=seed
             )
-        chunks = plan_chunks(len(arrays), chunk_size)
-        span.set(chunks=len(chunks), workers=workers)
-        rngs = _chunk_rngs(seed, len(chunks))
+            continue
+        if columns is None:
+            if len(workload) == 0:
+                raise SimulationError("cannot evaluate a system on an empty workload")
+            if workers < 1:
+                raise SimulationError(f"workers must be >= 1, got {workers!r}")
+            if workers > 1 and seed is None:
+                raise SimulationError(
+                    "parallel evaluation requires a seed: without one, components "
+                    "draw from private generators that cannot be shared coherently "
+                    "across processes"
+                )
+            columns = _columnise(
+                workload,
+                workload.to_arrays(),
+                classifier,
+                on_scalar_fallback=lambda: obs.count("executor.scalar_classify"),
+            )
+        with obs.span(
+            "executor.evaluate", system=system.name, cases=len(workload)
+        ) as span:
+            arrays = columns.arrays
+            if chunk_size is None:
+                from .runtime import plan_chunk_size
 
-        if not supports_batch(system):
-            # Ordered reader stream: chunks carry state sequentially, so
-            # the per-call path runs them in-process whatever `workers`.
-            span.set(stream=True)
-            chunk_failures = _advance_stream_chunks(system, arrays, chunks, rngs)
-        elif workers == 1:
-            chunk_failures = [
-                _decide_chunk(system, arrays.chunk(start, stop), rng)
-                for (start, stop), rng in zip(chunks, rngs)
-            ]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _decide_chunk, system, arrays.chunk(start, stop), rng
-                    )
+                chunk_size = plan_chunk_size(
+                    len(arrays), workers, bytes_per_case=arrays.bytes_per_case
+                )
+            chunks = plan_chunks(len(arrays), chunk_size)
+            span.set(chunks=len(chunks), workers=workers)
+            rngs = _chunk_rngs(seed, len(chunks))
+
+            if not supports_batch(system):
+                # Ordered reader stream: chunks carry state sequentially,
+                # so the per-call path runs them in-process whatever
+                # `workers`.
+                span.set(stream=True)
+                chunk_failures = _advance_stream_chunks(system, arrays, chunks, rngs)
+            elif workers == 1:
+                chunk_failures = [
+                    _decide_chunk(system, arrays.chunk(start, stop), rng)
                     for (start, stop), rng in zip(chunks, rngs)
                 ]
-                chunk_failures = [future.result() for future in futures]
-
-        positions, labels = cancer_class_labels(
-            workload,
-            classifier,
-            arrays,
-            on_scalar_fallback=lambda: obs.count("executor.scalar_classify"),
-        )
-        tally = _tally_chunks(arrays, chunks, chunk_failures, positions, labels)
-        return tally.to_evaluation(system.name, workload.name, level)
+            else:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    futures = [
+                        pool.submit(
+                            _decide_chunk, system, arrays.chunk(start, stop), rng
+                        )
+                        for (start, stop), rng in zip(chunks, rngs)
+                    ]
+                    chunk_failures = [future.result() for future in futures]
+            evaluations[system.name] = _tally(chunk_failures, columns).to_evaluation(
+                system.name, workload.name, level
+            )
+    return evaluations
 
 
 def compare_systems_batch(
@@ -383,15 +464,6 @@ def compare_systems_batch(
     with get_instrumentation().span(
         "executor.compare", systems=len(systems), cases=len(workload)
     ):
-        return {
-            system.name: evaluate_system_batch(
-                system,
-                workload,
-                classifier,
-                level,
-                seed=seed,
-                workers=workers,
-                chunk_size=chunk_size,
-            )
-            for system in systems
-        }
+        return _evaluate_systems(
+            systems, workload, classifier, level, seed, workers, chunk_size
+        )

@@ -18,14 +18,14 @@ size, the cancer positions/class codes, and the fused items — to
 chunk generators derive via the same ``SeedSequence`` scheme as
 :func:`~repro.engine.executor.evaluate_system_batch`, the decision
 kernels are the engine's own (:func:`~repro.engine.runtime._decide_jobs`
-/ :func:`~repro.engine.runtime._advance_stream`), and the tally is an
-exact integer-count reformulation of
-:class:`~repro.system.simulate.FailureTally` (two ``bincount`` passes
-instead of a per-cancer-case Python loop).  An item's counts therefore
-depend only on its ``(seed, chunk_size)`` — fused next to one neighbour
-or thirty-one, dispatched serially or pooled, the result is bit-identical
-to evaluating that item standalone.  ``tests/engine/test_fused_equivalence.py``
-pins this against the per-call executor for batch and stream systems.
+/ :func:`~repro.engine.runtime._advance_stream`), and the tally is the
+engine's one tally, :func:`~repro.system.simulate.count_failures`, over
+class codes from :func:`~repro.engine.executor.cancer_class_codes`.  An
+item's counts therefore depend only on its ``(seed, chunk_size)`` —
+fused next to one neighbour or thirty-one, dispatched serially or
+pooled, the result is bit-identical to evaluating that item standalone.
+``tests/engine/test_fused_equivalence.py`` pins this against the per-call
+executor for batch, stream and double-reading systems.
 """
 
 from __future__ import annotations
@@ -37,12 +37,16 @@ import numpy as np
 
 from ..core.case_class import CaseClass
 from ..exceptions import SimulationError
-from ..screening.classifier import CaseClassifier
-from ..screening.workload import Workload
-from ..system.simulate import FailureTally, SystemEvaluation
+from ..system.simulate import FailureTally, SystemEvaluation, count_failures
 from ..system.single import ScreeningSystem
 from .arrays import CaseArrays
-from .executor import _chunk_rngs, plan_chunks, supports_batch, supports_stream
+from .executor import (
+    _chunk_rngs,
+    cancer_class_codes,
+    plan_chunks,
+    supports_batch,
+    supports_stream,
+)
 from .runtime import _advance_stream, _attached_arrays, _decide_jobs, _Job, _SegmentSpec
 
 __all__ = [
@@ -117,36 +121,6 @@ def item_failures(
     return np.concatenate(chunk_failures)
 
 
-def count_failures(
-    failed: np.ndarray,
-    positions: np.ndarray,
-    codes: np.ndarray,
-    n_classes: int,
-) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
-    """Exact integer counts from per-case failure flags.
-
-    The vectorized twin of :meth:`FailureTally.record_batch`: same
-    integers, computed with two ``bincount`` passes instead of a
-    per-cancer-case Python loop.
-    """
-    cancer_failed = failed[positions].astype(bool)
-    cancer_trials = int(positions.size)
-    cancer_failures = int(np.count_nonzero(cancer_failed))
-    total_failures = int(np.count_nonzero(failed))
-    healthy_trials = int(failed.shape[0]) - cancer_trials
-    healthy_failures = total_failures - cancer_failures
-    class_trials = np.bincount(codes, minlength=n_classes)
-    class_failures = np.bincount(codes[cancer_failed], minlength=n_classes)
-    return (
-        cancer_failures,
-        cancer_trials,
-        healthy_failures,
-        healthy_trials,
-        class_failures,
-        class_trials,
-    )
-
-
 def run_fused_batch(task: FusedTask) -> list[FusedRow]:
     """Execute one fused dispatch; the single kernel every path runs.
 
@@ -186,43 +160,6 @@ def run_fused_batch(task: FusedTask) -> list[FusedRow]:
             )
         )
     return out
-
-
-def cancer_class_codes(
-    workload: Workload,
-    classifier: CaseClassifier,
-    arrays: CaseArrays,
-    positions: np.ndarray,
-) -> np.ndarray:
-    """Class indices of the workload's cancer cases, in order.
-
-    The code-level twin of
-    :func:`~repro.engine.executor.cancer_class_labels`: the same labels,
-    kept as indices into ``classifier.classes`` so workers can
-    ``bincount`` them without shipping :class:`CaseClass` objects.
-    """
-    batch = getattr(classifier, "classify_batch", None)
-    if batch is not None:
-        try:
-            codes = np.asarray(batch(arrays))
-        except NotImplementedError:
-            codes = None
-        if codes is not None:
-            if codes.shape != (len(arrays),):
-                raise SimulationError(
-                    f"classify_batch returned shape {codes.shape}, expected "
-                    f"({len(arrays)},)"
-                )
-            return codes[positions].astype(np.int64)
-    index = {case_class: i for i, case_class in enumerate(classifier.classes)}
-    return np.array(
-        [
-            index[classifier.classify(case)]
-            for case in workload.cases
-            if case.has_cancer
-        ],
-        dtype=np.int64,
-    )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ decision kernels.  :class:`EngineRuntime` amortises all four costs:
   no array ever travels through a pickle after publication.
 * **Fingerprint-keyed caches.**  Columnised workloads are cached by a
   content digest (cross-instance: two equal workloads share one entry),
-  and per-classifier cancer-class labels are cached alongside, so
+  and per-classifier cancer-class codes are cached alongside, so
   repeated evaluations skip columnisation and classification entirely.
 * **Adaptive chunk planning.**  :func:`plan_chunk_size` sizes chunks
   from the case count, worker count, and a bytes-per-chunk budget
@@ -55,7 +55,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from ..core.case_class import CaseClass
 from ..exceptions import RuntimeDegradationWarning, SimulationError
 from ..obs import Instrumentation, SpanPayload, get_instrumentation
 from ..reader.state import ReaderStateVector
@@ -67,8 +66,9 @@ from .arrays import ARRAY_FIELDS, CaseArrays
 from .executor import (
     DEFAULT_CHUNK_SIZE,
     _chunk_rngs,
-    _tally_chunks,
-    cancer_class_labels,
+    _columnise,
+    _Columns,
+    _tally,
     plan_chunks,
     supports_batch,
     supports_stream,
@@ -460,16 +460,14 @@ def _arrays_digest(arrays: CaseArrays) -> str:
 
 @dataclass
 class _CachedWorkload:
-    """One workload's runtime residency: arrays, segment, label caches."""
+    """One workload's runtime residency: arrays, segment, class-code caches."""
 
     arrays: CaseArrays
     segment: shared_memory.SharedMemory | None = None
     spec: _SegmentSpec | None = None
-    #: Per-classifier label cache: ``id(classifier)`` -> (classifier —
-    #: a strong reference keeping the id stable — positions, labels).
-    labels: dict[int, tuple[CaseClassifier, np.ndarray, list[CaseClass]]] = field(
-        default_factory=dict
-    )
+    #: Per-classifier cache: ``id(classifier)`` -> (classifier — a strong
+    #: reference keeping the id stable — the workload's columns under it).
+    columns: dict[int, tuple[CaseClassifier, _Columns]] = field(default_factory=dict)
 
 
 def _release_segment(entry: _CachedWorkload) -> None:
@@ -508,7 +506,7 @@ class EngineRuntime:
 
     Everything expensive is created once and reused: the process pool,
     the shared-memory publication of each workload, the columnisation,
-    and the per-classifier cancer-class labels.  All results are
+    and the per-classifier cancer-class codes.  All results are
     identical to the per-call executor's — same chunking, same chunk
     generators, same tallies — so the runtime is a pure performance
     substrate.
@@ -524,7 +522,7 @@ class EngineRuntime:
         shm_byte_budget: Soft cap on the total bytes of live shared
             segments.  When a fresh publication pushes the total over
             the budget, least-recently-used segments are unlinked (the
-            arrays and label caches stay resident — only the shared
+            arrays and class-code caches stay resident — only the shared
             plane is dropped, and it re-publishes on next parallel use).
             ``None`` (the default) keeps every cached workload's segment
             alive; set it for many-workload sweeps so the runtime cannot
@@ -711,47 +709,10 @@ class EngineRuntime:
         way.  Systems supporting neither batch nor stream execution
         degrade to the scalar loop (``runtime.degraded.scalar_system``).
         """
-        if self._closed:
-            raise SimulationError("cannot evaluate on a closed EngineRuntime")
-        stream = not supports_batch(system)
-        if stream and not supports_stream(system):
-            self._note_degradation(
-                "scalar_system",
-                f"system {system.name!r} supports neither batch nor stream "
-                "execution; evaluating through the per-case scalar loop",
-            )
-            return evaluate_system(system, workload, classifier, level, seed=seed)
-        if len(workload) == 0:
-            raise SimulationError("cannot evaluate a system on an empty workload")
-        classifier = (
-            classifier if classifier is not None else SingleClassClassifier()
+        evaluations = self.compare(
+            [system], workload, classifier, level, seed=seed, chunk_size=chunk_size
         )
-        with self._obs.span(
-            "runtime.evaluate", system=system.name, cases=len(workload)
-        ) as span:
-            entry = self._workload_entry(workload)
-            arrays = entry.arrays
-            if chunk_size is None:
-                chunk_size = plan_chunk_size(
-                    len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
-                )
-            chunks = plan_chunks(len(arrays), chunk_size)
-            span.set(chunks=len(chunks), chunk_size=chunk_size)
-            rngs = _chunk_rngs(seed, len(chunks))
-            jobs: list[_Job] = [
-                (start, stop, rng) for (start, stop), rng in zip(chunks, rngs)
-            ]
-            if stream:
-                span.set(stream=True)
-                chunk_failures = self._run_stream_jobs(system, entry, jobs, seed)
-            else:
-                chunk_failures = self._run_jobs(system, entry, jobs, seed)
-            positions, labels = self._cancer_labels(entry, workload, classifier)
-            with self._obs.span("runtime.tally", chunks=len(chunks)):
-                tally = _tally_chunks(
-                    arrays, chunks, chunk_failures, positions, labels
-                )
-                return tally.to_evaluation(system.name, workload.name, level)
+        return evaluations[system.name]
 
     def compare(
         self,
@@ -765,27 +726,65 @@ class EngineRuntime:
     ) -> dict[str, SystemEvaluation]:
         """Evaluate several systems over one workload, sharing everything.
 
-        The pool, the published workload, and the label cache are shared
-        across all systems — this is the call
+        The pool, the published workload, one columnisation and one
+        classification are shared across all systems — this is the call
         :func:`~repro.engine.executor.compare_systems_batch` delegates
         to, and the common-random-numbers property holds exactly as
         there (every system's chunk generators derive from the same
-        seed).
+        seed).  Each system is then tallied once, over all its chunks.
         """
+        if self._closed:
+            raise SimulationError("cannot evaluate on a closed EngineRuntime")
         names = [system.name for system in systems]
         if len(set(names)) != len(names):
             raise SimulationError(f"system names must be unique, got {names!r}")
-        return {
-            system.name: self.evaluate(
-                system,
-                workload,
-                classifier,
-                level,
-                seed=seed,
-                chunk_size=chunk_size,
-            )
-            for system in systems
-        }
+        classifier = (
+            classifier if classifier is not None else SingleClassClassifier()
+        )
+        entry: _CachedWorkload | None = None
+        columns: _Columns | None = None
+        evaluations = {}
+        for system in systems:
+            stream = not supports_batch(system)
+            if stream and not supports_stream(system):
+                self._note_degradation(
+                    "scalar_system",
+                    f"system {system.name!r} supports neither batch nor stream "
+                    "execution; evaluating through the per-case scalar loop",
+                )
+                evaluations[system.name] = evaluate_system(
+                    system, workload, classifier, level, seed=seed
+                )
+                continue
+            if entry is None or columns is None:
+                if len(workload) == 0:
+                    raise SimulationError("cannot evaluate a system on an empty workload")
+                entry = self._workload_entry(workload)
+                columns = self._columns(entry, workload, classifier)
+            with self._obs.span(
+                "runtime.evaluate", system=system.name, cases=len(workload)
+            ) as span:
+                arrays = columns.arrays
+                if chunk_size is None:
+                    chunk_size = plan_chunk_size(
+                        len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
+                    )
+                chunks = plan_chunks(len(arrays), chunk_size)
+                span.set(chunks=len(chunks), chunk_size=chunk_size)
+                rngs = _chunk_rngs(seed, len(chunks))
+                jobs: list[_Job] = [
+                    (start, stop, rng) for (start, stop), rng in zip(chunks, rngs)
+                ]
+                if stream:
+                    span.set(stream=True)
+                    chunk_failures = self._run_stream_jobs(system, entry, jobs, seed)
+                else:
+                    chunk_failures = self._run_jobs(system, entry, jobs, seed)
+                with self._obs.span("runtime.tally", chunks=len(chunks)):
+                    evaluations[system.name] = _tally(chunk_failures, columns).to_evaluation(
+                        system.name, workload.name, level
+                    )
+        return evaluations
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Apply a picklable function over items on the persistent pool.
@@ -902,28 +901,28 @@ class EngineRuntime:
             }
         return entry
 
-    def _cancer_labels(
+    def _columns(
         self,
         entry: _CachedWorkload,
         workload: Workload,
         classifier: CaseClassifier,
-    ) -> tuple[np.ndarray, list[CaseClass]]:
-        """Cached cancer positions/labels for (workload, classifier).
+    ) -> _Columns:
+        """Cached cancer positions/class codes for (workload, classifier).
 
         Keyed by classifier identity (classifiers are deterministic by
         protocol, but only *this object's* determinism is known — two
         distinct instances are never conflated).  The entry keeps a
         strong reference to the classifier so the id cannot be reused.
         """
-        cached = entry.labels.get(id(classifier))
+        cached = entry.columns.get(id(classifier))
         if cached is not None and cached[0] is classifier:
             self._obs.count("runtime.label_cache.hit")
-            return cached[1], cached[2]
+            return cached[1]
         self._obs.count("runtime.label_cache.miss")
-        positions, labels = cancer_class_labels(
+        columns = _columnise(
             workload,
-            classifier,
             entry.arrays,
+            classifier,
             on_scalar_fallback=lambda: self._note_degradation(
                 "scalar_classify",
                 f"classifier {type(classifier).__name__} has no usable "
@@ -931,8 +930,8 @@ class EngineRuntime:
                 "(labels are identical, classification is slower)",
             ),
         )
-        entry.labels[id(classifier)] = (classifier, positions, labels)
-        return positions, labels
+        entry.columns[id(classifier)] = (classifier, columns)
+        return columns
 
     def _publish(self, entry: _CachedWorkload) -> _SegmentSpec | None:
         """Publish an entry's arrays to shared memory (once; may fall back)."""
@@ -959,7 +958,7 @@ class EngineRuntime:
 
         The just-published entry is never evicted (it is about to be
         used); everything else unlinks oldest-first.  Only the shared
-        plane is dropped — the entry's arrays and label caches stay, so
+        plane is dropped — the entry's arrays and class-code caches stay, so
         an evicted workload re-publishes cheaply on its next parallel
         use.  Workers still holding an attached view keep the memory
         alive until their own LRU cache closes it (POSIX unlink

@@ -594,10 +594,27 @@ def _text_response(status: int, text: str) -> bytes:
     return _response(status, text.encode(), "text/plain; charset=utf-8")
 
 
+class _FramingError(Exception):
+    """A request whose body cannot be framed: answered, then closed.
+
+    ``status`` is 400 for a malformed or negative ``Content-Length`` and
+    413 for one over the body limit.
+    """
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one HTTP/1.1 request; ``None`` on EOF or malformed framing."""
+    """Parse one HTTP/1.1 request; ``None`` on EOF or a malformed head.
+
+    Raises:
+        _FramingError: when ``Content-Length`` is not a decimal byte
+            count or exceeds the body limit.
+    """
     try:
         request_line = await reader.readline()
     except (ConnectionError, asyncio.LimitOverrunError):
@@ -617,9 +634,14 @@ async def _read_request(
         headers[name.strip().lower()] = value.strip()
     else:
         return None
-    length = int(headers.get("content-length", "0") or "0")
-    if length < 0 or length > _MAX_BODY_BYTES:
-        return None
+    declared = headers.get("content-length", "0") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _FramingError(400, f"malformed Content-Length {declared!r}")
+    length = int(declared)
+    if length > _MAX_BODY_BYTES:
+        raise _FramingError(
+            413, f"body of {length} bytes exceeds the {_MAX_BODY_BYTES}-byte limit"
+        )
     body = await reader.readexactly(length) if length else b""
     return method, path, headers, body
 
@@ -749,7 +771,20 @@ async def _handle_connection(
 ) -> None:
     try:
         while True:
-            parsed = await _read_request(reader)
+            try:
+                parsed = await _read_request(reader)
+            except _FramingError as exc:
+                # The body's extent is unknown, so the stream cannot be
+                # resynchronised: answer, then close.
+                writer.write(
+                    _json_response(
+                        exc.status,
+                        {"error": str(exc)},
+                        extra_headers=[("Connection", "close")],
+                    )
+                )
+                await writer.drain()
+                break
             if parsed is None:
                 break
             method, path, headers, body = parsed

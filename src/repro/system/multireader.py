@@ -11,12 +11,21 @@ implements those configurations over the same reader/CADT substrates:
 * recall policies: recall if *either* recalls (maximises sensitivity),
   only if *both* agree (maximises specificity), or *arbitration* by a
   third reader on disagreements (common U.K. practice).
+
+Both systems run on the vectorized engine like the single-reader ones.
+Every case has a fixed randomness layout: the CADT's two uniforms (when
+there is a tool), then each member's reader uniforms in reading order —
+first reader, second reader, and under :attr:`RecallPolicy.ARBITRATION`
+the arbiter, who reads every case and is *used* only where the readers
+disagree.  So the scalar :meth:`~DoubleReading.decide` loop and
+:meth:`~DoubleReading.decide_batch` consume a shared generator
+identically (see ``docs/engine.md``).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,9 +33,14 @@ from ..cadt.tool import Cadt
 from ..exceptions import SimulationError
 from ..reader.reader import ReaderModel
 from ..screening.case import Case
-from .single import SystemDecision
+from .single import BatchDecisions, SystemDecision, _split_shared_uniforms
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
+    from ..engine.arrays import CaseArrays
 
 __all__ = ["RecallPolicy", "DoubleReading", "AssistedDoubleReading"]
+
+_Recall = TypeVar("_Recall", bool, np.ndarray)
 
 
 class RecallPolicy(enum.Enum):
@@ -41,21 +55,120 @@ class RecallPolicy(enum.Enum):
 
 
 def _combine(
-    first_recall: bool,
-    second_recall: bool,
-    policy: RecallPolicy,
-    arbiter_recall,
-) -> bool:
+    policy: RecallPolicy, first: _Recall, second: _Recall, arbiter: _Recall | None = None
+) -> _Recall:
+    """The system recall from the members' recalls (bools or bool arrays).
+
+    Arbitration takes the readers' common decision where they agree and
+    the arbiter's where they disagree — the majority of the three.
+    """
     if policy is RecallPolicy.EITHER:
-        return first_recall or second_recall
+        return first | second
     if policy is RecallPolicy.UNANIMOUS:
-        return first_recall and second_recall
-    if first_recall == second_recall:
-        return first_recall
-    return bool(arbiter_recall())
+        return first & second
+    return (first & second) | (arbiter & (first | second))
 
 
-class DoubleReading:
+class _PairedReading:
+    """Two readers, an optional arbiter and an optional shared CADT."""
+
+    def __init__(
+        self,
+        readers: Sequence[ReaderModel],
+        cadt: Cadt | None,
+        policy: RecallPolicy,
+        arbiter: ReaderModel | None,
+        name: str,
+    ):
+        if len(readers) != 2:
+            raise SimulationError(f"double reading needs exactly 2 readers, got {len(readers)}")
+        self.readers = tuple(readers)
+        self.cadt = cadt
+        self.policy = RecallPolicy(policy)
+        if self.policy is RecallPolicy.ARBITRATION and arbiter is None:
+            raise SimulationError("the arbitration policy requires an arbiter reader")
+        self.arbiter = arbiter
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def _members(self) -> tuple[ReaderModel, ...]:
+        """Everyone who reads each case, in reading order."""
+        if self.policy is RecallPolicy.ARBITRATION:
+            return (*self.readers, self.arbiter)
+        return self.readers
+
+    @property
+    def supports_batch(self) -> bool:
+        """Whether :meth:`decide_batch` is available.
+
+        Requires every member to be a distinct plain reader and the tool
+        (if any) to be drift-free, as
+        :class:`~repro.system.single.AssistedReading` does.  A reader
+        listed twice draws two segments per case from one private
+        generator, which only the scalar loop reproduces unseeded.
+        """
+        members = self._members
+        return (
+            all(isinstance(member, ReaderModel) for member in members)
+            and len({id(member) for member in members}) == len(members)
+            and (self.cadt is None or self.cadt.drift_per_case == 0.0)
+        )
+
+    def decide(
+        self, case: Case, rng: np.random.Generator | None = None
+    ) -> SystemDecision:
+        output = None if self.cadt is None else self.cadt.process(case, rng)
+        recalls = [member.decide(case, output, rng).recall for member in self._members]
+        if output is None:
+            machine_failed = None
+        elif case.has_cancer:
+            machine_failed = output.is_false_negative(case)
+        else:
+            machine_failed = output.is_false_positive(case)
+        return SystemDecision(
+            case_id=case.case_id,
+            recall=_combine(self.policy, *recalls),
+            machine_failed=machine_failed,
+        )
+
+    def decide_batch(
+        self, arrays: "CaseArrays", rng: np.random.Generator | None = None
+    ) -> BatchDecisions:
+        """Vectorized :meth:`decide` over a batch of cases.
+
+        With ``rng`` omitted, the CADT and every member draw from their
+        private generators; with a shared ``rng``, one flat draw is split
+        per case into the tool's ``[u_miss, u_prompts]`` and the members'
+        segments in reading order.  Either way the results are
+        bit-identical to calling :meth:`decide` case by case.
+        """
+        if not self.supports_batch:
+            raise SimulationError(
+                f"system {self.name!r} has stateful or repeated members or a "
+                "drifting tool; use the scalar path"
+            )
+        members = self._members
+        cadt_u, uniforms = None, [None] * len(members)
+        if rng is not None:
+            cadt_u, uniforms = _split_shared_uniforms(
+                arrays, rng, readers=len(members), cadt=self.cadt is not None
+            )
+        output = None if self.cadt is None else self.cadt.process_batch(arrays, u=cadt_u)
+        recalls = [
+            member.decide_batch(arrays, output, u=u) for member, u in zip(members, uniforms)
+        ]
+        return BatchDecisions(
+            case_id=arrays.case_id,
+            recall=_combine(self.policy, *recalls),
+            machine_failed=None if output is None else output.machine_failed(arrays.has_cancer),
+        )
+
+
+class DoubleReading(_PairedReading):
     """Two unaided readers with a recall policy (U.K. practice baseline).
 
     Args:
@@ -73,34 +186,13 @@ class DoubleReading:
         arbiter: ReaderModel | None = None,
         name: str | None = None,
     ):
-        if len(readers) != 2:
-            raise SimulationError(f"double reading needs exactly 2 readers, got {len(readers)}")
-        self.readers = tuple(readers)
-        self.policy = RecallPolicy(policy)
-        if self.policy is RecallPolicy.ARBITRATION and arbiter is None:
-            raise SimulationError("the arbitration policy requires an arbiter reader")
-        self.arbiter = arbiter
-        self._name = name if name is not None else f"double_{self.policy.value}"
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    def decide(
-        self, case: Case, rng: np.random.Generator | None = None
-    ) -> SystemDecision:
-        first = self.readers[0].decide(case, None, rng)
-        second = self.readers[1].decide(case, None, rng)
-        recall = _combine(
-            first.recall,
-            second.recall,
-            self.policy,
-            lambda: self.arbiter.decide(case, None, rng).recall,
+        policy = RecallPolicy(policy)
+        super().__init__(
+            readers, None, policy, arbiter, name if name is not None else f"double_{policy.value}"
         )
-        return SystemDecision(case_id=case.case_id, recall=recall, machine_failed=None)
 
 
-class AssistedDoubleReading:
+class AssistedDoubleReading(_PairedReading):
     """Two readers, each seeing the same CADT output, with a recall policy.
 
     The CADT processes each case once; both readers review the same
@@ -124,37 +216,11 @@ class AssistedDoubleReading:
         arbiter: ReaderModel | None = None,
         name: str | None = None,
     ):
-        if len(readers) != 2:
-            raise SimulationError(f"double reading needs exactly 2 readers, got {len(readers)}")
-        self.readers = tuple(readers)
-        self.cadt = cadt
-        self.policy = RecallPolicy(policy)
-        if self.policy is RecallPolicy.ARBITRATION and arbiter is None:
-            raise SimulationError("the arbitration policy requires an arbiter reader")
-        self.arbiter = arbiter
-        self._name = name if name is not None else f"assisted_double_{self.policy.value}"
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    def decide(
-        self, case: Case, rng: np.random.Generator | None = None
-    ) -> SystemDecision:
-        output = self.cadt.process(case, rng)
-        machine_failed = (
-            output.is_false_negative(case)
-            if case.has_cancer
-            else output.is_false_positive(case)
-        )
-        first = self.readers[0].decide(case, output, rng)
-        second = self.readers[1].decide(case, output, rng)
-        recall = _combine(
-            first.recall,
-            second.recall,
-            self.policy,
-            lambda: self.arbiter.decide(case, output, rng).recall,
-        )
-        return SystemDecision(
-            case_id=case.case_id, recall=recall, machine_failed=machine_failed
+        policy = RecallPolicy(policy)
+        super().__init__(
+            readers,
+            cadt,
+            policy,
+            arbiter,
+            name if name is not None else f"assisted_double_{policy.value}",
         )

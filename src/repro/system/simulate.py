@@ -6,9 +6,11 @@ per case class, with confidence intervals — the simulation-side
 counterpart of the sequential model's analytic predictions, and the thing
 the end-to-end benchmarks compare against it.
 
-The counting machinery lives in :class:`FailureTally` so the scalar loop
-here and the vectorized engine (:mod:`repro.engine`) accumulate — and can
-merge — failure counts identically.
+The counting machinery lives here so the scalar loop and the vectorized
+engine (:mod:`repro.engine`) accumulate — and can merge — failure counts
+identically: :class:`FailureTally` holds the counts, and
+:func:`count_failures` is the one function that turns per-case failure
+flags into them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "RateEstimate",
     "SystemEvaluation",
     "FailureTally",
+    "count_failures",
     "evaluate_system",
     "compare_systems",
 ]
@@ -95,9 +98,10 @@ class FailureTally:
     """Mutable accumulator of a system's failures over (part of) a workload.
 
     Both evaluation paths fill one of these — the scalar loop case by
-    case, the batch engine chunk by chunk — and chunk tallies merge
-    associatively, so a workload split across processes sums to exactly
-    the counts a single pass would produce.
+    case, the batch engine once per system from :func:`count_failures`
+    (:meth:`from_counts`) — and tallies merge associatively, so counts
+    split over parts of a workload sum to exactly the counts a single
+    pass would produce.
     """
 
     cancer_failures: int = 0
@@ -135,22 +139,50 @@ class FailureTally:
             case_classes: Class of each *cancer* case, in batch order
                 (length = number of cancer cases in the batch).
         """
-        cancer_failed = failed[has_cancer]
-        if len(case_classes) != cancer_failed.shape[0]:
+        positions = np.flatnonzero(has_cancer)
+        if len(case_classes) != positions.size:
             raise SimulationError(
                 f"got {len(case_classes)} case classes for "
-                f"{cancer_failed.shape[0]} cancer cases"
+                f"{positions.size} cancer cases"
             )
-        self.cancer_trials += int(cancer_failed.shape[0])
-        self.cancer_failures += int(cancer_failed.sum())
-        healthy_failed = failed[~has_cancer]
-        self.healthy_trials += int(healthy_failed.shape[0])
-        self.healthy_failures += int(healthy_failed.sum())
-        for case_class, one_failed in zip(case_classes, cancer_failed):
-            self.class_trials[case_class] = self.class_trials.get(case_class, 0) + 1
-            self.class_failures[case_class] = (
-                self.class_failures.get(case_class, 0) + int(one_failed)
+        if len(failed) != len(has_cancer):
+            raise SimulationError(
+                f"got {len(failed)} failure flags for {len(has_cancer)} cases"
             )
+        index: dict[CaseClass, int] = {}
+        codes = np.array(
+            [index.setdefault(case_class, len(index)) for case_class in case_classes],
+            dtype=np.int64,
+        )
+        counts = count_failures(np.asarray(failed), positions, codes, len(index))
+        self.merge(FailureTally.from_counts(counts, tuple(index)))
+
+    @classmethod
+    def from_counts(
+        cls, counts: "FailureCounts", classes: Sequence[CaseClass]
+    ) -> "FailureTally":
+        """A tally from :func:`count_failures` output.
+
+        ``classes[code]`` is the class of code ``code``; classes without
+        cancer trials are left out, as :meth:`record` never creates them.
+        """
+        (
+            cancer_failures,
+            cancer_trials,
+            healthy_failures,
+            healthy_trials,
+            class_failures,
+            class_trials,
+        ) = counts
+        kept = np.flatnonzero(class_trials)
+        return cls(
+            cancer_failures=cancer_failures,
+            cancer_trials=cancer_trials,
+            healthy_failures=healthy_failures,
+            healthy_trials=healthy_trials,
+            class_failures={classes[i]: int(class_failures[i]) for i in kept},
+            class_trials={classes[i]: int(class_trials[i]) for i in kept},
+        )
 
     def merge(self, other: "FailureTally") -> None:
         """Fold another tally (e.g. a chunk's) into this one."""
@@ -191,6 +223,48 @@ class FailureTally:
                 for cls in self.class_trials
             },
         )
+
+
+#: :func:`count_failures` output: ``(cancer_failures, cancer_trials,
+#: healthy_failures, healthy_trials, class_failures, class_trials)``,
+#: the last two indexed by class code.
+FailureCounts = tuple[int, int, int, int, np.ndarray, np.ndarray]
+
+
+def count_failures(
+    failed: np.ndarray,
+    positions: np.ndarray,
+    codes: np.ndarray,
+    n_classes: int,
+) -> FailureCounts:
+    """Exact integer counts from per-case failure flags.
+
+    The one tally every vectorized path runs: two ``bincount`` passes
+    over the cancer cases' class codes instead of a per-case loop.
+
+    Args:
+        failed: System failure per case.
+        positions: Indices of the cancer cases into ``failed``, sorted.
+        codes: Class code of each cancer case, aligned with ``positions``.
+        n_classes: Number of class codes (the length of the per-class
+            count arrays).
+    """
+    cancer_failed = failed[positions].astype(bool)
+    cancer_trials = int(positions.size)
+    cancer_failures = int(np.count_nonzero(cancer_failed))
+    total_failures = int(np.count_nonzero(failed))
+    healthy_trials = int(failed.shape[0]) - cancer_trials
+    healthy_failures = total_failures - cancer_failures
+    class_trials = np.bincount(codes, minlength=n_classes)
+    class_failures = np.bincount(codes[cancer_failed], minlength=n_classes)
+    return (
+        cancer_failures,
+        cancer_trials,
+        healthy_failures,
+        healthy_trials,
+        class_failures,
+        class_trials,
+    )
 
 
 def evaluate_system(

@@ -37,22 +37,41 @@ __all__ = [
 
 
 def _split_shared_uniforms(
-    arrays: "CaseArrays", rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split one flat draw into the CADT's and the reader's uniforms.
+    arrays: "CaseArrays",
+    rng: np.random.Generator,
+    readers: int = 1,
+    cadt: bool = True,
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Split one flat draw into the CADT's and each reader's uniforms.
 
-    Per case: ``[u_miss, u_prompts]`` for the tool followed by the
-    reader's uniforms (four on cancers, one on healthy cases) — the same
-    interleaving the scalar loop consumes from a shared generator.
+    Per case: ``[u_miss, u_prompts]`` for the tool (when ``cadt``)
+    followed by ``readers`` reader segments in reading order, each four
+    uniforms on cancers and one on healthy cases — the same interleaving
+    the scalar loop consumes from a shared generator.  Returns the
+    tool's ``(n, 2)`` uniforms (``None`` without a tool) and one flat
+    array per reader, in the layout :meth:`ReaderModel.decide_batch`
+    takes.
     """
-    counts = np.where(arrays.has_cancer, 6, 3)
+    head = 2 if cadt else 0
+    counts = np.where(arrays.has_cancer, head + 4 * readers, head + readers)
     offsets = np.cumsum(counts) - counts  # exclusive prefix sum
     flat = rng.random(int(counts.sum()))
-    cadt_u = np.stack((flat[offsets], flat[offsets + 1]), axis=1)
-    reader_mask = np.ones(flat.shape[0], dtype=bool)
-    reader_mask[offsets] = False
-    reader_mask[offsets + 1] = False
-    return cadt_u, flat[reader_mask]
+    cadt_u = None
+    if cadt:
+        cadt_u = np.stack((flat[offsets], flat[offsets + 1]), axis=1)
+        reader_mask = np.ones(flat.shape[0], dtype=bool)
+        reader_mask[offsets] = False
+        reader_mask[offsets + 1] = False
+        flat = flat[reader_mask]
+    if readers == 1:
+        return cadt_u, [flat]
+    # Each case's reader segments now sit back to back: index the first
+    # reader's with a ragged arange; reader k's lie k segments further on.
+    per_reader = np.where(arrays.has_cancer, 4, 1)
+    starts = np.cumsum(per_reader) - per_reader
+    first = np.arange(flat.shape[0] // readers) + np.repeat((readers - 1) * starts, per_reader)
+    step = np.repeat(per_reader, per_reader)
+    return cadt_u, [flat[first + k * step] for k in range(readers)]
 
 
 @dataclass(frozen=True)
@@ -296,7 +315,7 @@ class AssistedReading:
             output = self.cadt.process_batch(arrays)
             recall = self.reader.decide_batch(arrays, output)
         else:
-            cadt_u, reader_u = _split_shared_uniforms(arrays, rng)
+            cadt_u, (reader_u,) = _split_shared_uniforms(arrays, rng)
             output = self.cadt.process_batch(arrays, u=cadt_u)
             recall = self.reader.decide_batch(arrays, output, u=reader_u)
         return BatchDecisions(
@@ -351,7 +370,7 @@ class AssistedReading:
             output = self.cadt.process_batch(arrays)
             recall, next_state = self.reader.advance_stream(arrays, output, state)
         else:
-            cadt_u, reader_u = _split_shared_uniforms(arrays, rng)
+            cadt_u, (reader_u,) = _split_shared_uniforms(arrays, rng)
             output = self.cadt.process_batch(arrays, u=cadt_u)
             recall, next_state = self.reader.advance_stream(
                 arrays, output, state, u=reader_u

@@ -11,6 +11,7 @@ loop reports — overall and per case class — in both randomness modes:
   shared-generator stream.
 """
 
+import numpy as np
 import pytest
 
 from repro.cadt import Cadt, DetectionAlgorithm
@@ -31,7 +32,14 @@ from repro.screening import (
     trial_workload,
     young_cohort_population,
 )
-from repro.system import AssistedReading, UnaidedReading, evaluate_system
+from repro.system import (
+    AssistedDoubleReading,
+    AssistedReading,
+    DoubleReading,
+    RecallPolicy,
+    UnaidedReading,
+    evaluate_system,
+)
 
 POPULATION_PRESETS = {
     "routine": routine_screening_population,
@@ -61,7 +69,32 @@ def make_assisted(seed, bias=MILD_BIAS, procedure=ReadingProcedure.SEQUENTIAL):
     return AssistedReading(reader, Cadt(DetectionAlgorithm(), seed=seed + 1000))
 
 
-SYSTEM_FACTORIES = {"unaided": make_unaided, "assisted": make_assisted}
+def make_double(policy, assisted):
+    """A Section 7 double-reading factory under one recall policy."""
+
+    def factory(seed):
+        readers = [
+            ReaderModel(skill=ReaderSkill(), bias=MILD_BIAS, name=f"r{k}", seed=seed + k)
+            for k in range(3)
+        ]
+        arbiter = readers[2] if policy is RecallPolicy.ARBITRATION else None
+        if assisted:
+            cadt = Cadt(DetectionAlgorithm(), seed=seed + 1000)
+            return AssistedDoubleReading(readers[:2], cadt, policy, arbiter=arbiter)
+        return DoubleReading(readers[:2], policy, arbiter=arbiter)
+
+    return factory
+
+
+SYSTEM_FACTORIES = {
+    "unaided": make_unaided,
+    "assisted": make_assisted,
+    **{
+        f"{prefix}double_{policy.value}": make_double(policy, assisted)
+        for prefix, assisted in (("", False), ("assisted_", True))
+        for policy in RecallPolicy
+    },
+}
 
 
 def failure_counts(evaluation):
@@ -183,3 +216,24 @@ class TestMachineFailureEquivalence:
         decisions = batch_system.decide_batch(arrays)
         assert decisions.machine_failed is None
         assert [bool(r) for r in decisions.recall] == scalar_recalls
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
+@pytest.mark.parametrize("kind", [k for k in SYSTEM_FACTORIES if "double" in k])
+class TestDoubleReadingDecisions:
+    def test_decide_batch_matches_decide_case_by_case(self, kind, seeded):
+        # Every policy reserves the same per-case uniforms in both paths
+        # (the arbiter's included), so decisions agree case by case.
+        workload = make_workload(routine_screening_population, n=400)
+        scalar_system = SYSTEM_FACTORIES[kind](seed=9)
+        batch_system = SYSTEM_FACTORIES[kind](seed=9)
+        scalar_rng = np.random.default_rng(31) if seeded else None
+        scalar = [scalar_system.decide(case, scalar_rng) for case in workload]
+        batch_rng = np.random.default_rng(31) if seeded else None
+        decisions = batch_system.decide_batch(workload.to_arrays(), batch_rng)
+        assert decisions.recall.tolist() == [d.recall for d in scalar]
+        machine = [d.machine_failed for d in scalar]
+        if decisions.machine_failed is None:
+            assert machine == [None] * len(workload)
+        else:
+            assert decisions.machine_failed.tolist() == machine

@@ -24,7 +24,14 @@ from repro.reader import (
     ReaderSkill,
 )
 from repro.screening import routine_screening_population, trial_workload
-from repro.system import AssistedReading, UnaidedReading, evaluate_system
+from repro.system import (
+    AssistedDoubleReading,
+    AssistedReading,
+    DoubleReading,
+    RecallPolicy,
+    UnaidedReading,
+    evaluate_system,
+)
 
 from tests.engine.test_equivalence import failure_counts
 
@@ -56,10 +63,35 @@ def drifting_system(seed):
     )
 
 
+def fatigued_double(seed):
+    return DoubleReading(
+        [FatiguedReader(base_reader(seed), seed=seed + 50), base_reader(seed + 1)],
+        RecallPolicy.ARBITRATION,
+        arbiter=base_reader(seed + 2),
+    )
+
+
+def drifting_double(seed):
+    return AssistedDoubleReading(
+        [base_reader(seed), base_reader(seed + 1)],
+        Cadt(DetectionAlgorithm(), drift_per_case=5e-3, seed=seed + 100),
+    )
+
+
+def repeated_reader_double(seed):
+    # One reader listed twice interleaves two segments per case on its
+    # private generator; only the scalar loop reproduces that unseeded.
+    reader = base_reader(seed)
+    return DoubleReading([reader, reader], RecallPolicy.UNANIMOUS)
+
+
 STATEFUL_FACTORIES = {
     "fatigued_reader": fatigued_system,
     "adaptive_reader": adaptive_system,
     "drifting_cadt": drifting_system,
+    "fatigued_double": fatigued_double,
+    "drifting_double": drifting_double,
+    "repeated_reader_double": repeated_reader_double,
 }
 
 

@@ -24,7 +24,7 @@ from repro.engine.fused import (
 from repro.exceptions import SimulationError
 from repro.reader import MILD_BIAS, AdaptiveReader, FatiguedReader, ReaderModel, ReaderSkill
 from repro.screening import SingleClassClassifier, SubtletyClassifier
-from repro.system import AssistedReading
+from repro.system import AssistedDoubleReading, AssistedReading, RecallPolicy
 
 from tests.engine.test_executor import make_system, make_workload
 
@@ -33,6 +33,17 @@ def stream_system(seed=2, wrapper=FatiguedReader):
     """An assisted system on the ordered stream-carry path."""
     reader = ReaderModel(skill=ReaderSkill(), bias=MILD_BIAS, name="r", seed=seed)
     return AssistedReading(wrapper(reader, seed=seed + 500), Cadt(seed=seed + 1000))
+
+
+def double_system(seed=3):
+    """Section 7's assisted double reading with arbitration (batch path)."""
+    readers = [
+        ReaderModel(skill=ReaderSkill(), bias=MILD_BIAS, name=f"r{k}", seed=seed + k)
+        for k in range(3)
+    ]
+    return AssistedDoubleReading(
+        readers[:2], Cadt(seed=seed + 1000), RecallPolicy.ARBITRATION, arbiter=readers[2]
+    )
 
 
 def fused_task(workload, items, chunk_size, classifier, plane=None):
@@ -90,6 +101,17 @@ class TestFusedEquivalence:
         )
         reference = evaluate_system_batch(
             stream_system(wrapper=wrapper), workload, seed=23, chunk_size=chunk_size
+        )
+        assert fused == reference
+
+    def test_double_reading_matches_executor(self):
+        workload = make_workload(600)
+        classifier = SubtletyClassifier()
+        (fused,) = fused_evaluations(
+            workload, [(double_system(), 41)], 128, classifier=classifier
+        )
+        reference = evaluate_system_batch(
+            double_system(), workload, classifier=classifier, seed=41, chunk_size=128
         )
         assert fused == reference
 
@@ -167,3 +189,6 @@ class TestBuildFusedItem:
     def test_stream_flag_reflects_execution_mode(self):
         assert build_fused_item(0, make_system(), 1)[3] is False
         assert build_fused_item(0, stream_system(), 1)[3] is True
+
+    def test_accepts_double_reading(self):
+        assert build_fused_item(0, double_system(), 1)[3] is False

@@ -29,6 +29,7 @@ from repro.obs import (
     use_instrumentation,
 )
 from repro.screening import SubtletyClassifier
+from repro.system import DoubleReading, RecallPolicy
 from tests.engine.test_equivalence import failure_counts
 from tests.engine.test_executor import make_system, make_workload
 from tests.engine.test_runtime import named_system
@@ -267,6 +268,30 @@ class TestDegradationWarnings:
                 assert runtime.degradations == frozenset({"scalar_system"})
         (warning,) = degradation_warnings(caught)
         assert "scalar_system" in str(warning.message)
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["runtime.degraded.scalar_system"] == 1.0
+
+    def test_double_reading_with_fatigued_member_still_degrades(self):
+        """Double reading is vectorized only over plain readers; a
+        fatigued member keeps it on the scalar loop, and the runtime says
+        so.  The plain-member twin in the same comparison does not."""
+        from tests.engine.test_fallback import base_reader, fatigued_double
+
+        plain = DoubleReading(
+            [base_reader(5), base_reader(6)],
+            RecallPolicy.ARBITRATION,
+            arbiter=base_reader(7),
+            name="plain",
+        )
+        workload = make_workload()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            obs = Instrumentation()
+            with EngineRuntime(workers=1, obs=obs) as runtime:
+                runtime.compare([plain, fatigued_double(5)], workload, seed=SEED)
+                assert runtime.degradations == frozenset({"scalar_system"})
+        (warning,) = degradation_warnings(caught)
+        assert "double_arbitration" in str(warning.message)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["runtime.degraded.scalar_system"] == 1.0
 

@@ -114,3 +114,17 @@ class TestWorkloadColumnisationCache:
         second = small.to_arrays()
         assert second is not first
         assert len(second) == len(first) - 1
+
+    def test_cache_invalidated_when_a_case_is_mutated_in_place(self):
+        small = trial_workload(
+            routine_screening_population(seed=6), 40, cancer_fraction=0.5, name="w"
+        )
+        first = small.to_arrays()
+        case = small.cases[3]
+        # Out-of-band mutation of a frozen case: the case tuple is the
+        # same object, so only the content re-check can notice.
+        object.__setattr__(case, "subtlety", case.subtlety + 1.0)
+        second = small.to_arrays()
+        assert second is not first
+        assert second.subtlety[3] == case.subtlety
+        assert first.subtlety[3] == case.subtlety - 1.0

@@ -152,6 +152,15 @@ async def http_request(port, method, path, body=None, headers=(), raw=False):
     request = ("\r\n".join(lines) + "\r\n\r\n").encode() + payload
     writer.write(request)
     await writer.drain()
+    status, response_headers, data = await read_response(reader)
+    writer.close()
+    if raw:
+        return status, response_headers, data.decode()
+    return status, response_headers, json.loads(data) if data else None
+
+
+async def read_response(reader):
+    """One HTTP response off the stream: ``(status, headers, body bytes)``."""
     status_line = await reader.readline()
     status = int(status_line.split()[1])
     response_headers = {}
@@ -163,10 +172,25 @@ async def http_request(port, method, path, body=None, headers=(), raw=False):
         response_headers[name.strip().lower()] = value.strip()
     length = int(response_headers.get("content-length", "0"))
     data = await reader.readexactly(length) if length else b""
-    writer.close()
-    if raw:
-        return status, response_headers, data.decode()
-    return status, response_headers, json.loads(data) if data else None
+    return status, response_headers, data
+
+
+async def framing_exchange(port, content_length):
+    """POST with a hand-written ``Content-Length`` and no body.
+
+    Returns the response's status, headers and JSON body, and whether
+    the server closed the connection after answering.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    head = f"POST /v1/evaluate HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n"
+    try:
+        writer.write(head.encode())
+        await writer.drain()
+        status, headers, data = await read_response(reader)
+        closed = await asyncio.wait_for(reader.read(), timeout=10.0) == b""
+    finally:
+        writer.close()
+    return status, headers, json.loads(data), closed
 
 
 class TestHttpLayer:
@@ -278,6 +302,27 @@ class TestHttpLayer:
         assert status2 == 429
         assert float(headers2["retry-after"]) > 0.0
         assert data2["retry_after"] > 0.0
+
+    @pytest.mark.parametrize("content_length", ["twelve", "-5", "1e3", "0x10", "1_0"])
+    def test_malformed_content_length_is_400_then_close(self, content_length):
+        async def scenario(port):
+            return await framing_exchange(port, content_length)
+
+        status, headers, data, closed = self.run_with_server(CONFIG, scenario)
+        assert status == 400
+        assert "Content-Length" in data["error"]
+        assert headers["connection"] == "close"
+        assert closed
+
+    def test_oversized_content_length_is_413_then_close(self):
+        async def scenario(port):
+            return await framing_exchange(port, 1 << 30)
+
+        status, headers, data, closed = self.run_with_server(CONFIG, scenario)
+        assert status == 413
+        assert "limit" in data["error"]
+        assert headers["connection"] == "close"
+        assert closed
 
     def test_unknown_path_and_wrong_method(self):
         async def scenario(port):
