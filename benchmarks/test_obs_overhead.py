@@ -80,14 +80,14 @@ def bare_compare(systems, workload, chunks, positions, codes, classes):
     bypassed, reconstructed.
 
     Per comparison this is what a warm serial ``EngineRuntime.compare``
-    does: the content-checked columnisation cache
-    (``workload.to_arrays()``) once, then per system the chunk plan's
-    generators, :func:`_decide_jobs` over the same jobs, and one
+    does: the workload's read-only columns (``workload.to_arrays()``)
+    once, then per system the chunk plan's generators,
+    :func:`_decide_jobs` over the same jobs, and one
     :func:`count_failures` tally over the precomputed class codes.  The
     only thing the runtime adds on top is the instrumentation call sites
     — exactly the cost under test.
     """
-    arrays = workload.to_arrays()  # warm, but content-checked per call
+    arrays = workload.to_arrays()  # the held columns: no copy, no re-check
     results = {}
     for system in systems:
         rngs = _chunk_rngs(SEED, len(chunks))

@@ -20,7 +20,7 @@ every one of the ~1k cells' evaluations is asserted bit-identical
 between the two paths before any timing is reported.
 
 A second, partially-amortised baseline — the same loop over *pre-built,
-shared* workload objects, so columnisation caches on the object — is
+shared* workload objects, so each workload is generated once — is
 measured and recorded in the metrics (not gated): it isolates what
 fusion and the vectorized tally buy on top of workload deduplication.
 
@@ -100,7 +100,7 @@ def test_fused_sweep_is_5x_faster_than_naive_cell_loop():
     assert naive_evaluations == fused_evaluations
 
     # Secondary baseline (recorded, not gated): share built workload
-    # objects so columnisation caches; isolates the fusion/tally win.
+    # objects so each is generated once; isolates the fusion/tally win.
     prebuilt = {key: spec.build() for key, spec in plan.workloads.items()}
     start = time.perf_counter()
     for planned in cells:

@@ -1,15 +1,17 @@
-"""Struct-of-arrays view of a workload (the batch engine's case format.)
+"""Struct-of-arrays form of a workload (the batch engine's case format.)
 
 The scalar simulators consume :class:`~repro.screening.case.Case` objects
 one at a time; the vectorized engine consumes the same information as one
-NumPy array per attribute.  :class:`CaseArrays` is that columnar view —
-built once per workload (:meth:`CaseArrays.from_cases` or
-:meth:`~repro.screening.workload.Workload.to_arrays`) and sliced into
-chunks by the executor without copying the underlying data.
+NumPy array per attribute.  :class:`CaseArrays` is that columnar form and
+the content a :class:`~repro.screening.workload.Workload` holds: the
+population model draws straight into it, :meth:`CaseArrays.from_cases`
+columnises existing cases, :meth:`CaseArrays.to_cases` materialises them
+back, and the executor slices it into chunks without copying.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -94,6 +96,21 @@ class CaseArrays:
         """Total payload bytes of the batch (shared-memory sizing)."""
         return len(self) * self.bytes_per_case
 
+    def digest(self) -> str:
+        """Content digest: sha1 over the length and every column's bytes.
+
+        The one content key of a workload (its
+        :meth:`~repro.screening.workload.Workload.fingerprint`, which the
+        runtime's workload cache is keyed by).
+        """
+        digest = hashlib.sha1()
+        digest.update(str(len(self)).encode())
+        for name in ARRAY_FIELDS:
+            column = np.ascontiguousarray(getattr(self, name))
+            digest.update(name.encode())
+            digest.update(column.tobytes())
+        return digest.hexdigest()
+
     @classmethod
     def from_cases(cls, cases: Iterable[Case]) -> "CaseArrays":
         """Columnise a sequence of cases (one pass, one copy)."""
@@ -123,6 +140,24 @@ class CaseArrays:
             },
         )
 
+    def to_cases(self) -> tuple[Case, ...]:
+        """One validated :class:`Case` per row (the inverse of :meth:`from_cases`)."""
+        columns = [getattr(self, name).tolist() for name in _FLOAT_FIELDS]
+        return tuple(
+            # Case's fields run in ARRAY_FIELDS order, lesion decoded.
+            Case(case_id, has_cancer, lesion, *floats)
+            for case_id, has_cancer, lesion, *floats in zip(
+                self.case_id.tolist(),
+                self.has_cancer.tolist(),
+                self.lesion_types(),
+                *columns,
+            )
+        )
+
+    def take(self, index: np.ndarray) -> "CaseArrays":
+        """The rows at ``index``, in that order (every column gathered)."""
+        return CaseArrays(**{name: getattr(self, name)[index] for name in ARRAY_FIELDS})
+
     def chunk(self, start: int, stop: int) -> "CaseArrays":
         """The sub-batch ``[start, stop)`` (array views, no copying)."""
         if not 0 <= start <= stop <= len(self):
@@ -141,5 +176,6 @@ class CaseArrays:
     def lesion_types(self) -> Sequence[LesionType | None]:
         """Decode :attr:`lesion_code` back to lesion types."""
         return [
-            None if code < 0 else LESION_CODES[code] for code in self.lesion_code
+            None if code < 0 else LESION_CODES[code]
+            for code in self.lesion_code.tolist()
         ]

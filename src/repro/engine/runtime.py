@@ -2,10 +2,10 @@
 
 :mod:`repro.engine.executor` is correct but *per-call*: every parallel
 evaluation builds a process pool, pickles the chunk arrays into every
-task, recolumnises the workload, and reclassifies its cancer cases.
-For programs that evaluate repeatedly — multi-system comparisons,
-extrapolation grids, setting sweeps — that overhead dwarfs the actual
-decision kernels.  :class:`EngineRuntime` amortises all four costs:
+task, and reclassifies the workload's cancer cases.  For programs that
+evaluate repeatedly — multi-system comparisons, extrapolation grids,
+setting sweeps — that overhead dwarfs the actual decision kernels.
+:class:`EngineRuntime` amortises all three costs:
 
 * **Persistent pool.**  One :class:`~concurrent.futures.ProcessPoolExecutor`
   is created lazily and reused across every ``evaluate``/``compare``/``map``
@@ -16,10 +16,11 @@ decision kernels.  :class:`EngineRuntime` amortises all four costs:
   carry only a :class:`_SegmentSpec` (segment name + column offsets) and
   ``(start, stop, rng)`` jobs, and workers attach and slice views —
   no array ever travels through a pickle after publication.
-* **Fingerprint-keyed caches.**  Columnised workloads are cached by a
-  content digest (cross-instance: two equal workloads share one entry),
-  and per-classifier cancer-class codes are cached alongside, so
-  repeated evaluations skip columnisation and classification entirely.
+* **Fingerprint-keyed caches.**  Workloads are cached by their content
+  :meth:`~repro.screening.workload.Workload.fingerprint` (computed once
+  per workload; two equal workloads share one entry), and per-classifier
+  cancer-class codes are cached alongside, so repeated evaluations skip
+  publication and classification entirely.
 * **Adaptive chunk planning.**  :func:`plan_chunk_size` sizes chunks
   from the case count, worker count, and a bytes-per-chunk budget
   instead of the fixed :data:`~repro.engine.executor.DEFAULT_CHUNK_SIZE`.
@@ -40,7 +41,6 @@ path.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import time
@@ -447,17 +447,6 @@ def _group_jobs(jobs: Sequence[_Job], n_groups: int) -> list[list[_Job]]:
     return groups
 
 
-def _arrays_digest(arrays: CaseArrays) -> str:
-    """Content digest of a batch (the runtime's cross-instance cache key)."""
-    digest = hashlib.sha1()
-    digest.update(str(len(arrays)).encode())
-    for name in ARRAY_FIELDS:
-        column = np.ascontiguousarray(getattr(arrays, name))
-        digest.update(name.encode())
-        digest.update(column.tobytes())
-    return digest.hexdigest()
-
-
 @dataclass
 class _CachedWorkload:
     """One workload's runtime residency: arrays, segment, class-code caches."""
@@ -575,7 +564,6 @@ class EngineRuntime:
         self._pool_box: list[ProcessPoolExecutor | None] = [None]
         self._pool_launches = 0
         self._cache: OrderedDict[str, _CachedWorkload] = OrderedDict()
-        self._digest_memo: dict[int, tuple[CaseArrays, str]] = {}
         self._hits = 0
         self._misses = 0
         self._closed = False
@@ -596,7 +584,6 @@ class EngineRuntime:
     def close(self) -> None:
         """Shut the pool down and unlink every shared segment (idempotent)."""
         self._closed = True
-        self._digest_memo.clear()
         self._finalizer()
 
     # -- introspection (stable surface for tests and diagnostics) ------
@@ -663,16 +650,15 @@ class EngineRuntime:
     def publish_workload(
         self, workload: Workload
     ) -> tuple[CaseArrays, _SegmentSpec | None]:
-        """Columnise, cache, and (if parallel) publish one workload.
+        """Cache and (if parallel) publish one workload's columns.
 
         The sweep runner's entry into the runtime's workload plane:
         returns the cached :class:`CaseArrays` plus, on a parallel
         shared-memory runtime, the :class:`_SegmentSpec` pooled tasks
         attach with (``None`` on serial/no-shm runtimes — callers then
         ship the arrays themselves).  Repeated calls for equal workloads
-        hit the fingerprint-keyed cache, so each distinct workload pays
-        columnisation and publication once per runtime, however many
-        callers share it.
+        hit the fingerprint-keyed cache, so each distinct workload is
+        published once per runtime, however many callers share it.
         """
         if self._closed:
             raise SimulationError("cannot publish on a closed EngineRuntime")
@@ -873,14 +859,8 @@ class EngineRuntime:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _workload_entry(self, workload: Workload) -> _CachedWorkload:
-        """The cache entry for a workload, columnising/digesting at most once."""
-        arrays = workload.to_arrays()
-        memo = self._digest_memo.get(id(arrays))
-        if memo is not None and memo[0] is arrays:
-            digest = memo[1]
-        else:
-            digest = _arrays_digest(arrays)
-            self._digest_memo[id(arrays)] = (arrays, digest)
+        """The cache entry for a workload, keyed by its content fingerprint."""
+        digest = workload.fingerprint()
         entry = self._cache.get(digest)
         if entry is not None:
             self._hits += 1
@@ -889,16 +869,11 @@ class EngineRuntime:
             return entry
         self._misses += 1
         self._obs.count("runtime.workload_cache.miss")
-        entry = _CachedWorkload(arrays=arrays)
+        entry = _CachedWorkload(arrays=workload.to_arrays())
         self._cache[digest] = entry
         while len(self._cache) > self._max_cached:
             _, evicted = self._cache.popitem(last=False)
             _release_segment(evicted)
-            self._digest_memo = {
-                key: value
-                for key, value in self._digest_memo.items()
-                if value[0] is not evicted.arrays
-            }
         return entry
 
     def _columns(

@@ -17,23 +17,41 @@ model: a shared standard-normal factor (weighted by
 ``difficulty_correlation``) plus independent component-specific noise,
 shifted by lesion-type base levels and the observable covariates.  The
 logistic keeps every per-case probability in ``(0, 1)`` smoothly.
+
+Cases are drawn straight into columns (a
+:class:`~repro.engine.arrays.CaseArrays`, which workloads hold): each
+case's draws come off the model's one generator in a fixed per-case
+order, and the difficulties are then computed column-wise.  So a seed
+fixes every workload byte for byte, and the ``generate*`` methods and
+:meth:`PopulationModel.stream` return :class:`Case` objects materialised
+from the same draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .._numeric import sigmoid as _sigmoid
 from .._numeric import sqrt as _sqrt
-from .._validation import check_probability
+from .._validation import PROBABILITY_ATOL, check_probability
 from ..exceptions import SimulationError
 from .case import Case, LesionType
 
+if TYPE_CHECKING:
+    from ..engine.arrays import CaseArrays
+
 __all__ = ["LesionProfile", "PopulationModel", "DEFAULT_LESION_PROFILES"]
+
+#: Layout of one raw row of :meth:`PopulationModel._draws`.
+_ROW = (
+    "case_id", "has_cancer", "profile_uniform", "breast_density", "subtlety",
+    "shared", "machine_noise", "human_noise", "distractor_level",
+)
 
 
 @dataclass(frozen=True)
@@ -126,60 +144,129 @@ class PopulationModel:
         self._rng = np.random.default_rng(seed)
         self._next_id = 0
 
-    # -- single-case generation -------------------------------------------------
+    # -- the draw routine ---------------------------------------------------------
 
-    def _new_id(self) -> int:
-        case_id = self._next_id
-        self._next_id += 1
-        return case_id
+    def _draws(self, cancer: bool | None = None) -> Iterator[tuple[float, ...]]:
+        """Endless raw draws on the model's one generator, one row per case.
 
-    def _draw_density(self) -> float:
-        # Beta(2.2, 2.8): most women mid-density, tails in both directions.
-        return float(self._rng.beta(2.2, 2.8))
+        The one implementation of the per-case draw order.  ``cancer``
+        fixes every case's truth; ``None`` first draws it at the
+        prevalence (one uniform).  A cancer then draws its lesion-profile
+        uniform, density, subtlety, the shared, machine and human latent
+        normals and its distractor level; a healthy case draws its
+        density, distractor level and one noise normal.  Rows follow
+        :data:`_ROW` (a healthy row's normal sits in the ``shared`` slot,
+        its unused slots hold 0.0); each row uses up one case id.
+        """
+        random, beta, normal = self._rng.random, self._rng.beta, self._rng.normal
+        while True:
+            case_id = self._next_id
+            self._next_id += 1
+            has_cancer = random() < self.prevalence if cancer is None else cancer
+            if has_cancer:
+                # Density ~ Beta(2.2, 2.8): most women mid-density, tails in
+                # both directions.  Subtlety ~ Beta(1.8, 2.4): most
+                # screening-detected cancers are moderately subtle; frank
+                # cancers are commoner than invisible ones.
+                yield (
+                    case_id, True, random(), beta(2.2, 2.8), beta(1.8, 2.4),
+                    normal(), normal(), normal(), beta(2.0, 5.0),
+                )
+            else:
+                density, distractors = beta(2.2, 2.8), beta(2.0, 4.0)
+                yield (case_id, False, 0.0, density, 0.0, normal(), 0.0, 0.0, distractors)
 
-    def generate_cancer_case(self) -> Case:
-        """Generate one case that truly has cancer."""
-        profile_index = int(self._rng.choice(len(self.lesion_profiles), p=self._lesion_weights))
-        profile = self.lesion_profiles[profile_index]
-        density = self._draw_density()
-        # Beta(1.8, 2.4): most screening-detected cancers are moderately
-        # subtle; frank cancers (low subtlety) are commoner than invisible ones.
-        subtlety = float(self._rng.beta(1.8, 2.4))
+    def _columns(self, rows: Sequence[tuple[float, ...]]) -> CaseArrays:
+        """Rows of :meth:`_draws` as validated case columns, in row order.
 
-        shared = float(self._rng.normal())
+        The lesion profile is ``rng.choice``'s own inversion of its one
+        uniform (``searchsorted`` on the normalised cdf).  Difficulties
+        are computed column-wise through :mod:`repro._numeric` in the
+        per-case formulas' operation order, so every element has the bits
+        a scalar evaluation gives.  Healthy cases carry a classification
+        difficulty (the probability an average reader finds their benign
+        features suspicious) and zero detection difficulties, since there
+        is nothing to detect.  :class:`Case`'s checks then run over whole
+        columns.
+        """
+        # Imported lazily: the engine imports this package at load time.
+        from ..engine.arrays import LESION_CODES, CaseArrays
+
+        n = len(rows)
+        table = np.fromiter(chain.from_iterable(rows), np.float64, n * len(_ROW))
+        (case_id, truth, uniform, density, subtlety, shared, machine_noise,
+         human_noise, distractors) = table.reshape(n, len(_ROW)).T.copy()
+        cancer = truth.astype(bool)
+        healthy = ~cancer
+        cdf = self._lesion_weights.cumsum()
+        cdf /= cdf[-1]
+        profile = cdf.searchsorted(uniform[cancer], side="right")
+
+        def per_profile(values: list) -> np.ndarray:
+            return np.array(values)[profile]
+
+        profiles = self.lesion_profiles
+        lesion_code = np.full(n, -1, dtype=np.int8)
+        lesion_code[cancer] = per_profile([LESION_CODES.index(p.lesion_type) for p in profiles])
+
         rho = self.difficulty_correlation
-        machine_latent = rho * shared + _sqrt(1.0 - rho * rho) * float(
-            self._rng.normal()
+        idiosyncratic = _sqrt(1.0 - rho * rho)
+        machine_latent = rho * shared[cancer] + idiosyncratic * machine_noise[cancer]
+        human_latent = rho * shared[cancer] + idiosyncratic * human_noise[cancer]
+        covariates = self.subtlety_spread * (subtlety[cancer] - 0.5) + self.density_spread * (
+            density[cancer] - 0.5
         )
-        human_latent = rho * shared + _sqrt(1.0 - rho * rho) * float(
-            self._rng.normal()
+        machine = np.zeros(n)
+        machine[cancer] = _sigmoid(
+            per_profile([p.machine_base for p in profiles])
+            + covariates
+            + self.noise_scale * machine_latent
         )
-
-        covariates = self.subtlety_spread * (subtlety - 0.5) + self.density_spread * (
-            density - 0.5
+        detection = np.zeros(n)
+        detection[cancer] = _sigmoid(
+            per_profile([p.human_detection_base for p in profiles])
+            + covariates
+            + self.noise_scale * human_latent
         )
-        machine_difficulty = _sigmoid(
-            profile.machine_base + covariates + self.noise_scale * machine_latent
-        )
-        human_detection = _sigmoid(
-            profile.human_detection_base + covariates + self.noise_scale * human_latent
-        )
-        human_classification = _sigmoid(
-            profile.human_classification_base
+        classification = np.empty(n)
+        classification[cancer] = _sigmoid(
+            per_profile([p.human_classification_base for p in profiles])
             + 0.5 * covariates
             + self.noise_scale * 0.5 * human_latent
         )
-        return Case(
-            case_id=self._new_id(),
-            has_cancer=True,
-            lesion_type=profile.lesion_type,
-            breast_density=density,
-            subtlety=subtlety,
-            machine_difficulty=machine_difficulty,
-            human_detection_difficulty=human_detection,
-            human_classification_difficulty=human_classification,
-            distractor_level=float(self._rng.beta(2.0, 5.0)),
+        classification[healthy] = _sigmoid(
+            -3.0 + 2.2 * distractors[healthy] + 1.0 * (density[healthy] - 0.5)
+            + self.noise_scale * shared[healthy]
         )
+        if np.any((lesion_code < 0) == cancer):
+            raise ValueError("a cancer case lacks a lesion type or a healthy case has one")
+        return CaseArrays(
+            case_id=case_id.astype(np.int64),
+            has_cancer=cancer,
+            lesion_code=lesion_code,
+            **_checked_probabilities(
+                {
+                    "breast_density": density,
+                    "subtlety": subtlety,
+                    "machine_difficulty": machine,
+                    "human_detection_difficulty": detection,
+                    "human_classification_difficulty": classification,
+                    "distractor_level": distractors,
+                }
+            ),
+        )
+
+    def _draw(self, num_cases: int, cancer: bool | None = None) -> CaseArrays:
+        """``num_cases`` consecutive cases as columns (see :meth:`_draws`)."""
+        if num_cases < 0:
+            raise SimulationError(f"num_cases must be non-negative, got {num_cases!r}")
+        return self._columns(list(islice(self._draws(cancer), num_cases)))
+
+    # -- case objects ---------------------------------------------------------------
+
+    def generate_cancer_case(self) -> Case:
+        """Generate one case that truly has cancer."""
+        return self._draw(1, cancer=True).to_cases()[0]
 
     def generate_healthy_case(self) -> Case:
         """Generate one case without cancer.
@@ -190,51 +277,42 @@ class PopulationModel:
         features suspicious); detection difficulties are zero by
         convention since there is nothing to detect.
         """
-        density = self._draw_density()
-        distractors = float(self._rng.beta(2.0, 4.0))
-        suspiciousness = _sigmoid(
-            -3.0 + 2.2 * distractors + 1.0 * (density - 0.5)
-            + self.noise_scale * float(self._rng.normal())
-        )
-        return Case(
-            case_id=self._new_id(),
-            has_cancer=False,
-            lesion_type=None,
-            breast_density=density,
-            subtlety=0.0,
-            machine_difficulty=0.0,
-            human_detection_difficulty=0.0,
-            human_classification_difficulty=suspiciousness,
-            distractor_level=distractors,
-        )
+        return self._draw(1, cancer=False).to_cases()[0]
 
     def generate_case(self) -> Case:
         """Generate one case with cancer at the model's prevalence."""
-        if float(self._rng.random()) < self.prevalence:
-            return self.generate_cancer_case()
-        return self.generate_healthy_case()
-
-    # -- batch generation ---------------------------------------------------------
+        return self._draw(1).to_cases()[0]
 
     def generate(self, num_cases: int) -> list[Case]:
         """Generate ``num_cases`` cases at the field prevalence."""
-        if num_cases < 0:
-            raise SimulationError(f"num_cases must be non-negative, got {num_cases!r}")
-        return [self.generate_case() for _ in range(num_cases)]
+        return list(self._draw(num_cases).to_cases())
 
     def generate_cancers(self, num_cases: int) -> list[Case]:
         """Generate ``num_cases`` cancer cases (for enriched trial sets)."""
-        if num_cases < 0:
-            raise SimulationError(f"num_cases must be non-negative, got {num_cases!r}")
-        return [self.generate_cancer_case() for _ in range(num_cases)]
+        return list(self._draw(num_cases, cancer=True).to_cases())
 
     def generate_healthy(self, num_cases: int) -> list[Case]:
         """Generate ``num_cases`` healthy cases."""
-        if num_cases < 0:
-            raise SimulationError(f"num_cases must be non-negative, got {num_cases!r}")
-        return [self.generate_healthy_case() for _ in range(num_cases)]
+        return list(self._draw(num_cases, cancer=False).to_cases())
 
     def stream(self) -> Iterator[Case]:
         """Endless stream of cases at the field prevalence."""
-        while True:
-            yield self.generate_case()
+        for row in self._draws():
+            yield self._columns([row]).to_cases()[0]
+
+
+def _checked_probabilities(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """:func:`~repro._validation.check_probability` over whole columns.
+
+    Raises the error :class:`Case` raises for the first bad value (case
+    by case, fields in order), and clips values within tolerance of
+    ``[0, 1]`` onto it.  Returns the columns as rows of one new block.
+    """
+    block = np.array(list(columns.values()))
+    bad = ~np.isfinite(block) | (block < -PROBABILITY_ATOL) | (block > 1.0 + PROBABILITY_ATOL)
+    if bad.any():
+        case, field = np.argwhere(bad.T)[0]
+        check_probability(float(block[field, case]), list(columns)[field])
+    block[block < 0.0] = 0.0
+    block[block > 1.0] = 1.0
+    return dict(zip(columns, block))

@@ -1,8 +1,10 @@
 """Workloads: concrete sequences of cases with known composition.
 
 A :class:`Workload` is what actually gets fed to simulated systems and
-trials — a finite, materialised sequence of cases plus bookkeeping.  The
-two builders mirror the paper's central contrast:
+trials — a finite sequence of cases plus bookkeeping, held as read-only
+columns (a :class:`~repro.engine.arrays.CaseArrays`) that the batch
+engine reads directly.  The two builders draw straight into columns and
+mirror the paper's central contrast:
 
 * :func:`field_workload` — cases drawn at the population's natural
   prevalence (cancers are rare, < 1%);
@@ -16,8 +18,10 @@ over a workload's cancer cases, which is the ``p(x)`` the models consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
 
 from .._numeric import exp as _exp
 from .._validation import check_probability
@@ -25,33 +29,79 @@ from ..core.profile import DemandProfile
 from ..exceptions import SimulationError
 from .case import Case
 from .classifier import CaseClassifier
-from .population import PopulationModel
+from .population import _ROW, PopulationModel
+
+if TYPE_CHECKING:
+    from ..engine.arrays import CaseArrays
 
 __all__ = ["Workload", "field_workload", "trial_workload", "empirical_profile"]
 
+_SUBTLETY = _ROW.index("subtlety")
 
-@dataclass(frozen=True)
+
 class Workload:
-    """A named, finite sequence of screening cases.
+    """A named, finite sequence of screening cases, held as read-only columns.
 
-    Attributes:
+    The columns are the content: :meth:`to_arrays` returns them as they
+    are, and :meth:`fingerprint` digests them once.  :attr:`cases` and
+    iteration materialise :class:`Case` objects on first use and cache
+    them.  Two workloads are equal when their names and contents are.
+
+    Args:
         name: Human-readable label (e.g. ``"field"``, ``"trial"``).
-        cases: The cases, in presentation order.
+        cases: The cases, in presentation order: :class:`Case` objects
+            (columnised once, here), or columns taken as they are and
+            made read-only — they must pass :class:`Case`'s checks, as
+            the population model's do.
     """
 
-    name: str
-    cases: tuple[Case, ...]
+    def __init__(self, name: str, cases: Iterable[Case] | CaseArrays) -> None:
+        # Imported lazily: the engine imports this module at load time.
+        from ..engine.arrays import ARRAY_FIELDS, CaseArrays
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cases", tuple(self.cases))
-        if not self.name:
+        if not name:
             raise SimulationError("workload name must be non-empty")
+        self._cases: tuple[Case, ...] | None = None
+        if not isinstance(cases, CaseArrays):
+            self._cases = tuple(cases)
+            cases = CaseArrays.from_cases(self._cases)
+        for column in ARRAY_FIELDS:
+            getattr(cases, column).flags.writeable = False
+        self._name = name
+        self._arrays = cases
+        self._fingerprint: str | None = None
+
+    def __reduce__(self):
+        return Workload, (self._name, self._arrays)
+
+    @property
+    def name(self) -> str:
+        """The workload's label."""
+        return self._name
+
+    @property
+    def cases(self) -> tuple[Case, ...]:
+        """The cases, in presentation order (materialised on first use)."""
+        if self._cases is None:
+            self._cases = self._arrays.to_cases()
+        return self._cases
 
     def __len__(self) -> int:
-        return len(self.cases)
+        return len(self._arrays)
 
     def __iter__(self) -> Iterator[Case]:
         return iter(self.cases)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Workload):
+            return NotImplemented
+        return self._name == other._name and self.fingerprint() == other.fingerprint()
+
+    def __hash__(self) -> int:
+        return hash((self._name, self.fingerprint()))
+
+    def __repr__(self) -> str:
+        return f"Workload(name={self._name!r}, cases={len(self)})"
 
     @property
     def cancer_cases(self) -> tuple[Case, ...]:
@@ -66,54 +116,37 @@ class Workload:
     @property
     def cancer_fraction(self) -> float:
         """Observed fraction of cancer cases (0 for an empty workload)."""
-        if not self.cases:
+        if not len(self):
             return 0.0
-        return len(self.cancer_cases) / len(self.cases)
+        return int(np.count_nonzero(self._arrays.has_cancer)) / len(self)
 
     def split_by_truth(self) -> tuple["Workload", "Workload"]:
         """Split into (cancers, healthy) sub-workloads."""
+        cancer = self._arrays.has_cancer
         return (
-            Workload(f"{self.name}/cancers", self.cancer_cases),
-            Workload(f"{self.name}/healthy", self.healthy_cases),
+            Workload(f"{self.name}/cancers", self._arrays.take(cancer)),
+            Workload(f"{self.name}/healthy", self._arrays.take(~cancer)),
         )
 
-    def fingerprint(self) -> int:
-        """Content fingerprint of the case sequence.
+    def fingerprint(self) -> str:
+        """Content digest of the columns, computed on first call.
 
-        Hashes the (frozen) cases themselves, so it changes whenever the
-        case contents change — which, for a well-behaved frozen
-        workload, is never.  Cheap relative to columnisation, which is
-        why :meth:`to_arrays` can afford to re-check it on every call.
+        :meth:`~repro.engine.arrays.CaseArrays.digest` (sha1 over the
+        length and every column): equal contents give equal
+        fingerprints, and the read-only columns cannot change under it.
+        The runtime's workload cache is keyed by it.
         """
-        return hash(self.cases)
+        if self._fingerprint is None:
+            self._fingerprint = self._arrays.digest()
+        return self._fingerprint
 
-    def to_arrays(self):
+    def to_arrays(self) -> CaseArrays:
         """The workload as a struct of arrays for the batch engine.
 
-        Columnisation is cached on the workload: repeated calls return
-        the same :class:`~repro.engine.arrays.CaseArrays` object as long
-        as :meth:`fingerprint` is unchanged, so back-to-back evaluations
-        of one workload pay the nine-pass columnisation only once.  The
-        fingerprint re-check guards against out-of-band mutation (e.g.
-        ``object.__setattr__`` on a case); a changed fingerprint drops
-        the cache and recolumnises.
-
-        Returns:
-            :class:`repro.engine.arrays.CaseArrays` over :attr:`cases`,
-            in presentation order.
+        Returns the held read-only :class:`~repro.engine.arrays.CaseArrays`
+        itself: no copy, no hash, no re-check.
         """
-        # Imported lazily: the engine imports this module at load time.
-        from ..engine.arrays import CaseArrays
-
-        fingerprint = self.fingerprint()
-        cached = getattr(self, "_columnised", None)
-        if cached is not None and cached[0] == fingerprint:
-            return cached[1]
-        arrays = CaseArrays.from_cases(self.cases)
-        # The dataclass is frozen; the cache is invisible bookkeeping
-        # (not a field), so it does not affect equality or hashing.
-        object.__setattr__(self, "_columnised", (fingerprint, arrays))
-        return arrays
+        return self._arrays
 
 
 def field_workload(
@@ -126,7 +159,7 @@ def field_workload(
         num_cases: How many cases to draw.
         name: Workload label.
     """
-    return Workload(name, tuple(population.generate(num_cases)))
+    return Workload(name, population._draw(num_cases))
 
 
 def trial_workload(
@@ -141,7 +174,9 @@ def trial_workload(
 
     The number of cancers is the expected count rounded to nearest, so the
     realised fraction matches ``cancer_fraction`` as closely as an integer
-    split allows.
+    split allows.  The population draws the cancers, then the healthy
+    cases; they are then interleaved deterministically, so truth is not
+    correlated with position.
 
     Besides enriching the cancer *fraction*, real trial case sets are also
     deliberately selected for composition — typically overweighting subtle
@@ -150,7 +185,8 @@ def trial_workload(
     models that selection: cancers are rejection-sampled with acceptance
     probability ``exp(subtlety_enrichment * (subtlety - 1))``, so positive
     values tilt the mix toward subtle (difficult) cancers while 0 keeps
-    the population's natural cancer mix.
+    the population's natural cancer mix.  A rejected candidate still uses
+    up its draws and its case id.
 
     Args:
         population: The generating population model.
@@ -171,45 +207,49 @@ def trial_workload(
             f"subtlety_enrichment must be >= 0, got {subtlety_enrichment!r}"
         )
     num_cancers = round(num_cases * cancer_fraction)
+    num_healthy = num_cases - num_cancers
+    candidates = population._draws(cancer=True)
     if subtlety_enrichment > 0:
-        import numpy as np
-
         selection_rng = np.random.default_rng(selection_seed)
-        cancers: list[Case] = []
-        attempts = 0
+        rows: list[tuple[float, ...]] = []
+        cancers: list[int] = []
         max_attempts = max(1000, num_cancers * 200)
         while len(cancers) < num_cancers:
-            if attempts >= max_attempts:
+            if len(rows) >= max_attempts:
                 raise SimulationError(
                     "subtlety enrichment rejection sampling did not converge; "
                     "lower subtlety_enrichment or check the population model"
                 )
-            candidate = population.generate_cancer_case()
-            attempts += 1
-            acceptance = _exp(subtlety_enrichment * (candidate.subtlety - 1.0))
+            rows.append(next(candidates))
+            acceptance = _exp(subtlety_enrichment * (rows[-1][_SUBTLETY] - 1.0))
             if float(selection_rng.random()) < acceptance:
-                cancers.append(candidate)
+                cancers.append(len(rows) - 1)
     else:
-        cancers = population.generate_cancers(num_cancers)
-    healthy = population.generate_healthy(num_cases - num_cancers)
-    # Interleave deterministically so truth is not correlated with position.
-    combined: list[Case] = []
-    cancer_iter, healthy_iter = iter(cancers), iter(healthy)
-    remaining_cancers, remaining_healthy = len(cancers), len(healthy)
+        rows = list(islice(candidates, num_cancers))
+        cancers = list(range(num_cancers))
+    rows += islice(population._draws(cancer=False), num_healthy)
+    # Interleave deterministically so truth is not correlated with position:
+    # the credit loop picks each slot's truth, and the gather fills the
+    # cancer slots with the kept candidates and the rest with the healthy.
+    cancer_slots: list[bool] = []
+    remaining_cancers, remaining_healthy = num_cancers, num_healthy
     credit = 0.0
     for _ in range(num_cases):
         take_cancer = remaining_cancers > 0 and (
             remaining_healthy == 0 or credit + cancer_fraction >= 1.0
         )
+        cancer_slots.append(take_cancer)
         if take_cancer:
-            combined.append(next(cancer_iter))
             remaining_cancers -= 1
             credit += cancer_fraction - 1.0
         else:
-            combined.append(next(healthy_iter))
             remaining_healthy -= 1
             credit += cancer_fraction
-    return Workload(name, tuple(combined))
+    slots = np.array(cancer_slots, dtype=bool)
+    order = np.empty(num_cases, dtype=np.intp)
+    order[slots] = cancers
+    order[~slots] = np.arange(len(rows) - num_healthy, len(rows))
+    return Workload(name, population._columns(rows).take(order))
 
 
 def empirical_profile(
@@ -235,9 +275,8 @@ def empirical_profile(
             continue
         if not cancers_only and case.has_cancer:
             continue
-        counts[classifier.classify(case).name] = (
-            counts.get(classifier.classify(case).name, 0) + 1
-        )
+        name = classifier.classify(case).name
+        counts[name] = counts.get(name, 0) + 1
     if not counts:
         kind = "cancer" if cancers_only else "healthy"
         raise SimulationError(f"no {kind} cases supplied; cannot form a profile")

@@ -464,9 +464,10 @@ class ScreeningService:
         """One fused dispatch for one batch (engine thread only)."""
         with self._obs.span("service.dispatch", items=len(items)):
             cached = self._cache.get(items[0][0])
-            # Republish every dispatch: a fingerprint-memo hit when the
-            # segment is resident, a fresh publication if the runtime's
-            # shm LRU evicted it meanwhile — never a stale segment name.
+            # Republish every dispatch: a cache hit on the workload's
+            # once-computed fingerprint when the segment is resident, a
+            # fresh publication if the runtime's shm LRU evicted it
+            # meanwhile — never a stale segment name.
             arrays, segment = self._runtime.publish_workload(cached.workload)
             plane: Any = segment if segment is not None else arrays
             fused = tuple(

@@ -7,13 +7,14 @@ content fingerprint, so one cache serves every tenant without
 cross-tenant leakage (a key fully determines its workload).
 
 The cache holds what is expensive to rebuild and stable per workload:
-the materialised :class:`~repro.screening.workload.Workload`, the
-columnised arrays, the cancer positions, and the per-class codes the
-fused tally needs.  Publication into the engine's shared-memory plane is
-deliberately *not* cached here — the dispatch path re-calls
-:meth:`EngineRuntime.publish_workload` each batch (a fingerprint-keyed
-memo hit when resident), so the runtime's ``shm_byte_budget`` LRU can
-evict segments freely without the service holding stale specs.
+the generated :class:`~repro.screening.workload.Workload` (whose
+read-only columns the engine reads), the cancer positions, and the
+per-class codes the fused tally needs.  Publication into the engine's
+shared-memory plane is deliberately *not* cached here — the dispatch
+path re-calls :meth:`EngineRuntime.publish_workload` each batch (a
+fingerprint-keyed cache hit when resident), so the runtime's
+``shm_byte_budget`` LRU can evict segments freely without the service
+holding stale specs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
 from ..sweep.grid import WorkloadSpec
-from ..engine.arrays import CaseArrays
 from ..engine.fused import cancer_class_codes
 
 __all__ = ["CachedWorkload", "WorkloadCache"]
@@ -40,7 +40,6 @@ class CachedWorkload:
 
     key: str
     workload: Workload
-    arrays: CaseArrays
     positions: np.ndarray
     codes: np.ndarray
     class_names: tuple[str, ...]
@@ -92,7 +91,6 @@ class WorkloadCache:
             entry = CachedWorkload(
                 key=key,
                 workload=workload,
-                arrays=arrays,
                 positions=positions,
                 codes=codes,
                 class_names=tuple(

@@ -135,6 +135,14 @@ class WorkloadSpec:
             raise SimulationError(
                 f"num_cases must be >= 1, got {self.num_cases!r}"
             )
+        if not 0.0 <= self.cancer_fraction <= 1.0:
+            raise SimulationError(
+                f"cancer_fraction must lie in [0, 1], got {self.cancer_fraction!r}"
+            )
+        if self.population_seed < 0:
+            raise SimulationError(
+                f"population_seed must be >= 0, got {self.population_seed!r}"
+            )
 
     def key(self) -> str:
         """Stable identity of the workload this spec builds.

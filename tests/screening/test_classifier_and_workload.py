@@ -219,6 +219,19 @@ class TestEmpiricalProfile:
         )
         assert profile["difficult"] == pytest.approx(difficult_count / 100)
 
+    def test_each_case_classified_once(self, population, classifier):
+        calls = []
+
+        def counting(case):
+            calls.append(case.case_id)
+            return classifier.classify(case)
+
+        cases = population.generate(300) + population.generate_cancers(40)
+        counted = FunctionClassifier(counting, classifier.classes)
+        profile = empirical_profile(cases, counted)
+        assert sorted(calls) == [c.case_id for c in cases if c.has_cancer]
+        assert dict(profile.items()) == dict(empirical_profile(cases, classifier).items())
+
     def test_healthy_side(self, population, classifier):
         healthy = population.generate_healthy(100)
         profile = empirical_profile(healthy, classifier, cancers_only=False)

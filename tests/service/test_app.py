@@ -272,6 +272,27 @@ class TestHttpLayer:
         assert status == 400
         assert "seed" in data["error"]
 
+    def test_out_of_range_workload_fields_are_400(self):
+        async def scenario(port):
+            responses = []
+            for field, value in (("cancer_fraction", 1.5), ("population_seed", -1)):
+                workload = {"population": "routine", "num_cases": 100, field: value}
+                responses.append(
+                    await http_request(
+                        port,
+                        "POST",
+                        "/v1/evaluate",
+                        body={"workload": workload, "system": {}, "seed": 7},
+                    )
+                )
+            return responses
+
+        for (status, _, data), field in zip(
+            self.run_with_server(CONFIG, scenario), ("cancer_fraction", "population_seed")
+        ):
+            assert status == 400
+            assert field in data["error"]
+
     def test_quota_rejection_is_429_with_retry_after_header(self):
         config = ServiceConfig(
             workers=1,

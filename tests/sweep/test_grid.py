@@ -39,6 +39,21 @@ class TestWorkloadSpec:
         with pytest.raises(SimulationError, match="unknown profile"):
             WorkloadSpec(population="routine", profile="hospital")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cancer_fraction", 1.5),
+            ("cancer_fraction", -0.1),
+            ("cancer_fraction", float("nan")),
+            ("population_seed", -1),
+        ],
+    )
+    def test_out_of_range_fields_rejected_at_construction(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            WorkloadSpec(population="routine", **{field: value})
+        with pytest.raises(SimulationError, match=field):
+            ScenarioGrid(name="bad", profiles=("trial", "field"), **{field: value})
+
 
 class TestSystemSpec:
     def test_label_includes_operating_point_only_when_assisted(self):
