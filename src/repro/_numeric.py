@@ -90,20 +90,19 @@ def logit(p: ArrayLike, epsilon: float = 1e-12) -> ArrayLike:
 def sigmoid(x: ArrayLike) -> ArrayLike:
     """Numerically stable elementwise logistic function.
 
-    Uses the standard two-branch form (never exponentiates a large
-    positive argument) with the branches masked so scalar and array
-    evaluation are bit-identical.
+    With ``z = exp(-|x|)`` (never a large positive exponent) the value
+    is ``1 / (1 + z)`` for ``x >= 0`` and ``z / (1 + z)`` otherwise: the
+    two-branch form, selected per element instead of masked.  ``-|x|``
+    is exactly ``-x`` on the first branch (``-0.0`` included) and ``x``
+    on the second, so each element gets the bits of its own branch and
+    scalar and array evaluation agree.
     """
-    scalar = np.ndim(x) == 0
-    values = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(values)
-    positive = values >= 0
-    z = np.exp(-values[positive])
-    out[positive] = 1.0 / (1.0 + z)
-    z = np.exp(values[~positive])
-    out[~positive] = z / (1.0 + z)
-    if scalar:
-        return float(out[0])
+    values = np.asarray(x, dtype=np.float64)
+    z = np.exp(-np.abs(values))
+    out = np.where(values >= 0, 1.0, z)
+    out /= 1.0 + z
+    if np.ndim(x) == 0:
+        return float(out)
     return out
 
 
@@ -115,6 +114,12 @@ def poisson_from_uniform(u: ArrayLike, rate: ArrayLike) -> ArrayLike:
     consumes exactly one uniform per variate, which is what lets the
     batch engine replicate the scalar stream with one flat ``random(n)``
     call.
+
+    Each step of the pmf/cdf recurrence runs on the whole array, resolved
+    elements included: an unresolved element's count equals the step
+    ``k``, so ``pmf * rate / k`` is exactly its own recurrence step, and a
+    resolved element stays resolved because its ``cdf`` never decreases.
+    The counts are therefore those of a per-element loop, bit for bit.
 
     Args:
         u: Uniform variates in ``[0, 1)`` (scalar or array).
@@ -141,18 +146,18 @@ def poisson_from_uniform(u: ArrayLike, rate: ArrayLike) -> ArrayLike:
     pmf = np.exp(-rate_arr)  # P(K = 0)
     cdf = pmf.copy()
     counts = np.zeros(u_arr.shape, dtype=np.int64)
+    unresolved = u_arr >= cdf
     # The loop runs to the largest realised count; the cap only guards
     # against float saturation in the extreme tail (u within an ulp of 1).
     iteration_cap = int(max_rate + 64.0 * np.sqrt(max_rate + 1.0)) + 64
-    for _ in range(iteration_cap):
-        unresolved = u_arr >= cdf
+    for k in range(1, iteration_cap + 1):
         if not unresolved.any():
             break
-        counts[unresolved] += 1
-        pmf[unresolved] = (
-            pmf[unresolved] * rate_arr[unresolved] / counts[unresolved]
-        )
-        cdf[unresolved] += pmf[unresolved]
+        counts += unresolved
+        pmf *= rate_arr
+        pmf /= k
+        cdf += pmf
+        np.greater_equal(u_arr, cdf, out=unresolved)
     if scalar:
         return int(counts[0])
     return counts

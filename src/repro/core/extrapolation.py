@@ -476,7 +476,6 @@ class ExtrapolationStudy:
         if not 0.0 < level < 1.0:
             raise EstimationError(f"credibility level must be in (0, 1), got {level!r}")
         table = uncertain.sample_table(num_draws, rng=rng, seed=seed)
-        tail = (1.0 - level) / 2.0
         cells = [
             (scenario, profile_name, profile)
             for scenario in self._scenarios
@@ -492,11 +491,8 @@ class ExtrapolationStudy:
                 sample_arrays = [_study_cell_samples(job) for job in jobs]
             intervals: dict[tuple[str, str], CredibleInterval] = {}
             for (scenario, profile_name, _), samples in zip(cells, sample_arrays):
-                intervals[(scenario.name, profile_name)] = CredibleInterval(
-                    lower=float(np.quantile(samples, tail)),
-                    upper=float(np.quantile(samples, 1.0 - tail)),
-                    level=level,
-                    mean=float(samples.mean()),
+                intervals[(scenario.name, profile_name)] = CredibleInterval.from_samples(
+                    samples, level
                 )
             return intervals
 

@@ -85,6 +85,21 @@ class CredibleInterval:
     def __contains__(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 
+    @classmethod
+    def from_samples(cls, samples: np.ndarray, level: float) -> "CredibleInterval":
+        """The equal-tailed interval of Monte Carlo ``samples``, with their mean.
+
+        Both tail quantiles come from one ``np.quantile`` call: one
+        partition of the samples instead of two.
+        """
+        if not 0.0 < level < 1.0:
+            raise EstimationError(f"credibility level must be in (0, 1), got {level!r}")
+        tail = (1.0 - level) / 2.0
+        lower, upper = np.quantile(samples, (tail, 1.0 - tail))
+        return cls(
+            lower=float(lower), upper=float(upper), level=level, mean=float(samples.mean())
+        )
+
 
 @dataclass(frozen=True)
 class BetaPosterior:
@@ -386,13 +401,7 @@ class UncertainModel:
         samples = self.failure_probability_samples(
             profile, num_samples, rng=rng, seed=seed, method=method
         )
-        tail = (1.0 - level) / 2.0
-        return CredibleInterval(
-            lower=float(np.quantile(samples, tail)),
-            upper=float(np.quantile(samples, 1.0 - tail)),
-            level=level,
-            mean=float(samples.mean()),
-        )
+        return CredibleInterval.from_samples(samples, level)
 
     def probability_scenario_beats(
         self,

@@ -20,11 +20,15 @@ boundaries.  Two observations make exact vectorization possible:
   every accepted decision used exactly the trust the scalar loop would
   have used — applies the penalty, and restarts after it.
 
-Both recurrences are evaluated with Python-float arithmetic, one case
-at a time, so the state values match the scalar classes to the last
-bit; only the per-case decision work (logits, sigmoids, uniform
-comparisons) is vectorized, and each of those expressions reproduces
-the scalar operation order exactly (see ``docs/engine.md``).
+Both recurrences are evaluated with the scalar classes' Python-float
+arithmetic, so the state values match them to the last bit.  The
+decrement path steps one case at a time only until the float
+recurrence reaches its fixed point (``d + rate * (max - d) == d``,
+after 3,233 cases at the default rate) and fills the rest of the
+session with that value.  Only the per-case decision work (logits,
+sigmoids, uniform comparisons) is vectorized, and each of those
+expressions reproduces the scalar operation order exactly (see
+``docs/engine.md``).
 
 The kernels never draw randomness: callers pass the chunk's flat
 uniforms ``u`` in the fixed layout the scalar loop consumes (four per
@@ -97,16 +101,34 @@ def fatigue_decrement_path(
     carry state.  Replicates ``advance()`` exactly, including the
     automatic session break after ``cases_per_session`` cases — so a
     chunk boundary landing on a break carries the already-rested state.
+    Within a session the recurrence stops at its float fixed point, so
+    a path costs at most that many Python steps per session.
     """
     if num_cases < 0:
         raise SimulationError(f"num_cases must be >= 0, got {num_cases!r}")
     path = np.empty(num_cases)
     d = float(decrement)
     count = int(cases_this_session)
-    for i in range(num_cases):
-        path[i] = d
-        d = d + rate * (max_decrement - d)
-        count += 1
+    i = 0
+    while i < num_cases:
+        # One run: the cases up to the next automatic break (at least
+        # one, as advance() breaks after any case that reaches the
+        # session length) or the end of the chunk.
+        run = num_cases - i
+        if cases_per_session is not None:
+            run = min(run, max(cases_per_session - count, 1))
+        end = i + run
+        while i < end:
+            path[i] = d
+            i += 1
+            nxt = d + rate * (max_decrement - d)
+            if nxt == d:
+                # A fixed point: one step from an equal value is bitwise
+                # idempotent (even from -0.0, which steps to +0.0).
+                path[i:end] = nxt
+                i = end
+            d = nxt
+        count += run
         if cases_per_session is not None and count >= cases_per_session:
             d = 0.0
             count = 0

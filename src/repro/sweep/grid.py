@@ -21,12 +21,15 @@ seed, so two builds of one (spec, seed) pair are interchangeable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 
+from .._numeric import MAX_POISSON_RATE
+from .._numeric import exp as _exp
 from ..cadt import Cadt, DetectionAlgorithm
 from ..exceptions import SimulationError
 from ..reader import (
@@ -181,7 +184,11 @@ class SystemSpec:
             decrement); the latter two run on the engine's ordered
             stream-carry path.
         operating_point: CADT threshold shift (logit scale); ignored for
-            unaided systems.
+            unaided systems.  It must be finite, and high enough that a
+            case at the top distractor level keeps a false-prompt rate
+            the sampler supports (at most
+            :data:`~repro._numeric.MAX_POISSON_RATE`; below about -6.3
+            it does not).
     """
 
     kind: str = "assisted"
@@ -201,6 +208,23 @@ class SystemSpec:
         if self.dynamics not in DYNAMICS:
             raise SimulationError(
                 f"unknown dynamics {self.dynamics!r}; expected one of {list(DYNAMICS)}"
+            )
+        if not math.isfinite(self.operating_point):
+            raise SimulationError(
+                f"operating_point must be finite, got {self.operating_point!r}"
+            )
+        # The false-prompt rate build()'s CADT computes for a case at the
+        # top distractor level (1.0), which bounds every case's rate.
+        worst_rate = (
+            DetectionAlgorithm.base_false_prompt_rate
+            * (1.0 + DetectionAlgorithm.distractor_gain)
+            * _exp(-self.operating_point)
+        )
+        if worst_rate > MAX_POISSON_RATE:
+            raise SimulationError(
+                f"operating_point {self.operating_point!r} is too low: its "
+                f"worst-case false-prompt rate {worst_rate:.6g} exceeds the "
+                f"supported maximum {MAX_POISSON_RATE:g}"
             )
 
     def label(self) -> str:
@@ -327,7 +351,13 @@ class ScenarioGrid:
         for kind in self.systems:
             for bias in self.biases:
                 for dyn in self.dynamics:
-                    SystemSpec(kind=kind, bias=bias, dynamics=dyn)
+                    for point in self._points_for(kind):
+                        SystemSpec(
+                            kind=kind,
+                            bias=bias,
+                            dynamics=dyn,
+                            operating_point=float(point),
+                        )
 
     def _points_for(self, kind: str) -> tuple[float, ...]:
         """The operating points the ``kind`` axis actually varies over.

@@ -96,6 +96,24 @@ class TestCredibleInterval:
         with pytest.raises(EstimationError):
             CredibleInterval(lower=0.1, upper=0.2, level=1.0, mean=0.15)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 999, 40_000])
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99, 1e-9, 1.0 - 1e-9])
+    def test_from_samples_equals_two_quantile_calls(self, size, level):
+        samples = np.random.default_rng(size).beta(0.7, 30.0, size=size)
+        tail = (1.0 - level) / 2.0
+        interval = CredibleInterval.from_samples(samples, level)
+        assert interval == CredibleInterval(
+            lower=float(np.quantile(samples, tail)),
+            upper=float(np.quantile(samples, 1.0 - tail)),
+            level=level,
+            mean=float(samples.mean()),
+        )
+
+    def test_from_samples_rejects_invalid_level(self):
+        for level in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(EstimationError):
+                CredibleInterval.from_samples(np.linspace(0.0, 1.0, 11), level)
+
 
 class TestUncertainClassParameters:
     def test_from_point_roundtrip(self, example_class_parameters):

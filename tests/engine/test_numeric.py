@@ -146,3 +146,151 @@ class TestPoissonFromUniform:
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
             poisson_from_uniform(0.5, -1.0)
+
+
+def _masked_poisson_reference(u, rate):
+    """The per-element masked inversion loop the whole-array one replaced."""
+    scalar = np.ndim(u) == 0 and np.ndim(rate) == 0
+    u_arr, rate_arr = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(u, dtype=np.float64)),
+        np.atleast_1d(np.asarray(rate, dtype=np.float64)),
+    )
+    max_rate = float(rate_arr.max()) if rate_arr.size else 0.0
+    pmf = np.exp(-rate_arr)
+    cdf = pmf.copy()
+    counts = np.zeros(u_arr.shape, dtype=np.int64)
+    iteration_cap = int(max_rate + 64.0 * np.sqrt(max_rate + 1.0)) + 64
+    for _ in range(iteration_cap):
+        unresolved = u_arr >= cdf
+        if not unresolved.any():
+            break
+        counts[unresolved] += 1
+        pmf[unresolved] = (
+            pmf[unresolved] * rate_arr[unresolved] / counts[unresolved]
+        )
+        cdf[unresolved] += pmf[unresolved]
+    if scalar:
+        return int(counts[0])
+    return counts
+
+
+def _two_branch_sigmoid_reference(x):
+    """The masked two-branch logistic the branch-free one replaced."""
+    scalar = np.ndim(x) == 0
+    values = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(values)
+    positive = values >= 0
+    z = np.exp(-values[positive])
+    out[positive] = 1.0 / (1.0 + z)
+    z = np.exp(values[~positive])
+    out[~positive] = z / (1.0 + z)
+    if scalar:
+        return float(out[0])
+    return out
+
+
+def assert_same_bytes(ours, reference):
+    ours, reference = np.asarray(ours), np.asarray(reference)
+    assert ours.dtype == reference.dtype and ours.shape == reference.shape
+    assert ours.tobytes() == reference.tobytes()
+
+
+class TestPoissonMatchesMaskedLoop:
+    """The whole-array inversion gives the masked loop's counts exactly."""
+
+    @pytest.mark.parametrize(
+        "rate",
+        [0.0, 5e-324, 1e-12, 0.6, 1.8, 7.5, 50.0, 744.0, 746.0, MAX_POISSON_RATE],
+    )
+    def test_rates_up_to_the_maximum(self, rate):
+        u = np.random.default_rng(11).random(4000)
+        assert_same_bytes(
+            poisson_from_uniform(u, rate), _masked_poisson_reference(u, rate)
+        )
+
+    def test_mixed_rates_across_the_supported_range(self):
+        rng = np.random.default_rng(12)
+        u = rng.random(20000)
+        rates = rng.random(20000) * MAX_POISSON_RATE
+        rates[:5000] *= 1e-3  # most mass at the false-prompt model's scale
+        assert_same_bytes(
+            poisson_from_uniform(u, rates), _masked_poisson_reference(u, rates)
+        )
+
+    @pytest.mark.parametrize("rate", [0.0, 1.8, 30.0, 746.0, MAX_POISSON_RATE])
+    def test_u_next_below_one_hits_the_iteration_cap(self, rate):
+        u = np.array([np.nextafter(1.0, 0.0), 0.5, 0.0])
+        ours = poisson_from_uniform(u, rate)
+        assert_same_bytes(ours, _masked_poisson_reference(u, rate))
+        cap = int(rate + 64.0 * np.sqrt(rate + 1.0)) + 64
+        if rate >= 746.0:  # exp(-rate) underflows: the cdf never moves
+            assert ours[0] == cap
+        top = float(np.nextafter(1.0, 0.0))
+        assert poisson_from_uniform(top, rate) == _masked_poisson_reference(
+            top, rate
+        )
+
+    def test_scalar_and_broadcast_inputs(self):
+        rng = np.random.default_rng(13)
+        u = rng.random((40, 1))
+        rates = rng.random((1, 25)) * 12.0
+        for args in (
+            (0.73, 4.2),
+            (0.73, rates),
+            (u, 4.2),
+            (u, rates),
+            (u[:, 0], np.float64(2.5)),
+        ):
+            ours = poisson_from_uniform(*args)
+            reference = _masked_poisson_reference(*args)
+            assert type(ours) is type(reference)
+            assert_same_bytes(ours, reference)
+
+
+class TestSigmoidMatchesTwoBranchForm:
+    """The branch-free sigmoid gives the two-branch form's bits."""
+
+    def test_special_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        xs = np.array(
+            [
+                0.0,
+                -0.0,
+                np.inf,
+                -np.inf,
+                tiny,
+                -tiny,
+                2.2250738585072014e-308 / 3,  # a subnormal
+                -2.2250738585072014e-308 / 3,
+                745.0,
+                -745.0,
+                746.0,
+                -746.0,
+                709.8,
+                -709.8,
+                1e-17,
+                -1e-17,
+            ]
+        )
+        assert_same_bytes(sigmoid(xs), _two_branch_sigmoid_reference(xs))
+        for x in xs:
+            ours = sigmoid(float(x))
+            assert isinstance(ours, float)
+            assert_same_bytes(ours, _two_branch_sigmoid_reference(float(x)))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 4096, 100_003])
+    def test_random_normals(self, size):
+        xs = np.random.default_rng(size).standard_normal(size) * 8.0
+        assert_same_bytes(sigmoid(xs), _two_branch_sigmoid_reference(xs))
+
+    def test_strided_views_and_nan(self):
+        xs = np.random.default_rng(14).standard_normal((300, 4)) * 20.0
+        xs[::7, 1] = np.nan
+        for view in (xs[:, 1], xs[::3, 2], xs[::-1, 0], xs.T):
+            ours = sigmoid(view)
+            reference = _two_branch_sigmoid_reference(view)
+            nan = np.isnan(view)
+            # A NaN's sign bit is the only thing the forms may disagree on.
+            assert (np.isnan(ours) == nan).all()
+            assert_same_bytes(ours[~nan], reference[~nan])
+        assert math.isnan(sigmoid(float("nan")))

@@ -226,6 +226,64 @@ class TestFatigueProperties:
             FatigueModel(cases_per_session=2.5)
 
 
+def _per_case_decrement_reference(
+    decrement, cases_this_session, rate, max_decrement, cases_per_session, num_cases
+):
+    """The per-case loop the fixed-point-stopping decrement path replaced."""
+    path = np.empty(num_cases)
+    d = float(decrement)
+    count = int(cases_this_session)
+    for i in range(num_cases):
+        path[i] = d
+        d = d + rate * (max_decrement - d)
+        count += 1
+        if cases_per_session is not None and count >= cases_per_session:
+            d = 0.0
+            count = 0
+    return path, d, count
+
+
+def _fixed_point(rate, max_decrement):
+    d = 0.0
+    while d + rate * (max_decrement - d) != d:
+        d = d + rate * (max_decrement - d)
+    return d
+
+
+class TestDecrementPathMatchesPerCaseLoop:
+    """Long paths cross the recurrence's fixed point (3,233 cases at rate
+    0.01), which the hypothesis tests above never reach; the path must
+    still equal the per-case loop byte for byte."""
+
+    @pytest.mark.parametrize(
+        "decrement, count, rate, max_decrement, session",
+        [
+            (0.0, 0, 0.01, 0.8, None),
+            (0.0, 0, 0.01, 0.8, 1),
+            (0.0, 0, 0.01, 0.8, 7),
+            (0.0, 0, 0.01, 0.8, 5000),
+            (0.0, 4000, 0.01, 0.8, 5000),
+            (_fixed_point(0.01, 0.8), 0, 0.01, 0.8, None),
+            (_fixed_point(0.01, 0.8), 2, 0.01, 0.8, 5000),
+            (0.3, 7, 0.01, 0.8, 7),
+            (0.3, 12, 0.01, 0.8, 7),
+            (0.3, 5000, 0.01, 0.8, 5000),
+            (-0.0, 0, 0.01, 0.8, None),
+            (-0.0, 0, 0.01, 0.8, 7),
+            (-0.0, 0, 0.0, 0.8, None),
+            (-0.0, 0, 0.25, 0.0, 5000),
+            (0.0, 0, 1.0, 0.8, None),
+        ],
+    )
+    def test_fifty_thousand_cases(self, decrement, count, rate, max_decrement, session):
+        args = (decrement, count, rate, max_decrement, session, 50_000)
+        path, final_decrement, final_count = fatigue_decrement_path(*args)
+        ref_path, ref_decrement, ref_count = _per_case_decrement_reference(*args)
+        assert path.tobytes() == ref_path.tobytes()
+        assert np.float64(final_decrement).tobytes() == np.float64(ref_decrement).tobytes()
+        assert final_count == ref_count
+
+
 class TestPathValidation:
     def test_negative_lengths_rejected(self):
         with pytest.raises(SimulationError):

@@ -293,6 +293,36 @@ class TestHttpLayer:
             assert status == 400
             assert field in data["error"]
 
+    def test_out_of_range_operating_point_is_400_and_spares_its_batch(self):
+        # A bad operating point must be refused when the request is
+        # parsed: inside a fused dispatch it would fail every request
+        # coalesced with it.
+        def body(operating_point, seed):
+            return {
+                "workload": {"population": "routine", "num_cases": 100},
+                "system": {"kind": "assisted", "operating_point": operating_point},
+                "seed": seed,
+            }
+
+        async def scenario(port):
+            waves = []
+            for bad in (-10.0, float("nan")):
+                waves.append(
+                    await asyncio.gather(
+                        *(
+                            http_request(port, "POST", "/v1/evaluate", body=body(point, seed))
+                            for seed, point in enumerate((bad, 0.0, 0.2))
+                        )
+                    )
+                )
+            return waves
+
+        config = ServiceConfig(workers=1, linger_ms=50.0, chunk_size=128)
+        for wave, reason in zip(self.run_with_server(config, scenario), ("too low", "finite")):
+            assert [status for status, _, _ in wave] == [400, 200, 200]
+            assert reason in wave[0][2]["error"]
+            assert wave[1][2]["evaluation"]["false_negative"]["trials"] == 50
+
     def test_quota_rejection_is_429_with_retry_after_header(self):
         config = ServiceConfig(
             workers=1,

@@ -91,6 +91,30 @@ class TestSystemSpec:
         with pytest.raises(SimulationError, match="unknown dynamics"):
             SystemSpec(dynamics="chaotic")
 
+    @pytest.mark.parametrize(
+        "operating_point, reason",
+        [
+            (float("nan"), "must be finite"),
+            (float("inf"), "must be finite"),
+            (float("-inf"), "must be finite"),
+            (-6.33, "too low"),
+            (-10.0, "too low"),
+        ],
+    )
+    def test_out_of_range_operating_point_rejected_at_construction(
+        self, operating_point, reason
+    ):
+        # Below about -6.32 a case at the top distractor level would ask
+        # the false-prompt sampler for a Poisson rate above its maximum.
+        with pytest.raises(SimulationError, match=reason):
+            SystemSpec(operating_point=operating_point)
+        with pytest.raises(SimulationError, match=reason):
+            ScenarioGrid(
+                name="bad",
+                systems=("unaided", "assisted"),
+                operating_points=(0.0, operating_point),
+            )
+
 
 class TestScenarioGrid:
     def test_len_matches_cells(self):
