@@ -196,7 +196,7 @@ class DetectionAlgorithm:
 
     def miss_probability_batch(self, arrays: "CaseArrays") -> np.ndarray:
         """``pMf(x)`` for every case of a batch; 0 on healthy cases."""
-        missed = _sigmoid(_logit(arrays.machine_difficulty) + self.threshold_shift)
+        missed = _sigmoid(arrays.machine_difficulty_logit + self.threshold_shift)
         return np.where(arrays.has_cancer, missed, 0.0)
 
     def false_prompt_rate_batch(self, arrays: "CaseArrays") -> np.ndarray:

@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from .._numeric import logit as _logit
 from ..exceptions import SimulationError
 from ..screening.case import Case, LesionType
 
-__all__ = ["CaseArrays", "LESION_CODES", "ARRAY_FIELDS"]
+__all__ = ["CaseArrays", "SharedLayout", "LESION_CODES", "ARRAY_FIELDS"]
+
+_T = TypeVar("_T")
 
 #: Stable integer coding of lesion types (index into this tuple);
 #: ``-1`` codes "no lesion" (healthy cases).
@@ -40,6 +44,46 @@ _FLOAT_FIELDS = (
 #: Every column of a :class:`CaseArrays`, in the canonical order used by
 #: the shared-memory workload plane (:mod:`repro.engine.runtime`).
 ARRAY_FIELDS: tuple[str, ...] = ("case_id", "has_cancer", "lesion_code", *_FLOAT_FIELDS)
+
+#: Uniforms one reader consumes per case: ``[u_lapse, u_prompt,
+#: u_detect, u_classify]`` on a cancer, ``[u_recall]`` on a healthy case.
+_CANCER_DRAWS, _HEALTHY_DRAWS = 4, 1
+
+#: Uniforms a CADT consumes per case, ``[u_miss, u_prompts]``.
+_CADT_DRAWS = 2
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _column_logit(column: np.ndarray) -> np.ndarray:
+    """Read-only ``logit(column)``, through :mod:`repro._numeric`."""
+    return _read_only(np.asarray(_logit(column)))
+
+
+class SharedLayout(NamedTuple):
+    """Where each component's uniforms sit in one shared flat draw.
+
+    A system whose components share one generator consumes, per case,
+    the CADT's ``[u_miss, u_prompts]`` (when there is a tool) and then
+    each reader's segment in reading order.  One ``rng.random(total)``
+    draw gathered through these indices gives every component the
+    uniforms it would have drawn itself.
+
+    Attributes:
+        total: Uniforms in the flat draw.
+        cadt_index: ``int64[n, 2]`` positions of each case's CADT pair;
+            ``None`` without a tool.
+        reader_index: Per reader, in reading order, where its uniforms
+            sit in the flat draw, listed in the reader layout
+            (:attr:`CaseArrays.reader_offsets`).
+    """
+
+    total: int
+    cadt_index: np.ndarray | None
+    reader_index: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -62,6 +106,13 @@ class CaseArrays:
         human_classification_difficulty: Per-case misclassification
             probability, ``float64[n]``.
         distractor_level: Benign-feature density, ``float64[n]``.
+
+    Everything else a decide kernel needs that depends on the columns
+    alone — the reader layout, the shared-draw layouts, the cancer and
+    healthy index sets, the difficulty logits, memoised chunk views —
+    is derived on first use, read-only, and kept for the object's
+    lifetime.  Pickling carries the columns only, so nothing derived
+    crosses a process boundary.
     """
 
     case_id: np.ndarray
@@ -85,6 +136,9 @@ class CaseArrays:
 
     def __len__(self) -> int:
         return len(self.case_id)
+
+    def __reduce__(self) -> tuple[type, tuple[np.ndarray, ...]]:
+        return CaseArrays, tuple(getattr(self, name) for name in ARRAY_FIELDS)
 
     @property
     def bytes_per_case(self) -> int:
@@ -159,19 +213,114 @@ class CaseArrays:
         return CaseArrays(**{name: getattr(self, name)[index] for name in ARRAY_FIELDS})
 
     def chunk(self, start: int, stop: int) -> "CaseArrays":
-        """The sub-batch ``[start, stop)`` (array views, no copying)."""
+        """The sub-batch ``[start, stop)`` (array views, no copying).
+
+        Memoised: the same range returns the same object, and the full
+        range returns this one — so every system that decides a chunk
+        shares its derived arrays.
+        """
         if not 0 <= start <= stop <= len(self):
             raise SimulationError(
                 f"chunk [{start}, {stop}) out of bounds for {len(self)} cases"
             )
-        return CaseArrays(
-            case_id=self.case_id[start:stop],
-            has_cancer=self.has_cancer[start:stop],
-            lesion_code=self.lesion_code[start:stop],
-            **{
-                name: getattr(self, name)[start:stop] for name in _FLOAT_FIELDS
-            },
+        if start == 0 and stop == len(self):
+            return self
+        return self.derived(
+            ("chunk", start, stop),
+            lambda: CaseArrays(
+                **{name: getattr(self, name)[start:stop] for name in ARRAY_FIELDS}
+            ),
         )
+
+    # -- derived, seed-independent state ------------------------------------------
+
+    @cached_property
+    def _memo(self) -> dict[Hashable, Any]:
+        return {}
+
+    def derived(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, memoised on this object under ``key``.
+
+        For values that depend on the columns and ``key`` alone (never on
+        a seed or on mutable state): they live as long as this object and
+        are shared by everything that reads it.  Arrays returned must be
+        read-only.
+        """
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = compute()
+            return value
+
+    @cached_property
+    def cancer_index(self) -> np.ndarray:
+        """Sorted positions of the cancer cases, ``int64``."""
+        return _read_only(np.flatnonzero(self.has_cancer))
+
+    @cached_property
+    def healthy_index(self) -> np.ndarray:
+        """Sorted positions of the healthy cases, ``int64``."""
+        return _read_only(np.flatnonzero(~self.has_cancer))
+
+    @cached_property
+    def reader_offsets(self) -> np.ndarray:
+        """Where each case's uniforms start in one reader's flat draw.
+
+        The reader layout: four uniforms per cancer case and one per
+        healthy case, in case order; this is its exclusive prefix sum,
+        ``int64[n]``.
+        """
+        counts = np.where(self.has_cancer, _CANCER_DRAWS, _HEALTHY_DRAWS)
+        return _read_only(np.cumsum(counts) - counts)
+
+    @cached_property
+    def reader_total(self) -> int:
+        """Uniforms one reader consumes over the whole batch."""
+        cancers = len(self.cancer_index)
+        return _CANCER_DRAWS * cancers + _HEALTHY_DRAWS * (len(self) - cancers)
+
+    def shared_layout(self, readers: int, cadt: bool) -> SharedLayout:
+        """The :class:`SharedLayout` of ``readers`` readers, after a tool if ``cadt``."""
+        if readers < 1:
+            raise SimulationError(f"readers must be >= 1, got {readers!r}")
+        return self.derived(
+            ("shared_layout", readers, cadt), lambda: self._shared_layout(readers, cadt)
+        )
+
+    def _shared_layout(self, readers: int, cadt: bool) -> SharedLayout:
+        head = _CADT_DRAWS if cadt else 0
+        per_reader = np.where(self.has_cancer, _CANCER_DRAWS, _HEALTHY_DRAWS)
+        counts = head + readers * per_reader
+        offsets = np.cumsum(counts) - counts  # exclusive prefix sum
+        cadt_index = None
+        if cadt:
+            cadt_index = _read_only(np.stack((offsets, offsets + 1), axis=1))
+        # Reader k's segment of case i starts at offsets[i] + head +
+        # k * per_reader[i]; `within` ranks each uniform inside its segment.
+        within = np.arange(self.reader_total) - np.repeat(self.reader_offsets, per_reader)
+        first = np.repeat(offsets + head, per_reader) + within
+        step = np.repeat(per_reader, per_reader)
+        return SharedLayout(
+            total=int(counts.sum()),
+            cadt_index=cadt_index,
+            reader_index=tuple(_read_only(first + k * step) for k in range(readers)),
+        )
+
+    @cached_property
+    def machine_difficulty_logit(self) -> np.ndarray:
+        """``logit(machine_difficulty)``, ``float64[n]``."""
+        return _column_logit(self.machine_difficulty)
+
+    @cached_property
+    def human_detection_difficulty_logit(self) -> np.ndarray:
+        """``logit(human_detection_difficulty)``, ``float64[n]``."""
+        return _column_logit(self.human_detection_difficulty)
+
+    @cached_property
+    def human_classification_difficulty_logit(self) -> np.ndarray:
+        """``logit(human_classification_difficulty)``, ``float64[n]``."""
+        return _column_logit(self.human_classification_difficulty)
 
     def lesion_types(self) -> Sequence[LesionType | None]:
         """Decode :attr:`lesion_code` back to lesion types."""

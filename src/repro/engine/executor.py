@@ -238,7 +238,7 @@ def _columnise(
     on_scalar_fallback: Callable[[], None] | None = None,
 ) -> _Columns:
     """Classify a columnised workload's cancer cases (see :class:`_Columns`)."""
-    positions = np.flatnonzero(arrays.has_cancer)
+    positions = arrays.cancer_index
     codes = cancer_class_codes(
         workload, classifier, arrays, positions, on_scalar_fallback=on_scalar_fallback
     )

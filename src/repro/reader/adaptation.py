@@ -239,9 +239,7 @@ class AdaptiveReader:
         :meth:`decide` case by case.
         """
         if u is None:
-            counts = np.where(arrays.has_cancer, 4, 1)
-            source = rng if rng is not None else self._rng
-            u = source.random(int(counts.sum()))
+            u = (rng if rng is not None else self._rng).random(arrays.reader_total)
         return advance_adaptive_chunk(
             self._base_reader, self.trust, arrays, cadt_output, state, u
         )

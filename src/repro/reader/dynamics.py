@@ -25,10 +25,13 @@ arithmetic, so the state values match them to the last bit.  The
 decrement path steps one case at a time only until the float
 recurrence reaches its fixed point (``d + rate * (max - d) == d``,
 after 3,233 cases at the default rate) and fills the rest of the
-session with that value.  Only the per-case decision work (logits,
-sigmoids, uniform comparisons) is vectorized, and each of those
-expressions reproduces the scalar operation order exactly (see
-``docs/engine.md``).
+session with that value; :func:`chunk_decrement_path` memoises each
+path on its chunk, so every system deciding a chunk from one state
+steps it once.  Only the per-case decision work (sigmoids, uniform
+comparisons) is vectorized, over the chunk's shared layout, index sets
+and difficulty logits (:class:`~repro.engine.arrays.CaseArrays`), and
+each of those expressions reproduces the scalar operation order exactly
+(see ``docs/engine.md``).
 
 The kernels never draw randomness: callers pass the chunk's flat
 uniforms ``u`` in the fixed layout the scalar loop consumes (four per
@@ -37,11 +40,11 @@ cancer case, one per healthy case, in case order).
 
 from __future__ import annotations
 
+import struct
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._numeric import logit as _logit
 from .._numeric import sigmoid as _sigmoid
 from ..cadt.algorithm import CadtBatchOutput
 from ..exceptions import SimulationError
@@ -56,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 __all__ = [
     "trust_growth_path",
     "fatigue_decrement_path",
+    "chunk_decrement_path",
     "advance_adaptive_chunk",
     "advance_fatigued_chunk",
 ]
@@ -135,6 +139,55 @@ def fatigue_decrement_path(
     return path, d, count
 
 
+#: Decrement paths kept per chunk; the oldest is dropped first.  A chunk
+#: sees one path per (entry state, fatigue parameters) it is decided
+#: from, and those repeat: fresh readers enter every evaluation at the
+#: same states.
+_PATHS_PER_CHUNK = 8
+
+
+def _float_key(value: float) -> int:
+    """``value``'s exact IEEE 754 bits (so ``0.0`` and ``-0.0`` differ)."""
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def chunk_decrement_path(
+    arrays: "CaseArrays",
+    decrement: float,
+    cases_this_session: int,
+    rate: float,
+    max_decrement: float,
+    cases_per_session: int | None,
+) -> tuple[np.ndarray, float, int]:
+    """:func:`fatigue_decrement_path` over one chunk, memoised on it.
+
+    The path is a pure function of its arguments, so every fatigued
+    system that enters ``arrays`` in the same state with the same
+    parameters shares one computation.  The key is the full argument
+    tuple with floats keyed by their bits; the returned path is
+    read-only.
+    """
+    key = (
+        _float_key(decrement),
+        int(cases_this_session),
+        _float_key(rate),
+        _float_key(max_decrement),
+        cases_per_session,
+        len(arrays),
+    )
+    paths: dict = arrays.derived("fatigue_decrement_paths", dict)
+    hit = paths.get(key)
+    if hit is None:
+        path, final_decrement, final_count = fatigue_decrement_path(
+            decrement, cases_this_session, rate, max_decrement, cases_per_session, len(arrays)
+        )
+        path.flags.writeable = False
+        hit = paths[key] = (path, final_decrement, final_count)
+        if len(paths) > _PATHS_PER_CHUNK:
+            del paths[next(iter(paths))]
+    return hit
+
+
 def _check_chunk_inputs(
     arrays: "CaseArrays",
     cadt_output: CadtBatchOutput | None,
@@ -183,32 +236,29 @@ def advance_fatigued_chunk(
         ``(recall, next_state)``: boolean decisions per case and the
         state to carry into the next chunk.
     """
-    cancer = arrays.has_cancer
-    counts = np.where(cancer, 4, 1)
-    offsets = np.cumsum(counts) - counts  # exclusive prefix sum
-    total = int(counts.sum())
-    _check_chunk_inputs(arrays, cadt_output, state, u, total)
-    d_path, d_final, count_final = fatigue_decrement_path(
+    offsets = arrays.reader_offsets
+    _check_chunk_inputs(arrays, cadt_output, state, u, arrays.reader_total)
+    d_path, d_final, count_final = chunk_decrement_path(
+        arrays,
         float(state.decrement[0]),
         int(state.cases_this_session[0]),
         fatigue.rate,
         fatigue.max_decrement,
         fatigue.cases_per_session,
-        len(arrays),
     )
     aided = cadt_output is not None
     skill = reader.skill
     bias = reader._active_bias(aided)
     recall = np.zeros(len(arrays), dtype=bool)
 
-    healthy = np.flatnonzero(~cancer)
+    healthy = arrays.healthy_index
     if healthy.size:
         # The tired reader's specificity is (base - decrement), computed
         # per case *before* the logit subtraction — the float-op order
         # the scalar snapshot reader uses.
         specificity = skill.specificity - d_path[healthy]
         recall_logit = (
-            _logit(arrays.human_classification_difficulty[healthy]) - specificity
+            arrays.human_classification_difficulty_logit[healthy] - specificity
         )
         if aided:
             recall_logit = recall_logit + (
@@ -217,7 +267,7 @@ def advance_fatigued_chunk(
             )
         recall[healthy] = u[offsets[healthy]] < _sigmoid(recall_logit)
 
-    cancers = np.flatnonzero(cancer)
+    cancers = arrays.cancer_index
     if cancers.size:
         start = offsets[cancers]
         u_lapse = u[start]
@@ -232,7 +282,7 @@ def advance_fatigued_chunk(
             detection_shift = 0.0
         detection = skill.detection - d_path[cancers]
         attentive_miss = _sigmoid(
-            _logit(arrays.human_detection_difficulty[cancers])
+            arrays.human_detection_difficulty_logit[cancers]
             - detection
             + detection_shift
         )
@@ -241,7 +291,7 @@ def advance_fatigued_chunk(
         noticed = registered | (~lapsed & (u_detect >= attentive_miss))
         # Classification is a judgement task: fatigue leaves it untouched.
         p_misclass = _sigmoid(
-            _logit(arrays.human_classification_difficulty[cancers])
+            arrays.human_classification_difficulty_logit[cancers]
             - skill.classification
             - np.where(prompted, bias.prompt_persuasion, 0.0)
         )
@@ -286,11 +336,8 @@ def advance_adaptive_chunk(
     Returns:
         ``(recall, next_state)``.
     """
-    cancer = arrays.has_cancer
-    counts = np.where(cancer, 4, 1)
-    offsets = np.cumsum(counts) - counts  # exclusive prefix sum
-    total = int(counts.sum())
-    _check_chunk_inputs(arrays, cadt_output, state, u, total)
+    offsets = arrays.reader_offsets
+    _check_chunk_inputs(arrays, cadt_output, state, u, arrays.reader_total)
     if cadt_output is None:
         # Unaided reading: the scaled bias is structurally inert and the
         # trust update needs a machine output it never gets, so the
@@ -304,10 +351,10 @@ def advance_adaptive_chunk(
     penalty = trust.failure_penalty
     max_trust = trust.max_trust
     n = len(arrays)
-    healthy_all = np.flatnonzero(~cancer)
-    cancers_all = np.flatnonzero(cancer)
-    logit_hcd = _logit(arrays.human_classification_difficulty)
-    logit_hdd_cancers = _logit(arrays.human_detection_difficulty[cancers_all])
+    healthy_all = arrays.healthy_index
+    cancers_all = arrays.cancer_index
+    logit_hcd = arrays.human_classification_difficulty_logit
+    logit_hdd_cancers = arrays.human_detection_difficulty_logit[cancers_all]
     prompted_all = cadt_output.prompted_relevant
     nfp_all = cadt_output.num_false_prompts
 

@@ -229,9 +229,7 @@ class FatiguedReader:
         :meth:`decide` case by case.
         """
         if u is None:
-            counts = np.where(arrays.has_cancer, 4, 1)
-            source = rng if rng is not None else self._rng
-            u = source.random(int(counts.sum()))
+            u = (rng if rng is not None else self._rng).random(arrays.reader_total)
         return advance_fatigued_chunk(
             self._base_reader, self.fatigue, arrays, cadt_output, state, u
         )

@@ -362,10 +362,8 @@ class ReaderModel:
             cadt_output.case_id, arrays.case_id
         ):
             raise SimulationError("CADT batch output does not match the case batch")
-        cancer = arrays.has_cancer
-        counts = np.where(cancer, 4, 1)
-        offsets = np.cumsum(counts) - counts  # exclusive prefix sum
-        total = int(counts.sum())
+        offsets = arrays.reader_offsets
+        total = arrays.reader_total
         if u is None:
             u = (rng if rng is not None else self._rng).random(total)
         if u.shape != (total,):
@@ -375,10 +373,10 @@ class ReaderModel:
         aided = cadt_output is not None
         recall = np.zeros(len(arrays), dtype=bool)
 
-        healthy = np.flatnonzero(~cancer)
+        healthy = arrays.healthy_index
         if healthy.size:
             recall_logit = (
-                _logit(arrays.human_classification_difficulty[healthy])
+                arrays.human_classification_difficulty_logit[healthy]
                 - self.skill.specificity
             )
             if aided:
@@ -389,7 +387,7 @@ class ReaderModel:
                 )
             recall[healthy] = u[offsets[healthy]] < _sigmoid(recall_logit)
 
-        cancers = np.flatnonzero(cancer)
+        cancers = arrays.cancer_index
         if cancers.size:
             start = offsets[cancers]
             u_lapse = u[start]
@@ -404,7 +402,7 @@ class ReaderModel:
                 prompted = np.zeros(cancers.size, dtype=bool)
                 detection_shift = 0.0
             attentive_miss = _sigmoid(
-                _logit(arrays.human_detection_difficulty[cancers])
+                arrays.human_detection_difficulty_logit[cancers]
                 - self.skill.detection
                 + detection_shift
             )
@@ -412,7 +410,7 @@ class ReaderModel:
             registered = prompted & (u_prompt < self.prompt_effectiveness)
             noticed = registered | (~lapsed & (u_detect >= attentive_miss))
             p_misclass = _sigmoid(
-                _logit(arrays.human_classification_difficulty[cancers])
+                arrays.human_classification_difficulty_logit[cancers]
                 - self.skill.classification
                 - np.where(prompted, bias.prompt_persuasion, 0.0)
             )

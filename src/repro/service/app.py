@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,6 +95,8 @@ __all__ = [
     "ScreeningService",
     "serve",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 
 class ServiceError(SimulationError):
@@ -789,7 +792,16 @@ async def _handle_connection(
             if parsed is None:
                 break
             method, path, headers, body = parsed
-            response = await _handle_request(service, method, path, headers, body)
+            try:
+                response = await _handle_request(service, method, path, headers, body)
+            except Exception as exc:
+                # A fault no handler maps is the server's: log it, answer
+                # 500 and keep the connection, whose stream is still in
+                # sync (the request was read whole).
+                _LOG.exception("unhandled error answering %s %s", method, path)
+                response = _json_response(
+                    500, {"error": f"internal error: {type(exc).__name__}: {exc}"}
+                )
             writer.write(response)
             await writer.drain()
             if headers.get("connection", "").lower() == "close":

@@ -86,7 +86,7 @@ class WorkloadCache:
         with self._obs.span("service.workload_build", key=key):
             workload = spec.build()
             arrays = workload.to_arrays()
-            positions = np.flatnonzero(arrays.has_cancer)
+            positions = arrays.cancer_index
             codes = cancer_class_codes(workload, self._classifier, arrays, positions)
             entry = CachedWorkload(
                 key=key,

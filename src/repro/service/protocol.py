@@ -134,15 +134,8 @@ def _parse_workload(payload: Mapping[str, Any]) -> WorkloadSpec:
     if "population" not in workload:
         raise ProtocolError("'workload' must name a 'population'")
     try:
-        return WorkloadSpec(
-            population=workload["population"],
-            profile=workload.get("profile", "trial"),
-            num_cases=int(workload.get("num_cases", 2000)),
-            cancer_fraction=float(workload.get("cancer_fraction", 0.5)),
-            population_seed=int(workload.get("population_seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid workload: {exc}") from exc
+        # Values pass through as parsed: the spec checks their types.
+        return WorkloadSpec(**workload)
     except SimulationError as exc:
         raise ProtocolError(f"invalid workload: {exc}") from exc
 
@@ -152,14 +145,7 @@ def _parse_system(payload: Any, what: str = "'system'") -> SystemSpec:
     known = {"kind", "bias", "dynamics", "operating_point"}
     _reject_unknown(system, known, "system")
     try:
-        return SystemSpec(
-            kind=system.get("kind", "assisted"),
-            bias=system.get("bias", "mild"),
-            dynamics=system.get("dynamics", "none"),
-            operating_point=float(system.get("operating_point", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid system: {exc}") from exc
+        return SystemSpec(**system)
     except SimulationError as exc:
         raise ProtocolError(f"invalid system: {exc}") from exc
 

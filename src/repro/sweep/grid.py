@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -103,6 +104,28 @@ def _component_seeds(seed: int, count: int) -> list[int]:
     ]
 
 
+def _integer(value: Any, name: str) -> int:
+    """``value`` as an ``int``: any integer but a bool, else SimulationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SimulationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value: Any, name: str) -> float:
+    """``value`` as a ``float``: a finite number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SimulationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise SimulationError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _name(value: Any, what: str, known: Iterable[str]) -> None:
+    """Reject anything but one of the ``known`` names."""
+    if not isinstance(value, str) or value not in known:
+        raise SimulationError(f"unknown {what} {value!r}; expected one of {sorted(known)}")
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """What workload a cell runs on, by name and shape.
@@ -125,15 +148,14 @@ class WorkloadSpec:
     population_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population not in POPULATIONS:
-            raise SimulationError(
-                f"unknown population {self.population!r}; "
-                f"expected one of {sorted(POPULATIONS)}"
-            )
-        if self.profile not in PROFILES:
-            raise SimulationError(
-                f"unknown profile {self.profile!r}; expected one of {list(PROFILES)}"
-            )
+        _name(self.population, "population", POPULATIONS)
+        _name(self.profile, "profile", PROFILES)
+        for name, check in (
+            ("num_cases", _integer),
+            ("cancer_fraction", _real),
+            ("population_seed", _integer),
+        ):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.num_cases < 1:
             raise SimulationError(
                 f"num_cases must be >= 1, got {self.num_cases!r}"
@@ -197,22 +219,12 @@ class SystemSpec:
     operating_point: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in SYSTEM_KINDS:
-            raise SimulationError(
-                f"unknown system kind {self.kind!r}; expected one of {list(SYSTEM_KINDS)}"
-            )
-        if self.bias not in BIASES:
-            raise SimulationError(
-                f"unknown bias {self.bias!r}; expected one of {sorted(BIASES)}"
-            )
-        if self.dynamics not in DYNAMICS:
-            raise SimulationError(
-                f"unknown dynamics {self.dynamics!r}; expected one of {list(DYNAMICS)}"
-            )
-        if not math.isfinite(self.operating_point):
-            raise SimulationError(
-                f"operating_point must be finite, got {self.operating_point!r}"
-            )
+        _name(self.kind, "system kind", SYSTEM_KINDS)
+        _name(self.bias, "bias", BIASES)
+        _name(self.dynamics, "dynamics", DYNAMICS)
+        object.__setattr__(
+            self, "operating_point", _real(self.operating_point, "operating_point")
+        )
         # The false-prompt rate build()'s CADT computes for a case at the
         # top distractor level (1.0), which bounds every case's rate.
         worst_rate = (
@@ -272,6 +284,7 @@ class ScenarioCell:
     replicate: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "replicate", _integer(self.replicate, "replicate"))
         if self.replicate < 0:
             raise SimulationError(
                 f"replicate must be >= 0, got {self.replicate!r}"
@@ -318,8 +331,8 @@ class ScenarioGrid:
     replicates: int = 1
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise SimulationError("grid name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise SimulationError("grid name must be a non-empty string")
         for axis in (
             "populations",
             "profiles",
@@ -329,11 +342,27 @@ class ScenarioGrid:
             "operating_points",
         ):
             values = getattr(self, axis)
-            object.__setattr__(self, axis, tuple(values))
-            if not getattr(self, axis):
+            if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+                raise SimulationError(
+                    f"grid axis {axis!r} must be a list, got {type(values).__name__}"
+                )
+            values = tuple(values)
+            if axis == "operating_points":
+                values = tuple(_real(value, "operating point") for value in values)
+            elif not all(isinstance(value, str) for value in values):
+                raise SimulationError(f"grid axis {axis!r} must list names, got {values!r}")
+            object.__setattr__(self, axis, values)
+            if not values:
                 raise SimulationError(f"grid axis {axis!r} must be non-empty")
-            if len(set(getattr(self, axis))) != len(getattr(self, axis)):
+            if len(set(values)) != len(values):
                 raise SimulationError(f"grid axis {axis!r} has duplicate values")
+        for name, check in (
+            ("num_cases", _integer),
+            ("cancer_fraction", _real),
+            ("population_seed", _integer),
+            ("replicates", _integer),
+        ):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.replicates < 1:
             raise SimulationError(
                 f"replicates must be >= 1, got {self.replicates!r}"
@@ -356,7 +385,7 @@ class ScenarioGrid:
                             kind=kind,
                             bias=bias,
                             dynamics=dyn,
-                            operating_point=float(point),
+                            operating_point=point,
                         )
 
     def _points_for(self, kind: str) -> tuple[float, ...]:
@@ -408,7 +437,7 @@ class ScenarioGrid:
                                     kind=kind,
                                     bias=bias,
                                     dynamics=dyn,
-                                    operating_point=float(operating_point),
+                                    operating_point=operating_point,
                                 )
                                 for replicate in range(self.replicates):
                                     yield ScenarioCell(
@@ -466,8 +495,13 @@ class ScenarioGrid:
         name = payload.get("name")
         if not isinstance(name, str) or not name:
             raise SimulationError("grid 'name' must be a non-empty string")
-        workload = dict(payload.get("workload", {}))
-        axes = dict(payload.get("axes", {}))
+        workload = payload.get("workload", {})
+        axes = payload.get("axes", {})
+        for section, value in (("workload", workload), ("axes", axes)):
+            if not isinstance(value, Mapping):
+                raise SimulationError(
+                    f"grid {section!r} must be a JSON object, got {type(value).__name__}"
+                )
         known_workload = {"num_cases", "cancer_fraction", "population_seed"}
         unknown = set(workload) - known_workload
         if unknown:
@@ -489,28 +523,12 @@ class ScenarioGrid:
             raise SimulationError(
                 f"unknown axes {sorted(unknown)}; expected {sorted(known_axes)}"
             )
+        # Values pass through as parsed: the constructor checks their types.
         defaults = {f.name: f.default for f in fields(cls)}
         return cls(
             name=name,
-            populations=tuple(axes.get("populations", defaults["populations"])),
-            profiles=tuple(axes.get("profiles", defaults["profiles"])),
-            num_cases=int(workload.get("num_cases", defaults["num_cases"])),
-            cancer_fraction=float(
-                workload.get("cancer_fraction", defaults["cancer_fraction"])
-            ),
-            population_seed=int(
-                workload.get("population_seed", defaults["population_seed"])
-            ),
-            systems=tuple(axes.get("systems", defaults["systems"])),
-            biases=tuple(axes.get("biases", defaults["biases"])),
-            dynamics=tuple(axes.get("dynamics", defaults["dynamics"])),
-            operating_points=tuple(
-                float(point)
-                for point in axes.get(
-                    "operating_points", defaults["operating_points"]
-                )
-            ),
-            replicates=int(axes.get("replicates", defaults["replicates"])),
+            **{key: workload.get(key, defaults[key]) for key in known_workload},
+            **{key: axes.get(key, defaults[key]) for key in known_axes},
         )
 
     def to_file(self, path: str | Path) -> None:

@@ -734,7 +734,7 @@ def _workload_context(
             arrays, spec = runtime.publish_workload(workload)
         else:
             arrays, spec = workload.to_arrays(), None
-        positions = np.flatnonzero(arrays.has_cancer)
+        positions = arrays.cancer_index
         codes = cancer_class_codes(workload, classifier, arrays, positions)
         context = _WorkloadContext(
             workload=workload,

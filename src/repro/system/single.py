@@ -50,28 +50,13 @@ def _split_shared_uniforms(
     the scalar loop consumes from a shared generator.  Returns the
     tool's ``(n, 2)`` uniforms (``None`` without a tool) and one flat
     array per reader, in the layout :meth:`ReaderModel.decide_batch`
-    takes.
+    takes; the gathers come from the chunk's memoised
+    :meth:`~repro.engine.arrays.CaseArrays.shared_layout`.
     """
-    head = 2 if cadt else 0
-    counts = np.where(arrays.has_cancer, head + 4 * readers, head + readers)
-    offsets = np.cumsum(counts) - counts  # exclusive prefix sum
-    flat = rng.random(int(counts.sum()))
-    cadt_u = None
-    if cadt:
-        cadt_u = np.stack((flat[offsets], flat[offsets + 1]), axis=1)
-        reader_mask = np.ones(flat.shape[0], dtype=bool)
-        reader_mask[offsets] = False
-        reader_mask[offsets + 1] = False
-        flat = flat[reader_mask]
-    if readers == 1:
-        return cadt_u, [flat]
-    # Each case's reader segments now sit back to back: index the first
-    # reader's with a ragged arange; reader k's lie k segments further on.
-    per_reader = np.where(arrays.has_cancer, 4, 1)
-    starts = np.cumsum(per_reader) - per_reader
-    first = np.arange(flat.shape[0] // readers) + np.repeat((readers - 1) * starts, per_reader)
-    step = np.repeat(per_reader, per_reader)
-    return cadt_u, [flat[first + k * step] for k in range(readers)]
+    layout = arrays.shared_layout(readers, cadt)
+    flat = rng.random(layout.total)
+    cadt_u = None if layout.cadt_index is None else flat[layout.cadt_index]
+    return cadt_u, [flat[index] for index in layout.reader_index]
 
 
 @dataclass(frozen=True)

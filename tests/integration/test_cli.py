@@ -529,6 +529,24 @@ class TestSweepCommand:
         assert code == 1
         assert "cannot read grid file" in err
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"name": "g", "workload": {"num_cases": Infinity}}', "num_cases"),
+            ('{"name": "g", "workload": {"num_cases": 2000.9}}', "num_cases"),
+            ('{"name": "g", "workload": [1, 2]}', "'workload' must be a JSON object"),
+            ('{"name": "g", "axes": {"operating_points": 3}}', "'operating_points'"),
+            ('{"name": "g", "axes": {"populations": 5}}', "'populations'"),
+            ('{"name": "g", "axes": {"replicates": 2.9}}', "replicates"),
+        ],
+    )
+    def test_bad_grid_file_fails_cleanly(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "sweep", "--grid", str(path))
+        assert code == 1
+        assert err.startswith("error: ") and reason in err
+
     def test_profile_prints_sweep_run_report(self, capsys, tmp_path):
         grid = self.write_grid(tmp_path)
         code, out, _ = run_cli(

@@ -293,6 +293,60 @@ class TestHttpLayer:
             assert status == 400
             assert field in data["error"]
 
+    def test_non_integer_num_cases_is_400_not_a_dropped_connection(self):
+        # JSON's Infinity once reached int() and raised OverflowError,
+        # which closed the connection without a response.
+        async def scenario(port):
+            responses = []
+            for value in (float("inf"), 2000.9, True, "20"):
+                workload = {"population": "routine", "num_cases": value}
+                responses.append(
+                    await http_request(
+                        port,
+                        "POST",
+                        "/v1/evaluate",
+                        body={"workload": workload, "system": {}, "seed": 7},
+                    )
+                )
+            return responses
+
+        for status, _, data in self.run_with_server(CONFIG, scenario):
+            assert status == 400
+            assert "num_cases must be an integer" in data["error"]
+
+    def test_unmapped_exception_is_500_and_keeps_the_connection(self, monkeypatch):
+        import repro.service.app as app
+
+        handle = app._handle_request
+        calls = []
+
+        async def flaky(*args):
+            calls.append(args[2])
+            if len(calls) == 1:
+                raise RuntimeError("handler bug")
+            return await handle(*args)
+
+        monkeypatch.setattr(app, "_handle_request", flaky)
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                replies = []
+                for _ in range(2):
+                    writer.write(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+                    await writer.drain()
+                    status, _, data = await read_response(reader)
+                    replies.append((status, json.loads(data)))
+                return replies
+            finally:
+                writer.close()
+
+        (first, body), (second, health) = self.run_with_server(CONFIG, scenario)
+        assert first == 500
+        assert "RuntimeError: handler bug" in body["error"]
+        assert second == 200 and health["status"] == "ok"
+        assert calls == ["/healthz", "/healthz"]
+
     def test_out_of_range_operating_point_is_400_and_spares_its_batch(self):
         # A bad operating point must be refused when the request is
         # parsed: inside a fused dispatch it would fail every request

@@ -98,6 +98,51 @@ class TestCompareParsing:
             parse_compare_request(body)
 
 
+class TestFieldTypes:
+    """JSON values of the wrong type are a 400 naming the field; nothing
+    is truncated or coerced into a valid-looking spec."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_cases", float("inf")),
+            ("num_cases", "abc"),
+            ("num_cases", 2000.9),
+            ("num_cases", True),
+            ("num_cases", "20"),
+            ("cancer_fraction", True),
+            ("cancer_fraction", "0.5"),
+            ("population_seed", 2.5),
+            ("population", ["routine"]),
+        ],
+    )
+    def test_workload_fields(self, field, value):
+        body = evaluate_body()
+        body["workload"][field] = value
+        with pytest.raises(ProtocolError, match=f"invalid workload: .*{field}"):
+            parse_evaluate_request(body)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("operating_point", "0.2"), ("operating_point", True), ("bias", ["mild"])],
+    )
+    def test_system_fields(self, field, value):
+        body = evaluate_body()
+        body["system"][field] = value
+        with pytest.raises(ProtocolError, match="invalid system"):
+            parse_evaluate_request(body)
+
+    def test_integral_and_real_values_pass_unchanged(self):
+        body = evaluate_body()
+        body["workload"].update(cancer_fraction=1, population_seed=3)
+        body["system"]["operating_point"] = 1
+        request = parse_evaluate_request(body)
+        assert request.workload == WorkloadSpec(
+            population="routine", num_cases=100, cancer_fraction=1.0, population_seed=3
+        )
+        assert request.system.operating_point == 1.0
+
+
 class TestUncertaintyParsing:
     def test_defaults(self):
         request = parse_uncertainty_request({"seed": 3})

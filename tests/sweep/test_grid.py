@@ -219,3 +219,110 @@ class TestGridSerialisation:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SimulationError, match="cannot read grid file"):
             ScenarioGrid.from_file(tmp_path / "absent.json")
+
+
+class TestFieldTypes:
+    """Grid files and service requests are JSON: numeric fields arrive as
+    any JSON value, and a wrong one must be a SimulationError naming the
+    field — never a builtin error, and never a silent truncation."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_cases", float("inf")),
+            ("num_cases", 2000.9),
+            ("num_cases", 2000.0),
+            ("num_cases", True),
+            ("num_cases", "20"),
+            ("population_seed", 1.5),
+            ("population_seed", False),
+            ("cancer_fraction", True),
+            ("cancer_fraction", "0.5"),
+            ("cancer_fraction", float("inf")),
+            ("cancer_fraction", None),
+        ],
+    )
+    def test_workload_fields_checked_at_construction(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            WorkloadSpec(population="routine", **{field: value})
+        with pytest.raises(SimulationError, match=field):
+            ScenarioGrid(name="bad", **{field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5]])
+    def test_operating_point_must_be_a_number(self, value):
+        with pytest.raises(SimulationError, match="operating_point must be a number"):
+            SystemSpec(operating_point=value)
+        with pytest.raises(SimulationError, match="operating point must be a number"):
+            ScenarioGrid(name="bad", operating_points=(0.0, value))
+
+    @pytest.mark.parametrize(
+        "field, value", [("population", 5), ("profile", ["trial"])]
+    )
+    def test_workload_names_must_be_strings(self, field, value):
+        workload = {"population": "routine", field: value}
+        with pytest.raises(SimulationError, match="unknown"):
+            WorkloadSpec(**workload)
+
+    @pytest.mark.parametrize(
+        "field, value", [("kind", ["assisted"]), ("bias", {"mild": 1}), ("dynamics", 0)]
+    )
+    def test_system_names_must_be_strings(self, field, value):
+        with pytest.raises(SimulationError, match="unknown"):
+            SystemSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.9, True, "2"])
+    def test_replicates_must_be_an_integer(self, value):
+        with pytest.raises(SimulationError, match="replicates must be an integer"):
+            ScenarioGrid(name="bad", replicates=value)
+
+    def test_integral_and_real_values_are_normalised(self):
+        import numpy as np
+
+        spec = WorkloadSpec(
+            population="routine", num_cases=np.int64(40), cancer_fraction=1,
+            population_seed=np.int32(3),
+        )
+        assert (type(spec.num_cases), type(spec.cancer_fraction)) == (int, float)
+        assert type(spec.population_seed) is int
+        assert spec == WorkloadSpec(
+            population="routine", num_cases=40, cancer_fraction=1.0, population_seed=3
+        )
+        grid = ScenarioGrid(name="g", operating_points=[0, np.float32(0.5)], replicates=2)
+        assert grid.operating_points == (0.0, 0.5)
+        assert all(type(point) is float for point in grid.operating_points)
+
+    @pytest.mark.parametrize(
+        "workload, axes, match",
+        [
+            ({"num_cases": float("inf")}, {}, "num_cases must be an integer"),
+            ({"num_cases": "abc"}, {}, "num_cases must be an integer"),
+            ({"num_cases": 2000.9}, {}, "num_cases must be an integer"),
+            ({"num_cases": True}, {}, "num_cases must be an integer"),
+            ({"cancer_fraction": "0.5"}, {}, "cancer_fraction must be a number"),
+            ({}, {"replicates": 2.9}, "replicates must be an integer"),
+            ({}, {"operating_points": 3}, "'operating_points' must be a list"),
+            ({}, {"populations": 5}, "'populations' must be a list"),
+            ({}, {"populations": "routine"}, "'populations' must be a list"),
+            ({}, {"biases": {"mild": 1}}, "'biases' must be a list"),
+            ({}, {"populations": [["routine"]]}, "'populations' must list names"),
+            ({}, {"operating_points": ["0.2"]}, "operating point must be a number"),
+            ([1, 2], {}, "'workload' must be a JSON object"),
+            ({}, [1, 2], "'axes' must be a JSON object"),
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, workload, axes, match):
+        with pytest.raises(SimulationError, match=match):
+            ScenarioGrid.from_dict({"name": "g", "workload": workload, "axes": axes})
+
+    def test_from_dict_keeps_valid_values_unchanged(self):
+        grid = ScenarioGrid.from_dict(
+            {
+                "name": "g",
+                "workload": {"num_cases": 300, "cancer_fraction": 1, "population_seed": 4},
+                "axes": {"operating_points": [0, 0.25], "replicates": 3},
+            }
+        )
+        assert grid == ScenarioGrid(
+            name="g", num_cases=300, cancer_fraction=1.0, population_seed=4,
+            operating_points=(0.0, 0.25), replicates=3,
+        )
