@@ -17,6 +17,9 @@ equals the corresponding array element.
 
 from __future__ import annotations
 
+import struct
+from typing import Any, NamedTuple
+
 import numpy as np
 
 __all__ = [
@@ -26,7 +29,14 @@ __all__ = [
     "logit",
     "sigmoid",
     "poisson_from_uniform",
+    "poisson_rates",
+    "poisson_counts",
+    "PoissonRates",
     "MAX_POISSON_RATE",
+    "float_key",
+    "read_only",
+    "SpawnedSeed",
+    "PrivateGenerator",
 ]
 
 ArrayLike = float | np.ndarray
@@ -106,6 +116,74 @@ def sigmoid(x: ArrayLike) -> ArrayLike:
     return out
 
 
+class PoissonRates(NamedTuple):
+    """Validated Poisson rates, ready for inversion (:func:`poisson_rates`).
+
+    Attributes:
+        rate: The rates, ``float64``.
+        p_zero: ``exp(-rate)``, each rate's ``P(K = 0)``.
+        iteration_cap: Most pmf/cdf steps an inversion takes; it only
+            guards against float saturation in the extreme tail (``u``
+            within an ulp of 1).
+    """
+
+    rate: np.ndarray
+    p_zero: np.ndarray
+    iteration_cap: int
+
+
+def poisson_rates(rate: np.ndarray) -> PoissonRates:
+    """Validate an array of Poisson rates and precompute what inverting them needs.
+
+    Raises:
+        ValueError: when a rate is not finite, is negative, or exceeds
+            :data:`MAX_POISSON_RATE`.
+    """
+    rate = np.asarray(rate, dtype=np.float64)
+    if not np.all(np.isfinite(rate)) or np.any(rate < 0):
+        raise ValueError("Poisson rates must be finite and non-negative")
+    max_rate = float(rate.max()) if rate.size else 0.0
+    if max_rate > MAX_POISSON_RATE:
+        raise ValueError(
+            f"Poisson rate {max_rate!r} exceeds the supported maximum "
+            f"{MAX_POISSON_RATE!r}"
+        )
+    return PoissonRates(
+        rate=rate,
+        p_zero=np.exp(-rate),
+        iteration_cap=int(max_rate + 64.0 * np.sqrt(max_rate + 1.0)) + 64,
+    )
+
+
+def poisson_counts(u: np.ndarray, rates: PoissonRates) -> np.ndarray:
+    """Poisson quantiles of the uniforms ``u`` at validated ``rates`` (same shape).
+
+    The smallest ``k`` with ``u < CDF(k)``, elementwise, as an int64
+    array.  Each step of the pmf/cdf recurrence runs on the whole array,
+    resolved elements included: an unresolved element's count equals the
+    step ``k``, so ``pmf * rate / k`` is exactly its own recurrence step,
+    and a resolved element stays resolved because its ``cdf`` never
+    decreases.  The counts are therefore those of a per-element loop,
+    bit for bit.
+    """
+    rate, p_zero, iteration_cap = rates
+    counts = np.zeros(u.shape, dtype=np.int64)
+    unresolved = u >= p_zero
+    # The loop runs to the largest realised count.
+    if unresolved.any():
+        pmf = p_zero.copy()
+        cdf = p_zero.copy()
+        for k in range(1, iteration_cap + 1):
+            counts += unresolved
+            pmf *= rate
+            pmf /= k
+            cdf += pmf
+            np.greater_equal(u, cdf, out=unresolved)
+            if not unresolved.any():
+                break
+    return counts
+
+
 def poisson_from_uniform(u: ArrayLike, rate: ArrayLike) -> ArrayLike:
     """Poisson quantile by inversion: the smallest ``k`` with ``u < CDF(k)``.
 
@@ -113,13 +191,7 @@ def poisson_from_uniform(u: ArrayLike, rate: ArrayLike) -> ArrayLike:
     inverse-transform Poisson draw, but — unlike ``rng.poisson`` — it
     consumes exactly one uniform per variate, which is what lets the
     batch engine replicate the scalar stream with one flat ``random(n)``
-    call.
-
-    Each step of the pmf/cdf recurrence runs on the whole array, resolved
-    elements included: an unresolved element's count equals the step
-    ``k``, so ``pmf * rate / k`` is exactly its own recurrence step, and a
-    resolved element stays resolved because its ``cdf`` never decreases.
-    The counts are therefore those of a per-element loop, bit for bit.
+    call.  It is :func:`poisson_counts` at :func:`poisson_rates`.
 
     Args:
         u: Uniform variates in ``[0, 1)`` (scalar or array).
@@ -134,30 +206,65 @@ def poisson_from_uniform(u: ArrayLike, rate: ArrayLike) -> ArrayLike:
         np.atleast_1d(np.asarray(u, dtype=np.float64)),
         np.atleast_1d(np.asarray(rate, dtype=np.float64)),
     )
-    if not np.all(np.isfinite(rate_arr)) or np.any(rate_arr < 0):
-        raise ValueError("Poisson rates must be finite and non-negative")
-    max_rate = float(rate_arr.max()) if rate_arr.size else 0.0
-    if max_rate > MAX_POISSON_RATE:
-        raise ValueError(
-            f"Poisson rate {max_rate!r} exceeds the supported maximum "
-            f"{MAX_POISSON_RATE!r}"
-        )
-
-    pmf = np.exp(-rate_arr)  # P(K = 0)
-    cdf = pmf.copy()
-    counts = np.zeros(u_arr.shape, dtype=np.int64)
-    unresolved = u_arr >= cdf
-    # The loop runs to the largest realised count; the cap only guards
-    # against float saturation in the extreme tail (u within an ulp of 1).
-    iteration_cap = int(max_rate + 64.0 * np.sqrt(max_rate + 1.0)) + 64
-    for k in range(1, iteration_cap + 1):
-        if not unresolved.any():
-            break
-        counts += unresolved
-        pmf *= rate_arr
-        pmf /= k
-        cdf += pmf
-        np.greater_equal(u_arr, cdf, out=unresolved)
+    counts = poisson_counts(u_arr, poisson_rates(rate_arr))
     if scalar:
         return int(counts[0])
     return counts
+
+
+def float_key(value: float) -> int:
+    """``value``'s exact IEEE 754 bits, as a memo key (``0.0`` and ``-0.0`` differ)."""
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only (for values memoised and shared across callers)."""
+    array.flags.writeable = False
+    return array
+
+
+class SpawnedSeed(NamedTuple):
+    """The integer seed ``SeedSequence(entropy).spawn(...)`` gives child ``index``.
+
+    A deferred seed: :meth:`derive` computes
+    ``int(SeedSequence(entropy, spawn_key=(index,)).generate_state(1)[0])``,
+    which by numpy's spawn rule is what ``generate_state(1)[0]`` of
+    child ``index`` of ``SeedSequence(entropy).spawn(n)`` gives, for any
+    ``n > index``.  A component seeded with one derives the integer only
+    at its first private draw (see :class:`PrivateGenerator`).
+    """
+
+    entropy: int
+    index: int
+
+    def derive(self) -> int:
+        """The integer seed."""
+        sequence = np.random.SeedSequence(self.entropy, spawn_key=(self.index,))
+        return int(sequence.generate_state(1)[0])
+
+
+class PrivateGenerator:
+    """A component's private random generator, created on its first draw.
+
+    Calling the object returns the generator.  A seeded one (an int, or
+    a :class:`SpawnedSeed`) keeps its seed and runs ``default_rng`` on
+    the first call, so a component that is only ever handed a shared
+    generator never builds its own, and until then pickles as its seed.
+    ``seed=None`` draws OS entropy at construction, as ``default_rng``
+    does, so a pickled copy of an unseeded component still shares the
+    original's state.  A seed ``default_rng`` rejects raises at the
+    first call.
+    """
+
+    def __init__(self, seed: Any = None):
+        self.seed = seed
+        self._generator = None if seed is not None else np.random.default_rng(seed)
+
+    def __call__(self) -> np.random.Generator:
+        generator = self._generator
+        if generator is None:
+            seed = self.seed
+            if isinstance(seed, SpawnedSeed):
+                seed = seed.derive()
+            generator = self._generator = np.random.default_rng(seed)
+        return generator

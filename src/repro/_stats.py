@@ -1,24 +1,40 @@
 """Internal statistical helpers (no scipy dependency required).
 
-Currently just the standard-normal quantile function, used by interval
-constructions and power analysis.  Uses scipy when present; otherwise
-Acklam's rational approximation (relative error below 1.15e-9 over the
-whole open unit interval), which is more than precise enough for interval
-and sample-size arithmetic.
+The standard-normal quantile function, used by interval constructions
+and power analysis, and :func:`scipy_distribution`, which imports a
+``scipy.stats`` distribution on first use: importing scipy costs most of
+a second, so no module of the package imports it at load time.  The
+quantile uses scipy when present; otherwise Acklam's rational
+approximation (relative error below 1.15e-9 over the whole open unit
+interval), which is more than precise enough for interval and
+sample-size arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any
 
 from .exceptions import EstimationError
 
-try:  # pragma: no cover - environment-dependent
-    from scipy.stats import norm as _scipy_norm
-except ImportError:  # pragma: no cover
-    _scipy_norm = None
+__all__ = ["normal_quantile", "scipy_distribution", "UNLOADED"]
 
-__all__ = ["normal_quantile"]
+#: What a module's scipy distribution attribute holds until its first
+#: use; :func:`scipy_distribution` then replaces it (``None`` when scipy
+#: is absent, the value tests set to force the fallback).
+UNLOADED: Any = object()
+
+
+def scipy_distribution(name: str) -> Any:
+    """``scipy.stats.<name>``, imported now; ``None`` when scipy is absent."""
+    try:
+        import scipy.stats
+    except ImportError:  # pragma: no cover - environment-dependent
+        return None
+    return getattr(scipy.stats, name)
+
+
+_scipy_norm: Any = UNLOADED
 
 # Coefficients of Acklam's inverse normal CDF approximation.
 _A = (
@@ -57,8 +73,11 @@ _UPPER_BREAK = 1.0 - _LOWER_BREAK
 
 def normal_quantile(p: float) -> float:
     """The standard-normal quantile (inverse CDF) at ``p`` in (0, 1)."""
+    global _scipy_norm
     if not 0.0 < p < 1.0:
         raise EstimationError(f"normal quantile needs p in (0, 1), got {p!r}")
+    if _scipy_norm is UNLOADED:
+        _scipy_norm = scipy_distribution("norm")
     if _scipy_norm is not None:
         return float(_scipy_norm.ppf(p))
     if p < _LOWER_BREAK:

@@ -22,20 +22,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping
 
+from .._stats import UNLOADED, scipy_distribution
 from ..core.case_class import CaseClass
 from ..core.parameters import ModelParameters
 from ..core.profile import DemandProfile
 from ..exceptions import EstimationError
 from ..trial.records import TrialRecords
 
-try:  # pragma: no cover - environment-dependent
-    from scipy.stats import chi2 as _scipy_chi2
-except ImportError:  # pragma: no cover
-    _scipy_chi2 = None
+#: ``scipy.stats.chi2``, imported on first use (``None``: scipy absent).
+_scipy_chi2: Any = UNLOADED
 
 __all__ = ["DriftTest", "MonitoringReport", "profile_drift_test", "rate_drift_test", "monitor_records"]
+
+
+def _chi2() -> Any:
+    """``scipy.stats.chi2``, imported on the first call; ``None`` without scipy."""
+    global _scipy_chi2
+    if _scipy_chi2 is UNLOADED:
+        _scipy_chi2 = scipy_distribution("chi2")
+    return _scipy_chi2
 
 
 def _chi2_survival(statistic: float, dof: int) -> float:
@@ -59,8 +66,9 @@ def _chi2_survival(statistic: float, dof: int) -> float:
         raise EstimationError(f"chi-square dof must be >= 1, got {dof!r}")
     if statistic <= 0.0:
         return 1.0
-    if _scipy_chi2 is not None:
-        return float(_scipy_chi2.sf(statistic, dof))
+    chi2 = _chi2()
+    if chi2 is not None:
+        return float(chi2.sf(statistic, dof))
     half = 0.5 * statistic
     if dof % 2 == 0:
         # Q(x; 2m) = e^{-x/2} * sum_{j=0}^{m-1} (x/2)^j / j!

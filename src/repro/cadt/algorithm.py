@@ -21,13 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .._numeric import (
+    PoissonRates,
+    float_key,
+    poisson_counts,
+    poisson_from_uniform,
+    poisson_rates,
+    read_only,
+)
 from .._numeric import exp as _exp
 from .._numeric import logit as _logit
-from .._numeric import poisson_from_uniform
 from .._numeric import sigmoid as _sigmoid
 from ..exceptions import SimulationError
 from ..screening.case import Case
@@ -35,7 +42,7 @@ from ..screening.case import Case
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from ..engine.arrays import CaseArrays
 
-__all__ = ["CadtOutput", "CadtBatchOutput", "DetectionAlgorithm"]
+__all__ = ["CadtOutput", "CadtBatchOutput", "CadtTable", "DetectionAlgorithm"]
 
 
 @dataclass(frozen=True)
@@ -109,6 +116,21 @@ class CadtBatchOutput:
         return np.where(
             has_cancer, ~self.prompted_relevant, self.num_false_prompts > 0
         )
+
+
+class CadtTable(NamedTuple):
+    """A detection algorithm's seed-independent probabilities on one chunk.
+
+    Built by :meth:`DetectionAlgorithm.probability_table` on first use
+    and memoised on the chunk; every array is read-only.
+
+    Attributes:
+        miss: ``pMf(x)`` per case, ``float64[n]``; 0 on healthy cases.
+        prompts: The validated false-prompt rates and their ``exp(-rate)``.
+    """
+
+    miss: np.ndarray
+    prompts: PoissonRates
 
 
 @dataclass(frozen=True)
@@ -194,20 +216,39 @@ class DetectionAlgorithm:
 
     # -- batch counterparts (the vectorized hot path) ---------------------------
 
-    def miss_probability_batch(self, arrays: "CaseArrays") -> np.ndarray:
-        """``pMf(x)`` for every case of a batch; 0 on healthy cases."""
-        missed = _sigmoid(arrays.machine_difficulty_logit + self.threshold_shift)
-        return np.where(arrays.has_cancer, missed, 0.0)
+    def probability_table(self, arrays: "CaseArrays") -> CadtTable:
+        """This algorithm's :class:`CadtTable` on ``arrays``, memoised on it.
 
-    def false_prompt_rate_batch(self, arrays: "CaseArrays") -> np.ndarray:
-        """Per-case expected false prompts (Poisson rates) for a batch."""
+        Keyed by the exact bits of ``(threshold_shift,
+        base_false_prompt_rate, distractor_gain)``, so every tool at one
+        tuning shares one table per chunk (at most
+        :data:`~repro.engine.arrays.ENTRIES_PER_KIND` tunings are kept).
+        Computing it validates the rates, once per table.
+        """
+        key = (
+            float_key(self.threshold_shift),
+            float_key(self.base_false_prompt_rate),
+            float_key(self.distractor_gain),
+        )
+        return arrays.bounded("cadt_table", key, lambda: self._probability_table(arrays))
+
+    def _probability_table(self, arrays: "CaseArrays") -> CadtTable:
+        missed = _sigmoid(arrays.machine_difficulty_logit + self.threshold_shift)
         rate = self.base_false_prompt_rate * (
             1.0 + self.distractor_gain * arrays.distractor_level
         )
-        return rate * _exp(-self.threshold_shift)
+        prompts = poisson_rates(rate * _exp(-self.threshold_shift))
+        read_only(prompts.rate)
+        read_only(prompts.p_zero)
+        return CadtTable(
+            miss=read_only(np.where(arrays.has_cancer, missed, 0.0)), prompts=prompts
+        )
 
     def process_batch(self, arrays: "CaseArrays", u: np.ndarray) -> CadtBatchOutput:
         """Run the algorithm over a batch, consuming pre-drawn uniforms.
+
+        Reads this tuning's :meth:`probability_table`; only the draws'
+        comparisons and the Poisson inversion run per call.
 
         Args:
             arrays: The batch, as a struct of arrays.
@@ -219,12 +260,11 @@ class DetectionAlgorithm:
             raise SimulationError(
                 f"expected uniforms of shape {(len(arrays), 2)!r}, got {u.shape!r}"
             )
-        prompted = arrays.has_cancer & (u[:, 0] >= self.miss_probability_batch(arrays))
-        num_false = poisson_from_uniform(u[:, 1], self.false_prompt_rate_batch(arrays))
+        table = self.probability_table(arrays)
         return CadtBatchOutput(
             case_id=arrays.case_id,
-            prompted_relevant=prompted,
-            num_false_prompts=num_false,
+            prompted_relevant=arrays.has_cancer & (u[:, 0] >= table.miss),
+            num_false_prompts=poisson_counts(u[:, 1], table.prompts),
         )
 
     # -- retuning ---------------------------------------------------------------

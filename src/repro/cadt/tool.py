@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .._numeric import PrivateGenerator
 from ..exceptions import SimulationError
 from ..screening.case import Case
 from .algorithm import CadtBatchOutput, CadtOutput, DetectionAlgorithm
@@ -44,7 +45,8 @@ class Cadt:
             the tool miss more).
         film_quality_offset: Site-systematic logit shift (e.g. a poorly
             calibrated digitiser), applied on top of drift.
-        seed: Seed for the tool's private random generator.
+        seed: Seed for the tool's private random generator, created on
+            its first draw (``None``: OS entropy, at construction).
     """
 
     def __init__(
@@ -63,7 +65,7 @@ class Cadt:
             )
         self.drift_per_case = float(drift_per_case)
         self.film_quality_offset = float(film_quality_offset)
-        self._rng = np.random.default_rng(seed)
+        self._rng = PrivateGenerator(seed)
         self._cases_since_maintenance = 0
         self._cases_processed = 0
 
@@ -114,7 +116,7 @@ class Cadt:
                 generator when omitted.
         """
         output = self.effective_algorithm.process(
-            case, rng if rng is not None else self._rng
+            case, rng if rng is not None else self._rng()
         )
         self._cases_processed += 1
         self._cases_since_maintenance += 1
@@ -145,7 +147,7 @@ class Cadt:
             )
         n = len(arrays)
         if u is None:
-            u = (rng if rng is not None else self._rng).random((n, 2))
+            u = (rng if rng is not None else self._rng()).random((n, 2))
         output = self.effective_algorithm.process_batch(arrays, u)
         self._cases_processed += n
         self._cases_since_maintenance += n

@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
+from .._stats import UNLOADED, scipy_distribution
 from ..exceptions import EstimationError, ParameterError
 from .case_class import CaseClass
 from .parameters import ClassParameters, ModelParameters
 from .profile import DemandProfile
 from .sequential import SequentialModel
 
-try:  # pragma: no cover - exercised implicitly depending on environment
-    from scipy.stats import beta as _scipy_beta
-except ImportError:  # pragma: no cover
-    _scipy_beta = None
+#: ``scipy.stats.beta``, imported on first use (``None``: scipy absent).
+_scipy_beta: Any = UNLOADED
 
 __all__ = [
     "BetaPosterior",
@@ -176,8 +175,11 @@ class BetaPosterior:
         Uses scipy's exact inverse regularised incomplete beta function
         when available, otherwise a seeded Monte Carlo estimate.
         """
+        global _scipy_beta
         if not 0.0 <= q <= 1.0:
             raise EstimationError(f"quantile level must be in [0, 1], got {q!r}")
+        if _scipy_beta is UNLOADED:
+            _scipy_beta = scipy_distribution("beta")
         if _scipy_beta is not None:
             value = float(_scipy_beta.ppf(q, self.alpha, self.beta))
             if math.isfinite(value):

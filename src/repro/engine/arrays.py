@@ -19,10 +19,11 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence, Type
 import numpy as np
 
 from .._numeric import logit as _logit
+from .._numeric import read_only as _read_only
 from ..exceptions import SimulationError
 from ..screening.case import Case, LesionType
 
-__all__ = ["CaseArrays", "SharedLayout", "LESION_CODES", "ARRAY_FIELDS"]
+__all__ = ["CaseArrays", "SharedLayout", "LESION_CODES", "ARRAY_FIELDS", "ENTRIES_PER_KIND"]
 
 _T = TypeVar("_T")
 
@@ -52,10 +53,11 @@ _CANCER_DRAWS, _HEALTHY_DRAWS = 4, 1
 #: Uniforms a CADT consumes per case, ``[u_miss, u_prompts]``.
 _CADT_DRAWS = 2
 
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+#: Entries :meth:`CaseArrays.bounded` keeps per kind; the oldest is
+#: dropped first.  A chunk sees one entry per component configuration
+#: (or fatigue state) that decides it, and callers may choose those
+#: freely, so the memo must not grow with them.
+ENTRIES_PER_KIND = 8
 
 
 def _column_logit(column: np.ndarray) -> np.ndarray:
@@ -111,8 +113,10 @@ class CaseArrays:
     alone — the reader layout, the shared-draw layouts, the cancer and
     healthy index sets, the difficulty logits, memoised chunk views —
     is derived on first use, read-only, and kept for the object's
-    lifetime.  Pickling carries the columns only, so nothing derived
-    crosses a process boundary.
+    lifetime; what also depends on a component's configuration (its
+    probability table, a fatigue decrement path) is kept in a bounded
+    memo (:meth:`bounded`).  Pickling carries the columns only, so
+    nothing derived crosses a process boundary.
     """
 
     case_id: np.ndarray
@@ -251,6 +255,22 @@ class CaseArrays:
             return memo[key]
         except KeyError:
             value = memo[key] = compute()
+            return value
+
+    def bounded(self, kind: str, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, memoised under ``(kind, key)`` among at most
+        :data:`ENTRIES_PER_KIND` entries of ``kind``, oldest out.
+
+        For per-configuration values (probability tables, decrement
+        paths): the same rules as :meth:`derived`, with a bound.
+        """
+        entries: dict = self.derived(kind, dict)
+        try:
+            return entries[key]
+        except KeyError:
+            value = entries[key] = compute()
+            if len(entries) > ENTRIES_PER_KIND:
+                del entries[next(iter(entries))]
             return value
 
     @cached_property

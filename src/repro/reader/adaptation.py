@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .._numeric import PrivateGenerator
 from .._validation import check_probability
 from ..cadt.algorithm import CadtBatchOutput, CadtOutput
 from ..exceptions import ParameterError, SimulationError
@@ -129,7 +130,8 @@ class AdaptiveReader:
         reader: The base reader model; its ``bias`` is the profile at
             trust 1.0.
         trust: Trust dynamics (a fresh default instance when omitted).
-        seed: Seed for this wrapper's private random generator.
+        seed: Seed for this wrapper's private random generator, created
+            on its first draw (``None``: OS entropy, at construction).
     """
 
     def __init__(
@@ -140,7 +142,7 @@ class AdaptiveReader:
     ):
         self._base_reader = reader
         self.trust = trust if trust is not None else AdaptiveTrust()
-        self._rng = np.random.default_rng(seed)
+        self._rng = PrivateGenerator(seed)
 
     @property
     def name(self) -> str:
@@ -181,7 +183,7 @@ class AdaptiveReader:
         reader gets no immediate feedback on missed cancers.
         """
         decision = self.current_reader().decide(
-            case, cadt_output, rng if rng is not None else self._rng
+            case, cadt_output, rng if rng is not None else self._rng()
         )
         if cadt_output is not None:
             caught_failure = (
@@ -239,7 +241,7 @@ class AdaptiveReader:
         :meth:`decide` case by case.
         """
         if u is None:
-            u = (rng if rng is not None else self._rng).random(arrays.reader_total)
+            u = (rng if rng is not None else self._rng()).random(arrays.reader_total)
         return advance_adaptive_chunk(
             self._base_reader, self.trust, arrays, cadt_output, state, u
         )

@@ -27,11 +27,14 @@ recurrence reaches its fixed point (``d + rate * (max - d) == d``,
 after 3,233 cases at the default rate) and fills the rest of the
 session with that value; :func:`chunk_decrement_path` memoises each
 path on its chunk, so every system deciding a chunk from one state
-steps it once.  Only the per-case decision work (sigmoids, uniform
-comparisons) is vectorized, over the chunk's shared layout, index sets
-and difficulty logits (:class:`~repro.engine.arrays.CaseArrays`), and
-each of those expressions reproduces the scalar operation order exactly
-(see ``docs/engine.md``).
+steps it once.  A fatigued reader then decides through the rested
+reader's own body (:meth:`~repro.reader.reader.ReaderModel.decide_chunk`)
+over the probability table of its path, memoised on the chunk as well;
+the adaptive kernel vectorizes its per-case decision work (sigmoids,
+uniform comparisons) over the chunk's shared layout, index sets and
+difficulty logits (:class:`~repro.engine.arrays.CaseArrays`).  Every
+expression reproduces the scalar operation order exactly (see
+``docs/engine.md``).
 
 The kernels never draw randomness: callers pass the chunk's flat
 uniforms ``u`` in the fixed layout the scalar loop consumes (four per
@@ -40,15 +43,15 @@ cancer case, one per healthy case, in case order).
 
 from __future__ import annotations
 
-import struct
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
+from .._numeric import float_key, read_only
 from .._numeric import sigmoid as _sigmoid
 from ..cadt.algorithm import CadtBatchOutput
 from ..exceptions import SimulationError
-from .reader import ReaderModel
+from .reader import ReaderModel, check_chunk_outputs
 from .state import ReaderStateVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -139,18 +142,6 @@ def fatigue_decrement_path(
     return path, d, count
 
 
-#: Decrement paths kept per chunk; the oldest is dropped first.  A chunk
-#: sees one path per (entry state, fatigue parameters) it is decided
-#: from, and those repeat: fresh readers enter every evaluation at the
-#: same states.
-_PATHS_PER_CHUNK = 8
-
-
-def _float_key(value: float) -> int:
-    """``value``'s exact IEEE 754 bits (so ``0.0`` and ``-0.0`` differ)."""
-    return struct.unpack("<q", struct.pack("<d", value))[0]
-
-
 def chunk_decrement_path(
     arrays: "CaseArrays",
     decrement: float,
@@ -165,27 +156,34 @@ def chunk_decrement_path(
     system that enters ``arrays`` in the same state with the same
     parameters shares one computation.  The key is the full argument
     tuple with floats keyed by their bits; the returned path is
-    read-only.
+    read-only, and a chunk keeps at most
+    :data:`~repro.engine.arrays.ENTRIES_PER_KIND` paths (a chunk sees
+    one per entry state and fatigue parameters, and those repeat: fresh
+    readers enter every evaluation at the same states).
     """
+    args = (decrement, cases_this_session, rate, max_decrement, cases_per_session)
+    return _decrement_path(arrays, args)[1]
+
+
+def _decrement_path(
+    arrays: "CaseArrays", args: tuple
+) -> tuple[Hashable, tuple[np.ndarray, float, int]]:
+    """:func:`chunk_decrement_path` of ``args``, with its memo key."""
+    decrement, cases_this_session, rate, max_decrement, cases_per_session = args
     key = (
-        _float_key(decrement),
+        float_key(decrement),
         int(cases_this_session),
-        _float_key(rate),
-        _float_key(max_decrement),
+        float_key(rate),
+        float_key(max_decrement),
         cases_per_session,
         len(arrays),
     )
-    paths: dict = arrays.derived("fatigue_decrement_paths", dict)
-    hit = paths.get(key)
-    if hit is None:
-        path, final_decrement, final_count = fatigue_decrement_path(
-            decrement, cases_this_session, rate, max_decrement, cases_per_session, len(arrays)
-        )
-        path.flags.writeable = False
-        hit = paths[key] = (path, final_decrement, final_count)
-        if len(paths) > _PATHS_PER_CHUNK:
-            del paths[next(iter(paths))]
-    return hit
+
+    def compute() -> tuple[np.ndarray, float, int]:
+        path, final_decrement, final_count = fatigue_decrement_path(*args, len(arrays))
+        return read_only(path), final_decrement, final_count
+
+    return key, arrays.bounded("fatigue_decrement_paths", key, compute)
 
 
 def _check_chunk_inputs(
@@ -199,10 +197,7 @@ def _check_chunk_inputs(
         raise SimulationError(
             f"chunk kernels carry single-reader state, got {len(state)} slots"
         )
-    if cadt_output is not None and not np.array_equal(
-        cadt_output.case_id, arrays.case_id
-    ):
-        raise SimulationError("CADT batch output does not match the case batch")
+    check_chunk_outputs(arrays, cadt_output)
     if u.shape != (total,):
         raise SimulationError(
             f"expected a flat array of {total} uniforms, got shape {u.shape!r}"
@@ -218,6 +213,10 @@ def advance_fatigued_chunk(
     u: np.ndarray,
 ) -> tuple[np.ndarray, ReaderStateVector]:
     """One chunk of :class:`~repro.reader.fatigue.FatiguedReader` decisions.
+
+    The rested reader's decision body
+    (:meth:`~repro.reader.reader.ReaderModel.decide_chunk`) over the
+    probability table of the reader at this chunk's decrement path.
 
     Args:
         reader: The rested baseline reader (provides skills and bias).
@@ -236,67 +235,19 @@ def advance_fatigued_chunk(
         ``(recall, next_state)``: boolean decisions per case and the
         state to carry into the next chunk.
     """
-    offsets = arrays.reader_offsets
     _check_chunk_inputs(arrays, cadt_output, state, u, arrays.reader_total)
-    d_path, d_final, count_final = chunk_decrement_path(
+    key, (d_path, d_final, count_final) = _decrement_path(
         arrays,
-        float(state.decrement[0]),
-        int(state.cases_this_session[0]),
-        fatigue.rate,
-        fatigue.max_decrement,
-        fatigue.cases_per_session,
+        (
+            float(state.decrement[0]),
+            int(state.cases_this_session[0]),
+            fatigue.rate,
+            fatigue.max_decrement,
+            fatigue.cases_per_session,
+        ),
     )
-    aided = cadt_output is not None
-    skill = reader.skill
-    bias = reader._active_bias(aided)
-    recall = np.zeros(len(arrays), dtype=bool)
-
-    healthy = arrays.healthy_index
-    if healthy.size:
-        # The tired reader's specificity is (base - decrement), computed
-        # per case *before* the logit subtraction — the float-op order
-        # the scalar snapshot reader uses.
-        specificity = skill.specificity - d_path[healthy]
-        recall_logit = (
-            arrays.human_classification_difficulty_logit[healthy] - specificity
-        )
-        if aided:
-            recall_logit = recall_logit + (
-                bias.false_prompt_persuasion
-                * cadt_output.num_false_prompts[healthy]
-            )
-        recall[healthy] = u[offsets[healthy]] < _sigmoid(recall_logit)
-
-    cancers = arrays.cancer_index
-    if cancers.size:
-        start = offsets[cancers]
-        u_lapse = u[start]
-        u_prompt = u[start + 1]
-        u_detect = u[start + 2]
-        u_classify = u[start + 3]
-        if aided:
-            prompted = cadt_output.prompted_relevant[cancers]
-            detection_shift = np.where(prompted, 0.0, bias.complacency_shift)
-        else:
-            prompted = np.zeros(cancers.size, dtype=bool)
-            detection_shift = 0.0
-        detection = skill.detection - d_path[cancers]
-        attentive_miss = _sigmoid(
-            arrays.human_detection_difficulty_logit[cancers]
-            - detection
-            + detection_shift
-        )
-        lapsed = u_lapse < skill.lapse_rate
-        registered = prompted & (u_prompt < reader.prompt_effectiveness)
-        noticed = registered | (~lapsed & (u_detect >= attentive_miss))
-        # Classification is a judgement task: fatigue leaves it untouched.
-        p_misclass = _sigmoid(
-            arrays.human_classification_difficulty_logit[cancers]
-            - skill.classification
-            - np.where(prompted, bias.prompt_persuasion, 0.0)
-        )
-        recall[cancers] = noticed & (u_classify >= p_misclass)
-
+    table = reader.probability_table(arrays, decrement=(key, d_path))
+    recall = reader.decide_chunk(arrays, cadt_output, u, table)
     next_state = state.replace(
         decrement=np.array([d_final]),
         cases_this_session=np.array([count_final], dtype=np.int64),

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .._numeric import PrivateGenerator
 from ..cadt.algorithm import CadtBatchOutput, CadtOutput
 from ..exceptions import ParameterError
 from ..screening.case import Case
@@ -125,7 +126,8 @@ class FatiguedReader:
     Args:
         reader: The rested baseline reader.
         fatigue: Fatigue dynamics (a default instance when omitted).
-        seed: Seed for this wrapper's private random generator.
+        seed: Seed for this wrapper's private random generator, created
+            on its first draw (``None``: OS entropy, at construction).
     """
 
     def __init__(
@@ -136,7 +138,7 @@ class FatiguedReader:
     ):
         self._base_reader = reader
         self.fatigue = fatigue if fatigue is not None else FatigueModel()
-        self._rng = np.random.default_rng(seed)
+        self._rng = PrivateGenerator(seed)
 
     @property
     def name(self) -> str:
@@ -182,7 +184,7 @@ class FatiguedReader:
     ) -> ReaderDecision:
         """Decide one case at the current fatigue, then tire a little more."""
         decision = self.current_reader().decide(
-            case, cadt_output, rng if rng is not None else self._rng
+            case, cadt_output, rng if rng is not None else self._rng()
         )
         self.fatigue.advance()
         return decision
@@ -229,7 +231,7 @@ class FatiguedReader:
         :meth:`decide` case by case.
         """
         if u is None:
-            u = (rng if rng is not None else self._rng).random(arrays.reader_total)
+            u = (rng if rng is not None else self._rng()).random(arrays.reader_total)
         return advance_fatigued_chunk(
             self._base_reader, self.fatigue, arrays, cadt_output, state, u
         )

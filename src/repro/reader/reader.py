@@ -36,10 +36,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Hashable
 
 import numpy as np
 
+from .._numeric import PrivateGenerator, float_key, read_only
 from .._numeric import logit as _logit
 from .._numeric import sigmoid as _sigmoid
 from .._validation import check_probability
@@ -51,7 +53,7 @@ from .bias import NO_BIAS, AutomationBiasProfile
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from ..engine.arrays import CaseArrays
 
-__all__ = ["ReadingProcedure", "ReaderSkill", "ReaderDecision", "ReaderModel"]
+__all__ = ["ReadingProcedure", "ReaderSkill", "ReaderDecision", "ReaderTable", "ReaderModel"]
 
 
 class ReadingProcedure(enum.Enum):
@@ -116,6 +118,104 @@ class ReaderDecision:
     lapsed: bool
 
 
+class ReaderTable:
+    """A reader configuration's seed-independent probabilities on one chunk.
+
+    Built by :meth:`ReaderModel.probability_table` and memoised on the
+    chunk.  Each array is computed on first use and is read-only; the
+    cancer arrays follow the chunk's ``cancer_index`` order, the healthy
+    ones its ``healthy_index`` order.  A fatigued reader's table carries
+    its per-case vigilance ``decrement`` path, which subtracts from the
+    detection and specificity skills per case before the logit
+    subtraction (the float-op order of the scalar snapshot reader); a
+    rested reader's has none.  ``bias`` is the bias in force when
+    reading aided.
+
+    Attributes:
+        attentive_miss: Attentive-miss probability on each cancer, with
+            no complacency shift (unaided, or a prompted case).
+        complacent_miss: The same with the complacency shift (a case the
+            machine failed to prompt).
+        misclassify: Misclassification probability on each cancer, with
+            no prompt persuasion.
+        persuaded_misclassify: The same with prompt persuasion (a
+            prompted case).
+        unaided_recall: Recall probability of each healthy case read
+            unaided.
+    """
+
+    def __init__(
+        self,
+        arrays: "CaseArrays",
+        skill: ReaderSkill,
+        bias: AutomationBiasProfile,
+        decrement: np.ndarray | None = None,
+    ):
+        # Columns and index sets, not the chunk itself: the table lives
+        # in the chunk's memo, and must not refer back to it.
+        self._cancers = arrays.cancer_index
+        self._healthy = arrays.healthy_index
+        self._detection_logit = arrays.human_detection_difficulty_logit
+        self._classification_logit = arrays.human_classification_difficulty_logit
+        self._skill = skill
+        self._bias = bias
+        self._decrement = decrement
+
+    def healthy_logit(self) -> np.ndarray:
+        """Each healthy case's recall logit before prompts (computed per call)."""
+        specificity: Any = self._skill.specificity
+        if self._decrement is not None:
+            specificity = specificity - self._decrement[self._healthy]
+        return self._classification_logit[self._healthy] - specificity
+
+    def _miss(self, shift: float) -> np.ndarray:
+        detection: Any = self._skill.detection
+        if self._decrement is not None:
+            detection = detection - self._decrement[self._cancers]
+        return read_only(
+            _sigmoid(self._detection_logit[self._cancers] - detection + shift)
+        )
+
+    def _misclassify(self, persuasion: float) -> np.ndarray:
+        return read_only(
+            _sigmoid(
+                self._classification_logit[self._cancers]
+                - self._skill.classification
+                - persuasion
+            )
+        )
+
+    @cached_property
+    def attentive_miss(self) -> np.ndarray:
+        return self._miss(0.0)
+
+    @cached_property
+    def complacent_miss(self) -> np.ndarray:
+        return self._miss(self._bias.complacency_shift)
+
+    @cached_property
+    def misclassify(self) -> np.ndarray:
+        return self._misclassify(0.0)
+
+    @cached_property
+    def persuaded_misclassify(self) -> np.ndarray:
+        return self._misclassify(self._bias.prompt_persuasion)
+
+    @cached_property
+    def unaided_recall(self) -> np.ndarray:
+        return read_only(_sigmoid(self.healthy_logit()))
+
+
+def check_chunk_outputs(arrays: "CaseArrays", cadt_output: CadtBatchOutput | None) -> None:
+    """Reject batch CADT annotations made for another batch of cases."""
+    if (
+        cadt_output is not None
+        and cadt_output.case_id is not arrays.case_id
+        and not np.array_equal(cadt_output.case_id, arrays.case_id)
+    ):
+        raise SimulationError("CADT batch output does not match the case batch")
+
+
 class ReaderModel:
     """A stochastic reader with analytic conditional failure probabilities.
 
@@ -130,7 +230,10 @@ class ReaderModel:
             reader to notice all the features ... that ought to be
             examined").
         name: Identifier used in trial records.
-        seed: Seed for the reader's private random generator.
+        seed: Seed for the reader's private random generator, which is
+            created on its first draw (see
+            :class:`~repro._numeric.PrivateGenerator`); ``None`` seeds it
+            from OS entropy at construction.
     """
 
     def __init__(
@@ -153,7 +256,7 @@ class ReaderModel:
         if not name:
             raise ParameterError("reader name must be non-empty")
         self.name = name
-        self._rng = np.random.default_rng(seed)
+        self._rng = PrivateGenerator(seed)
 
     # -- effective bias -----------------------------------------------------------
 
@@ -289,7 +392,7 @@ class ReaderModel:
             raise SimulationError(
                 f"CADT output is for case {cadt_output.case_id}, not {case.case_id}"
             )
-        rng = rng if rng is not None else self._rng
+        rng = rng if rng is not None else self._rng()
 
         if not case.has_cancer:
             prompts = cadt_output.num_false_prompts if cadt_output is not None else None
@@ -358,63 +461,92 @@ class ReaderModel:
         Returns:
             Boolean recall decisions, one per case.
         """
-        if cadt_output is not None and not np.array_equal(
-            cadt_output.case_id, arrays.case_id
-        ):
-            raise SimulationError("CADT batch output does not match the case batch")
-        offsets = arrays.reader_offsets
+        check_chunk_outputs(arrays, cadt_output)
         total = arrays.reader_total
         if u is None:
-            u = (rng if rng is not None else self._rng).random(total)
+            u = (rng if rng is not None else self._rng()).random(total)
         if u.shape != (total,):
             raise SimulationError(
                 f"expected a flat array of {total} uniforms, got shape {u.shape!r}"
             )
-        aided = cadt_output is not None
+        return self.decide_chunk(arrays, cadt_output, u, self.probability_table(arrays))
+
+    def probability_table(
+        self,
+        arrays: "CaseArrays",
+        decrement: tuple[Hashable, np.ndarray] | None = None,
+    ) -> ReaderTable:
+        """This reader's :class:`ReaderTable` on ``arrays``, memoised on it.
+
+        Keyed by the exact bits of the skills and aided-bias strengths
+        the table reads; ``decrement`` is a fatigued reader's decrement
+        path on this chunk with its memo key, ``(key, path)``, and the
+        key joins the table's.  At most
+        :data:`~repro.engine.arrays.ENTRIES_PER_KIND` tables are kept
+        per chunk.
+        """
+        skill = self.skill
+        bias = self._active_bias(aided=True)
+        key = (
+            float_key(skill.detection),
+            float_key(skill.classification),
+            float_key(skill.specificity),
+            float_key(bias.complacency_shift),
+            float_key(bias.prompt_persuasion),
+            None if decrement is None else decrement[0],
+        )
+        path = None if decrement is None else decrement[1]
+        return arrays.bounded(
+            "reader_table", key, lambda: ReaderTable(arrays, skill, bias, path)
+        )
+
+    def decide_chunk(
+        self,
+        arrays: "CaseArrays",
+        cadt_output: CadtBatchOutput | None,
+        u: np.ndarray,
+        table: ReaderTable,
+    ) -> np.ndarray:
+        """The decision body of a rested or fatigued reader on one chunk.
+
+        Compares the flat uniforms ``u`` (checked by the caller) against
+        ``table``, picking each cancer's branch by the seeded prompt
+        outcome; only the aided healthy recall probability, which
+        depends on the seeded false-prompt count, is computed here.
+        """
+        offsets = arrays.reader_offsets
         recall = np.zeros(len(arrays), dtype=bool)
 
         healthy = arrays.healthy_index
         if healthy.size:
-            recall_logit = (
-                arrays.human_classification_difficulty_logit[healthy]
-                - self.skill.specificity
-            )
-            if aided:
-                bias = self._active_bias(aided=True)
-                recall_logit = recall_logit + (
-                    bias.false_prompt_persuasion
-                    * cadt_output.num_false_prompts[healthy]
+            if cadt_output is None:
+                p_recall = table.unaided_recall
+            else:
+                persuasion = self._active_bias(aided=True).false_prompt_persuasion
+                p_recall = _sigmoid(
+                    table.healthy_logit()
+                    + persuasion * cadt_output.num_false_prompts[healthy]
                 )
-            recall[healthy] = u[offsets[healthy]] < _sigmoid(recall_logit)
+            recall[healthy] = u[offsets[healthy]] < p_recall
 
         cancers = arrays.cancer_index
         if cancers.size:
             start = offsets[cancers]
-            u_lapse = u[start]
-            u_prompt = u[start + 1]
-            u_detect = u[start + 2]
-            u_classify = u[start + 3]
-            bias = self._active_bias(aided)
-            if aided:
-                prompted = cadt_output.prompted_relevant[cancers]
-                detection_shift = np.where(prompted, 0.0, bias.complacency_shift)
+            lapsed = u[start] < self.skill.lapse_rate
+            if cadt_output is None:
+                noticed = ~lapsed & (u[start + 2] >= table.attentive_miss)
+                p_misclass = table.misclassify
             else:
-                prompted = np.zeros(cancers.size, dtype=bool)
-                detection_shift = 0.0
-            attentive_miss = _sigmoid(
-                arrays.human_detection_difficulty_logit[cancers]
-                - self.skill.detection
-                + detection_shift
-            )
-            lapsed = u_lapse < self.skill.lapse_rate
-            registered = prompted & (u_prompt < self.prompt_effectiveness)
-            noticed = registered | (~lapsed & (u_detect >= attentive_miss))
-            p_misclass = _sigmoid(
-                arrays.human_classification_difficulty_logit[cancers]
-                - self.skill.classification
-                - np.where(prompted, bias.prompt_persuasion, 0.0)
-            )
-            recall[cancers] = noticed & (u_classify >= p_misclass)
+                prompted = cadt_output.prompted_relevant[cancers]
+                attentive_miss = np.where(
+                    prompted, table.attentive_miss, table.complacent_miss
+                )
+                registered = prompted & (u[start + 1] < self.prompt_effectiveness)
+                noticed = registered | (~lapsed & (u[start + 2] >= attentive_miss))
+                p_misclass = np.where(
+                    prompted, table.persuaded_misclassify, table.misclassify
+                )
+            recall[cancers] = noticed & (u[start + 3] >= p_misclass)
         return recall
 
     # -- variants --------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from .app import (
 from .batcher import MicroBatcher
 from .cache import CachedWorkload, WorkloadCache
 from .protocol import (
+    MAX_DRAWS,
+    MAX_NUM_CASES,
+    MAX_TRIALS,
     CompareRequest,
     EvaluateRequest,
     IngestRequest,
@@ -61,6 +64,9 @@ __all__ = [
     "parse_compare_request",
     "parse_uncertainty_request",
     "parse_ingest_request",
+    "MAX_NUM_CASES",
+    "MAX_DRAWS",
+    "MAX_TRIALS",
     "evaluation_payload",
     "interval_payload",
     "drift_test_payload",

@@ -337,11 +337,20 @@ class ScreeningService:
 
         All systems see the same seed (common random numbers — the
         paper's paired comparison design); the expansion lands in one
-        batch group, so one compare is at most one dispatch.
+        batch group of at most ``max_batch`` systems, so one compare is
+        at most one dispatch.
+
+        Raises:
+            ProtocolError: on no systems or more than ``max_batch``.
         """
         request_obs = obs if obs is not None else NULL_INSTRUMENTATION
         if not systems:
             raise ProtocolError("compare needs at least one system")
+        if len(systems) > self._config.max_batch:
+            raise ProtocolError(
+                f"compare lists {len(systems)} systems; this service takes at "
+                f"most max_batch={self._config.max_batch} per compare"
+            )
         self._admit(tenant)
         self._obs.count("service.requests")
         start = time.perf_counter()

@@ -39,7 +39,19 @@ __all__ = [
     "interval_payload",
     "drift_test_payload",
     "monitoring_report_payload",
+    "MAX_NUM_CASES",
+    "MAX_DRAWS",
+    "MAX_TRIALS",
 ]
+
+#: The most work one request may ask for.  The engine thread serves
+#: every request in turn, so a request past a limit is refused (400)
+#: before any engine work; a compare may also list at most the
+#: service's ``max_batch`` systems (checked by
+#: :meth:`~repro.service.app.ScreeningService.compare`).
+MAX_NUM_CASES = 1_000_000
+MAX_DRAWS = 1_000_000
+MAX_TRIALS = 10**9
 
 
 class ProtocolError(SimulationError):
@@ -135,9 +147,14 @@ def _parse_workload(payload: Mapping[str, Any]) -> WorkloadSpec:
         raise ProtocolError("'workload' must name a 'population'")
     try:
         # Values pass through as parsed: the spec checks their types.
-        return WorkloadSpec(**workload)
+        spec = WorkloadSpec(**workload)
     except SimulationError as exc:
         raise ProtocolError(f"invalid workload: {exc}") from exc
+    if spec.num_cases > MAX_NUM_CASES:
+        raise ProtocolError(
+            f"'num_cases' must be at most {MAX_NUM_CASES}, got {spec.num_cases!r}"
+        )
+    return spec
 
 
 def _parse_system(payload: Any, what: str = "'system'") -> SystemSpec:
@@ -200,20 +217,23 @@ def parse_uncertainty_request(payload: Any) -> UncertaintyRequest:
         raise ProtocolError(
             f"unknown profile {profile!r}; expected one of {list(PROFILES)}"
         )
-    trials = body.get("trials", 1000)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ProtocolError(f"'trials' must be a positive integer, got {trials!r}")
-    draws = body.get("draws", 10_000)
-    if not isinstance(draws, int) or isinstance(draws, bool) or draws < 1:
-        raise ProtocolError(f"'draws' must be a positive integer, got {draws!r}")
     return UncertaintyRequest(
         profile=profile,
-        trials=trials,
-        draws=draws,
+        trials=_parse_count(body, "trials", 1000, MAX_TRIALS),
+        draws=_parse_count(body, "draws", 10_000, MAX_DRAWS),
         seed=_parse_seed(body),
         level=_parse_level(body),
         report=_parse_report(body),
     )
+
+
+def _parse_count(payload: Mapping[str, Any], name: str, default: int, limit: int) -> int:
+    value = payload.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= limit:
+        raise ProtocolError(
+            f"{name!r} must be an integer in [1, {limit}], got {value!r}"
+        )
+    return value
 
 
 def parse_ingest_request(payload: Any) -> IngestRequest:

@@ -27,9 +27,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-import numpy as np
-
-from .._numeric import MAX_POISSON_RATE
+from .._numeric import MAX_POISSON_RATE, SpawnedSeed
 from .._numeric import exp as _exp
 from ..cadt import Cadt, DetectionAlgorithm
 from ..exceptions import SimulationError
@@ -89,19 +87,6 @@ BIASES = {"none": NO_BIAS, "mild": MILD_BIAS, "strong": STRONG_BIAS}
 
 #: Temporal reader dynamics regimes.
 DYNAMICS = ("none", "adaptive", "fatigue")
-
-
-def _component_seeds(seed: int, count: int) -> list[int]:
-    """``count`` independent integer seeds derived from one seed.
-
-    Pure function of ``(seed, count)`` — the derivation every build path
-    (fused sweep, standalone reproduction) shares, so a cell's recorded
-    seed fully determines its components.
-    """
-    return [
-        int(sequence.generate_state(1)[0])
-        for sequence in np.random.SeedSequence(seed).spawn(count)
-    ]
 
 
 def _integer(value: Any, name: str) -> int:
@@ -249,12 +234,15 @@ class SystemSpec:
     def build(self, seed: int) -> ScreeningSystem:
         """Construct a fresh system; every component seed derives from ``seed``.
 
-        The component seeds only feed private generators (seeded
-        evaluation threads one shared generator through every decision),
-        but deriving them keeps even unseeded use of a built system
-        deterministic in ``(spec, seed)``.
+        The reader, its temporal wrapper and the CADT get seeds 0, 1 and
+        2 of ``SeedSequence(seed).spawn(3)``, each as
+        ``SpawnedSeed(seed, i)``: the integer is derived, and the
+        private generator created, only at the component's first private
+        draw.  Seeded evaluation threads one shared generator through
+        every decision and never makes one, but the seeds keep even
+        unseeded use of a built system deterministic in ``(spec, seed)``.
         """
-        reader_seed, wrapper_seed, cadt_seed = _component_seeds(seed, 3)
+        reader_seed, wrapper_seed, cadt_seed = (SpawnedSeed(seed, i) for i in range(3))
         reader = ReaderModel(
             skill=ReaderSkill(),
             bias=BIASES[self.bias],

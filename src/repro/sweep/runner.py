@@ -454,17 +454,22 @@ def _journal_header(plan: SweepPlan) -> dict[str, Any]:
 
 
 def _load_journal(
-    path: str | Path, plan: SweepPlan
-) -> tuple[dict[str, CellResult], dict[int, ShardStreamState]]:
-    """Completed cells (and shard states) recorded in a journal.
+    path: str | Path, plan: SweepPlan, class_names: Sequence[str]
+) -> dict[str, CellResult]:
+    """Completed cells recorded in a journal, each checked against the plan.
+
+    Shard state lines are not read: a restored shard's state is rebuilt
+    from its cells.
 
     Raises:
         SimulationError: when the journal belongs to a different plan
-            (grid, seed, or chunking changed) or is structurally invalid.
+            (grid, seed, or chunking changed), is structurally invalid,
+            or records a cell the plan or the classifier contradicts.
+        EstimationError: on an unreadable or undecodable journal.
     """
     entries = load_journal_entries(path)
     if not entries:
-        return {}, {}
+        return {}
     header = entries[0]
     if header.get("kind") != "header":
         raise SimulationError(
@@ -482,18 +487,58 @@ def _load_journal(
             "refusing to mix results — use a fresh journal or the original "
             "grid, seed, and chunking"
         )
+    planned = {cell.cell_id: cell for cell in plan.cells()}
     completed: dict[str, CellResult] = {}
-    states: dict[int, ShardStreamState] = {}
     for entry in entries[1:]:
-        if entry.get("kind") == "shard_state":
-            state = ShardStreamState.from_entry(entry)
-            states[state.shard] = state
-            continue
         if entry.get("kind") != "cell":
             continue
         result = CellResult.from_entry(entry)
-        completed[result.cell_id] = result
-    return completed, states
+        problem = _restored_cell_problem(result, planned.get(result.cell_id), class_names)
+        if problem is None and completed.setdefault(result.cell_id, result) != result:
+            problem = "is journaled twice with different counts"
+        if problem is not None:
+            raise SimulationError(f"journal {path}: cell {result.cell_id!r} {problem}")
+    return completed
+
+
+def _restored_cell_problem(
+    result: CellResult, planned: PlannedCell | None, class_names: Sequence[str]
+) -> str | None:
+    """What the plan and the classifier contradict in a journaled cell, if anything.
+
+    The identity must be the planned one; the trials must cover the
+    workload spec's cases; the per-class counts must sum to the cancer
+    counts, over classifier classes in classifier order, each with at
+    least one trial (the only ones a cell records).  A healthy failure
+    count within its trials cannot be checked.
+    """
+    if planned is None:
+        return "is not in the plan"
+    if (result.index, result.seed, result.system_name, result.workload_name) != (
+        planned.index,
+        planned.seed,
+        planned.cell.system.label(),
+        planned.workload_key,
+    ):
+        return "does not match its planned index, seed, system and workload"
+    remaining = iter(class_names)
+    if not (
+        len(result.class_names) == len(result.class_failures) == len(result.class_trials)
+        and all(name in remaining for name in result.class_names)
+    ):
+        return f"names classes {result.class_names!r} outside the classifier's {tuple(class_names)!r}"
+    if not (
+        result.cancer_trials + result.healthy_trials == planned.cell.workload.num_cases
+        and sum(result.class_trials) == result.cancer_trials
+        and sum(result.class_failures) == result.cancer_failures
+        and 0 <= result.healthy_failures <= result.healthy_trials
+        and all(
+            0 <= failures <= trials and trials > 0
+            for failures, trials in zip(result.class_failures, result.class_trials)
+        )
+    ):
+        return "has counts that contradict its workload or its per-class counts"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +678,9 @@ def _execute_plan(
                 "continue it or choose a fresh path"
             )
         if resume and journal_exists:
-            completed, shard_states = _load_journal(journal, plan)
+            completed = _load_journal(
+                journal, plan, [case_class.name for case_class in classifier.classes]
+            )
 
     contexts: dict[str, _WorkloadContext] = {}
     results: dict[int, CellResult] = {}
@@ -665,13 +712,12 @@ def _execute_plan(
                     skipped += 1
                     obs.count("sweep.cells.skipped")
             if not pending:
-                if shard.index not in shard_states:
-                    # A pre-streaming journal restored this shard's cells
-                    # without a state line: rebuild the state from them.
-                    shard_states[shard.index] = ShardStreamState.from_results(
-                        shard.index,
-                        [results[planned.index] for planned in shard.cells()],
-                    )
+                # Every cell was restored: rebuild the shard's state from
+                # them rather than trust its journaled state line.
+                shard_states[shard.index] = ShardStreamState.from_results(
+                    shard.index,
+                    [results[planned.index] for planned in shard.cells()],
+                )
                 continue
             if max_shards is not None and executed_shards >= max_shards:
                 break

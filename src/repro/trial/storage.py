@@ -85,20 +85,36 @@ def append_journal_entries(
         raise EstimationError(f"cannot append to journal {path}: {exc}") from exc
 
 
+def _undecodable(path: PathLike, exc: UnicodeDecodeError) -> EstimationError:
+    return EstimationError(
+        f"{path}: undecodable byte {exc.object[exc.start]:#04x} (not UTF-8 text)"
+    )
+
+
+def _decode(data: bytes, path: PathLike) -> str:
+    """``data`` as UTF-8 text; an undecodable byte is an EstimationError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+
+
 def load_journal_entries(path: PathLike) -> list[dict[str, Any]]:
     """Read a JSONL journal written by :func:`append_journal_entries`.
 
     A missing file is an empty journal.  A garbled *final* line is
     dropped silently — that is what a mid-write kill leaves behind, and
     dropping it simply re-runs the work it described.  Garbage anywhere
-    earlier raises: that is corruption, not interruption.
+    earlier raises: that is corruption, not interruption.  So does a
+    byte that is not UTF-8 anywhere: the writer emits ASCII JSON, so no
+    interrupted write leaves one.
 
     Raises:
-        EstimationError: on an unreadable file or a malformed non-final
-            line.
+        EstimationError: on an unreadable or undecodable file or a
+            malformed non-final line.
     """
     try:
-        text = Path(path).read_text()
+        text = _decode(Path(path).read_bytes(), path)
     except FileNotFoundError:
         return []
     except OSError as exc:
@@ -230,7 +246,7 @@ def _parse_bool(cell: str, column: str, row_number: int) -> bool:
 
 def dump_records_csv(path: PathLike, records: TrialRecords) -> None:
     """Write trial records to a CSV file (header + one row per event)."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for record in records:
@@ -252,25 +268,28 @@ def load_records_csv(path: PathLike) -> TrialRecords:
     """Read trial records from a CSV file written by :func:`dump_records_csv`.
 
     Raises:
-        EstimationError: on a missing/garbled header or malformed row.
+        EstimationError: on an unreadable or undecodable file, a
+            missing/garbled header or a malformed row.
     """
     records = TrialRecords()
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise EstimationError(f"cannot read records file {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EstimationError(f"{path}: empty records file") from None
-        if tuple(header) != CSV_COLUMNS:
-            raise EstimationError(
-                f"{path}: unexpected header {header!r}; expected {list(CSV_COLUMNS)}"
-            )
-        for row_number, row in enumerate(reader, start=2):
-            records.append(_parse_row(row, row_number))
+            header = next(reader, None)
+            if header is None:
+                raise EstimationError(f"{path}: empty records file")
+            if tuple(header) != CSV_COLUMNS:
+                raise EstimationError(
+                    f"{path}: unexpected header {header!r}; expected {list(CSV_COLUMNS)}"
+                )
+            for row_number, row in enumerate(reader, start=2):
+                records.append(_parse_row(row, row_number))
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
     return records
 
 
@@ -320,17 +339,18 @@ def _parse_row(row: list[str], row_number: int) -> CaseRecord:
 
 
 def _drain_complete_lines(
-    path: PathLike, offset: int, carry: str
-) -> tuple[list[str], int, str]:
-    """Read text appended past ``offset``; return complete lines.
+    path: PathLike, offset: int, carry: bytes
+) -> tuple[list[str], int, bytes]:
+    """Read bytes appended past ``offset``; return complete lines as text.
 
     Only lines terminated by a newline are returned — a half-written
-    final line stays in ``carry`` for the next poll, which is exactly
-    what an appending writer leaves mid-row.  A missing file counts as
-    "nothing new yet".
+    final line (even one cut inside a multi-byte character) stays in
+    ``carry`` for the next poll, which is exactly what an appending
+    writer leaves mid-row.  A complete line that is not UTF-8 is
+    corruption.  A missing file counts as "nothing new yet".
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, "rb") as handle:
             handle.seek(offset)
             chunk = handle.read()
             offset = handle.tell()
@@ -338,10 +358,10 @@ def _drain_complete_lines(
         return [], offset, carry
     except OSError as exc:
         raise EstimationError(f"cannot read records file {path}: {exc}") from exc
-    text = carry + chunk
-    lines = text.split("\n")
+    lines = (carry + chunk).split(b"\n")
     carry = lines.pop()
-    return [line.rstrip("\r") for line in lines if line.rstrip("\r")], offset, carry
+    text = [_decode(line, path).rstrip("\r") for line in lines]
+    return [line for line in text if line], offset, carry
 
 
 def _follow_polls(
@@ -389,11 +409,11 @@ def follow_records_csv(
         Non-empty :class:`TrialRecords` batches, in file order.
 
     Raises:
-        EstimationError: on a wrong header or a malformed *complete*
-            row — that is corruption, not an unfinished append.
+        EstimationError: on a wrong header or a malformed or undecodable
+            *complete* row — that is corruption, not an unfinished append.
     """
     wait = _follow_polls(poll_interval, max_idle_polls, sleep)
-    offset, carry = 0, ""
+    offset, carry = 0, b""
     header_checked = False
     row_number = 1
     idle = 0
@@ -438,11 +458,11 @@ def follow_journal_records(
     *complete* line that fails to parse is corruption and raises.
 
     Raises:
-        EstimationError: on a complete line that is not valid JSON or
-            not a valid record entry.
+        EstimationError: on a complete line that is not UTF-8, not valid
+            JSON or not a valid record entry.
     """
     wait = _follow_polls(poll_interval, max_idle_polls, sleep)
-    offset, carry = 0, ""
+    offset, carry = 0, b""
     line_number = 0
     idle = 0
     while True:

@@ -1,13 +1,22 @@
 """Request parsing: strict keys, explicit seeds, JSON-ready responses."""
 
+import asyncio
+import json
+
 import pytest
 
 from repro.service import (
+    MAX_DRAWS,
+    MAX_NUM_CASES,
+    MAX_TRIALS,
     ProtocolError,
+    ScreeningService,
+    ServiceConfig,
     evaluation_payload,
     parse_compare_request,
     parse_evaluate_request,
     parse_uncertainty_request,
+    serve,
 )
 from repro.sweep.grid import SystemSpec, WorkloadSpec
 from repro.engine.executor import evaluate_system_batch
@@ -159,6 +168,93 @@ class TestUncertaintyParsing:
     def test_rejects_non_positive_counts(self, field):
         with pytest.raises(ProtocolError, match=field):
             parse_uncertainty_request({"seed": 0, field: 0})
+
+
+class TestRequestLimits:
+    """One request cannot ask for unbounded work: each breach is a 400."""
+
+    def test_documented_limits(self):
+        assert (MAX_NUM_CASES, MAX_DRAWS, MAX_TRIALS) == (1_000_000, 1_000_000, 10**9)
+
+    def test_num_cases_limit(self):
+        at_limit = evaluate_body(workload={"population": "routine", "num_cases": MAX_NUM_CASES})
+        assert parse_evaluate_request(at_limit).workload.num_cases == MAX_NUM_CASES
+        for parse, body in (
+            (parse_evaluate_request, evaluate_body()),
+            (parse_compare_request, {"workload": {}, "systems": [{}], "seed": 1}),
+        ):
+            body["workload"] = {"population": "routine", "num_cases": MAX_NUM_CASES + 1}
+            with pytest.raises(ProtocolError, match="num_cases"):
+                parse(body)
+
+    @pytest.mark.parametrize(
+        "field, limit", [("draws", MAX_DRAWS), ("trials", MAX_TRIALS)]
+    )
+    def test_count_limits(self, field, limit):
+        assert getattr(parse_uncertainty_request({"seed": 0, field: limit}), field) == limit
+        for value in (limit + 1, 10**9 + 10**8, 10**400):
+            with pytest.raises(ProtocolError, match=field):
+                parse_uncertainty_request({"seed": 0, field: value})
+
+    def test_compare_takes_at_most_max_batch_systems(self):
+        service = ScreeningService(ServiceConfig(workers=1, max_batch=3))
+        try:
+            with pytest.raises(ProtocolError, match="max_batch=3"):
+                asyncio.run(
+                    service.compare(WorkloadSpec("routine", num_cases=50), [SystemSpec()] * 4, seed=1)
+                )
+        finally:
+            service.close()
+
+    def test_over_limit_requests_are_400_and_keep_the_connection(self):
+        config = ServiceConfig(workers=1, linger_ms=1.0, chunk_size=128, max_batch=2)
+        workload = {"population": "routine", "num_cases": 60}
+        requests = [
+            ("/v1/evaluate", evaluate_body(workload={"population": "routine",
+                                                     "num_cases": MAX_NUM_CASES + 1})),
+            ("/v1/uncertainty", {"seed": 1, "draws": 10**9}),
+            ("/v1/uncertainty", {"seed": 1, "trials": 10**400}),
+            ("/v1/compare", {"workload": workload, "systems": [{}, {}, {}], "seed": 1}),
+            ("/v1/evaluate", evaluate_body(workload=workload)),
+        ]
+
+        async def exchange(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            try:
+                for path, body in requests:
+                    payload = json.dumps(body).encode()
+                    writer.write(
+                        f"POST {path} HTTP/1.1\r\nContent-Length: {len(payload)}\r\n\r\n".encode()
+                        + payload
+                    )
+                    await writer.drain()
+                    status_line = await reader.readline()
+                    headers = {}
+                    while (line := await reader.readline()) not in (b"\r\n", b""):
+                        name, _, value = line.decode().partition(":")
+                        headers[name.strip().lower()] = value.strip()
+                    data = await reader.readexactly(int(headers["content-length"]))
+                    replies.append((int(status_line.split()[1]), json.loads(data)))
+            finally:
+                writer.close()
+            return replies
+
+        async def main():
+            service = ScreeningService(config)
+            ready = asyncio.Event()
+            task = asyncio.create_task(serve(service, port=8967, ready=ready))
+            await asyncio.wait_for(ready.wait(), timeout=10.0)
+            try:
+                return await exchange(8967)
+            finally:
+                task.cancel()
+                await task
+
+        replies = asyncio.run(main())
+        assert [status for status, _ in replies] == [400, 400, 400, 400, 200]
+        for (_, body), word in zip(replies, ("num_cases", "draws", "trials", "max_batch")):
+            assert word in body["error"]
 
 
 class TestEvaluationPayload:
