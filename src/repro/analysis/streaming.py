@@ -522,32 +522,10 @@ class WelfordAccumulator:
         self._count = total
         return self
 
-    @classmethod
-    def from_moments(cls, count: int, mean: float, m2: float) -> "WelfordAccumulator":
-        """Rebuild an accumulator from its raw moments (see :attr:`m2`).
-
-        Raises:
-            EstimationError: on a negative count or sum of squares.
-        """
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise EstimationError(f"count must be an int >= 0, got {count!r}")
-        if m2 < 0.0:
-            raise EstimationError(f"m2 must be >= 0, got {m2!r}")
-        accumulator = cls()
-        accumulator._count = count
-        accumulator._mean = float(mean) if count else 0.0
-        accumulator._m2 = float(m2) if count else 0.0
-        return accumulator
-
     @property
     def count(self) -> int:
         """Observations folded in."""
         return self._count
-
-    @property
-    def m2(self) -> float:
-        """Raw sum of squared deviations (for exact serialisation)."""
-        return self._m2
 
     @property
     def mean(self) -> float:

@@ -5,14 +5,16 @@ amortises dispatch overhead by *fusing* independent evaluations of one
 workload into a single task:
 
 * the sweep runner (:mod:`repro.sweep.runner`) fuses the cells of a
-  compiled :class:`~repro.sweep.plan.FusedBatch`;
+  compiled :class:`~repro.sweep.plan.FusedBatch` and copies the rows
+  into its plan-wide count matrix;
 * the always-on service (:mod:`repro.service`) coalesces concurrent
   requests that share a workload fingerprint into micro-batches.
 
 Both hand a :data:`FusedTask` — the workload plane (in-memory arrays or
 a shared-memory :class:`~repro.engine.runtime._SegmentSpec`), the chunk
 size, the cancer positions/class codes, and the fused items — to
-:func:`run_fused_batch`, in a pool worker or in-process.
+:func:`run_fused_batch`, in a pool worker or in-process, and get back
+one count matrix: a row per item, in item order (:data:`ROW_COLUMNS`).
 
 **Determinism contract.**  Each fused item carries its own seed; its
 chunk generators derive via the same ``SeedSequence`` scheme as
@@ -50,9 +52,9 @@ from .executor import (
 from .runtime import _advance_stream, _attached_arrays, _decide_jobs, _Job, _SegmentSpec
 
 __all__ = [
+    "ROW_COLUMNS",
     "FusedItem",
     "FusedTask",
-    "FusedRow",
     "FusedCounts",
     "build_fused_item",
     "item_failures",
@@ -62,8 +64,9 @@ __all__ = [
 ]
 
 #: One fused item's work: ``(index, system, seed, stream)``.  ``index``
-#: is the caller's demultiplexing key (cell index, request slot);
-#: ``stream`` selects the ordered stream-carry path over ``decide_batch``.
+#: is the caller's label for the item (cell index, request slot) — its
+#: row comes back at the item's position; ``stream`` selects the ordered
+#: stream-carry path over ``decide_batch``.
 FusedItem = tuple[int, ScreeningSystem, int, bool]
 
 #: One fused dispatch: the workload plane (a :class:`_SegmentSpec` for
@@ -79,10 +82,10 @@ FusedTask = tuple[
     tuple[FusedItem, ...],
 ]
 
-#: One item's raw output row:
-#: ``(index, (cancer_failures, cancer_trials, healthy_failures,
-#: healthy_trials), class_failures, class_trials)``.
-FusedRow = tuple[int, tuple[int, ...], list[int], list[int]]
+#: The leading columns of a count-matrix row; the per-class failures and
+#: then the per-class trials follow, one column per class code, so a row
+#: has ``4 + 2 * n_classes`` columns.
+ROW_COLUMNS = ("cancer_failures", "cancer_trials", "healthy_failures", "healthy_trials")
 
 
 def build_fused_item(
@@ -121,14 +124,15 @@ def item_failures(
     return np.concatenate(chunk_failures)
 
 
-def run_fused_batch(task: FusedTask) -> list[FusedRow]:
+def run_fused_batch(task: FusedTask) -> np.ndarray:
     """Execute one fused dispatch; the single kernel every path runs.
 
     Runs in a pool worker (attaching the shared plane) or in-process
     (arrays travel directly) — the items' chunk jobs and generators are
     identical either way, which is what makes serial, pooled, coalesced,
-    and resumed executions bit-identical.  Returns one
-    :data:`FusedRow` per item.
+    and resumed executions bit-identical.  Returns an int64 count matrix
+    with one row per item, in item order (columns: :data:`ROW_COLUMNS`,
+    then the per-class failures and trials).
     """
     plane, chunk_size, positions, codes, n_classes, items = task
     if isinstance(plane, _SegmentSpec):
@@ -136,29 +140,19 @@ def run_fused_batch(task: FusedTask) -> list[FusedRow]:
     else:
         arrays = plane
     chunks = plan_chunks(len(arrays), chunk_size)
-    out = []
-    for index, system, seed, stream in items:
+    out = np.empty((len(items), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
+    for row, (_, system, seed, stream) in zip(out, items):
         rngs = _chunk_rngs(seed, len(chunks))
         jobs: list[_Job] = [
             (start, stop, rng) for (start, stop), rng in zip(chunks, rngs)
         ]
         failed = item_failures(system, arrays, jobs, stream)
-        (
-            cancer_failures,
-            cancer_trials,
-            healthy_failures,
-            healthy_trials,
-            class_failures,
-            class_trials,
-        ) = count_failures(failed, positions, codes, n_classes)
-        out.append(
-            (
-                index,
-                (cancer_failures, cancer_trials, healthy_failures, healthy_trials),
-                [int(f) for f in class_failures],
-                [int(t) for t in class_trials],
-            )
+        *scalars, class_failures, class_trials = count_failures(
+            failed, positions, codes, n_classes
         )
+        row[:4] = scalars
+        row[4 : 4 + n_classes] = class_failures
+        row[4 + n_classes :] = class_trials
     return out
 
 
@@ -182,20 +176,19 @@ class FusedCounts:
     class_trials: tuple[int, ...]
 
     @classmethod
-    def from_row(cls, row: FusedRow, class_names: Sequence[str]) -> "FusedCounts":
-        """Demultiplex one :data:`FusedRow` against the classifier's classes."""
-        _, scalars, class_failures, class_trials = row
-        cancer_failures, cancer_trials, healthy_failures, healthy_trials = scalars
+    def from_row(cls, row: np.ndarray, class_names: Sequence[str]) -> "FusedCounts":
+        """Demultiplex one count-matrix row against the classifier's classes."""
+        values = row.tolist()
+        n_classes = len(class_names)
         kept = [
             (name, failures, trials)
-            for name, failures, trials in zip(class_names, class_failures, class_trials)
+            for name, failures, trials in zip(
+                class_names, values[4 : 4 + n_classes], values[4 + n_classes :]
+            )
             if trials
         ]
         return cls(
-            cancer_failures=cancer_failures,
-            cancer_trials=cancer_trials,
-            healthy_failures=healthy_failures,
-            healthy_trials=healthy_trials,
+            *values[:4],
             class_names=tuple(name for name, _, _ in kept),
             class_failures=tuple(failures for _, failures, _ in kept),
             class_trials=tuple(trials for _, _, trials in kept),

@@ -495,12 +495,8 @@ class ScreeningService:
                 fused,
             )
             rows = self._runtime.map(run_fused_batch, [task])[0]
-            by_index = {row[0]: row for row in rows}
             self._obs.count("service.dispatches")
-            return [
-                FusedCounts.from_row(by_index[index], cached.class_names)
-                for index in range(len(items))
-            ]
+            return [FusedCounts.from_row(row, cached.class_names) for row in rows]
 
     def _uncertainty_sync(
         self, profile_name: str, trials: int, draws: int, seed: int, level: float

@@ -7,8 +7,9 @@ bias, temporal dynamics, CADT operating point, replicates — and
 that deduplicates shared workloads, fuses cells sharing arrays into
 batched dispatches, and shards the whole sweep into journalled
 checkpoints.  :func:`run_sweep` executes the plan (serial or over a
-persistent shared-memory runtime) and :func:`resume_sweep` picks an
-interrupted run back up without recomputing completed cells.
+persistent shared-memory runtime) into one count matrix, and
+:func:`resume_sweep` picks an interrupted run back up without
+recomputing completed shards.
 
 Every cell's result is bit-identical to evaluating it standalone with
 its recorded seed (:func:`reproduce_cell`), at any worker count, fused
@@ -38,7 +39,6 @@ from .plan import (
 )
 from .runner import (
     JOURNAL_SCHEMA_VERSION,
-    SHARD_STATE_SCHEMA,
     CellResult,
     ShardStreamState,
     SweepResult,
@@ -68,7 +68,6 @@ __all__ = [
     "compile_grid",
     "CellResult",
     "ShardStreamState",
-    "SHARD_STATE_SCHEMA",
     "SweepResult",
     "run_sweep",
     "resume_sweep",

@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -160,6 +161,10 @@ class WorkloadSpec:
         Two specs with equal keys build identical case sequences, which
         is exactly the deduplication invariant the compiler relies on.
         """
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         return (
             f"{self.population}/{self.profile}"
             f"/n{self.num_cases}/cf{self.cancer_fraction:g}"
@@ -226,6 +231,10 @@ class SystemSpec:
 
     def label(self) -> str:
         """Stable human-readable identity of the configured system."""
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
         parts = [self.kind, f"bias={self.bias}", f"dyn={self.dynamics}"]
         if self.kind == "assisted":
             parts.append(f"op={self.operating_point:+g}")
@@ -281,7 +290,12 @@ class ScenarioCell:
     @property
     def cell_id(self) -> str:
         """Stable identity used by journals, reports, and reproduction."""
-        return f"{self.workload.key()}|{self.system.label()}|rep={self.replicate}"
+        return self.format_id(self.workload.key(), self.system.label(), self.replicate)
+
+    @staticmethod
+    def format_id(workload_key: str, system_label: str, replicate: int) -> str:
+        """The id of the cell with this workload key, system label and replicate."""
+        return f"{workload_key}|{system_label}|rep={replicate}"
 
 
 @dataclass(frozen=True)
@@ -355,26 +369,9 @@ class ScenarioGrid:
             raise SimulationError(
                 f"replicates must be >= 1, got {self.replicates!r}"
             )
-        # Validate axis values eagerly by building one spec per value.
-        for population in self.populations:
-            for profile in self.profiles:
-                WorkloadSpec(
-                    population=population,
-                    profile=profile,
-                    num_cases=self.num_cases,
-                    cancer_fraction=self.cancer_fraction,
-                    population_seed=self.population_seed,
-                )
-        for kind in self.systems:
-            for bias in self.biases:
-                for dyn in self.dynamics:
-                    for point in self._points_for(kind):
-                        SystemSpec(
-                            kind=kind,
-                            bias=bias,
-                            dynamics=dyn,
-                            operating_point=point,
-                        )
+        # Validate axis values eagerly by building every distinct spec.
+        self.workload_specs()
+        self.system_specs()
 
     def _points_for(self, kind: str) -> tuple[float, ...]:
         """The operating points the ``kind`` axis actually varies over.
@@ -400,39 +397,44 @@ class ScenarioGrid:
             * self.replicates
         )
 
+    def workload_specs(self) -> tuple[WorkloadSpec, ...]:
+        """The grid's distinct workloads, population outermost."""
+        return tuple(
+            WorkloadSpec(
+                population=population,
+                profile=profile,
+                num_cases=self.num_cases,
+                cancer_fraction=self.cancer_fraction,
+                population_seed=self.population_seed,
+            )
+            for population in self.populations
+            for profile in self.profiles
+        )
+
+    def system_specs(self) -> tuple[SystemSpec, ...]:
+        """The grid's distinct systems, kind outermost, operating point innermost."""
+        return tuple(
+            SystemSpec(kind=kind, bias=bias, dynamics=dyn, operating_point=point)
+            for kind in self.systems
+            for bias in self.biases
+            for dyn in self.dynamics
+            for point in self._points_for(kind)
+        )
+
     def cells(self) -> Iterator[ScenarioCell]:
         """The grid's cells in canonical order.
 
         The order (population, profile, system, bias, dynamics,
         operating point, replicate — outermost first) is part of the
         plan fingerprint: cell indices, and therefore per-cell seeds,
-        are stable across runs of one grid.
+        are stable across runs of one grid.  Every workload's cells are
+        one contiguous run of that order.
         """
-        for population in self.populations:
-            for profile in self.profiles:
-                workload = WorkloadSpec(
-                    population=population,
-                    profile=profile,
-                    num_cases=self.num_cases,
-                    cancer_fraction=self.cancer_fraction,
-                    population_seed=self.population_seed,
-                )
-                for kind in self.systems:
-                    for bias in self.biases:
-                        for dyn in self.dynamics:
-                            for operating_point in self._points_for(kind):
-                                system = SystemSpec(
-                                    kind=kind,
-                                    bias=bias,
-                                    dynamics=dyn,
-                                    operating_point=operating_point,
-                                )
-                                for replicate in range(self.replicates):
-                                    yield ScenarioCell(
-                                        workload=workload,
-                                        system=system,
-                                        replicate=replicate,
-                                    )
+        systems = self.system_specs()
+        for workload in self.workload_specs():
+            for system in systems:
+                for replicate in range(self.replicates):
+                    yield ScenarioCell(workload=workload, system=system, replicate=replicate)
 
     # -- serialisation -------------------------------------------------
 

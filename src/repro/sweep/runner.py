@@ -9,6 +9,13 @@ fused dispatches: one task carries many ``(system, seed)`` pairs against
 one set of arrays, so the pool round-trip, the columnisation, and the
 classification amortise across the whole batch.
 
+**One count matrix.**  A run's result is one int64 matrix with a row per
+planned cell (eq. (8)'s per-class failure counts, in the column layout
+of :func:`~repro.engine.fused.run_fused_batch`): every dispatch's rows
+are copied into it, every journal line holds a shard's block of it, and
+every per-cell object — :class:`CellResult`, evaluation, Wilson
+interval, shard summary — is built from it only when a caller reads it.
+
 **Determinism contract.**  A cell's failure counts depend only on its
 recorded ``(seed, chunk_size)``: fused dispatches execute through the
 shared :mod:`repro.engine.fused` kernel
@@ -22,23 +29,31 @@ parallel, interrupted-and-resumed — all bit-identical to evaluating the
 cell standalone (:func:`reproduce_cell`).
 
 **Checkpointing.**  With a journal path, a header records the plan
-fingerprint and every completed shard appends its cell results as JSONL
-(:func:`repro.trial.storage.append_journal_entries`).  ``resume=True``
-replays the journal — verifying the fingerprint — and skips completed
-cells without recomputing them (counted under ``sweep.cells.skipped``).
+fingerprint and the classifier's classes, and every completed shard
+appends one line: its index, its cell range, its rows and a CRC-32 over
+them (:func:`repro.trial.storage.append_journal_entries`).
+``resume=True`` replays the journal — verifying the header and every
+row against the plan — and restores completed shards without
+recomputing them (counted under ``sweep.cells.skipped``).
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+import zlib
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
+from ..analysis.streaming import WelfordAccumulator
+from ..engine.arrays import CaseArrays
 from ..engine.executor import DEFAULT_CHUNK_SIZE
 from ..engine.fused import (
+    ROW_COLUMNS,
     FusedCounts,
     FusedItem,
     FusedTask,
@@ -46,20 +61,16 @@ from ..engine.fused import (
     cancer_class_codes,
     run_fused_batch,
 )
-from ..analysis.streaming import WelfordAccumulator
 from ..engine.runtime import EngineRuntime, _SegmentSpec
-from ..engine.arrays import CaseArrays
-from ..exceptions import EstimationError, SimulationError
+from ..exceptions import SimulationError
 from ..obs import Instrumentation, get_instrumentation
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
-from ..screening.workload import Workload
 from ..system.simulate import SystemEvaluation
 from ..trial.storage import append_journal_entries, load_journal_entries
 from .grid import ScenarioGrid
 from .plan import (
     DEFAULT_FUSE_LIMIT,
     DEFAULT_SHARD_SIZE,
-    PlannedCell,
     Shard,
     SweepPlan,
     compile_grid,
@@ -67,7 +78,6 @@ from .plan import (
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
-    "SHARD_STATE_SCHEMA",
     "CellResult",
     "ShardStreamState",
     "SweepResult",
@@ -77,10 +87,7 @@ __all__ = [
 ]
 
 #: Version stamped into (and required of) sweep journal headers.
-JOURNAL_SCHEMA_VERSION = 1
-
-#: Version of the per-shard streaming-state journal entries.
-SHARD_STATE_SCHEMA = 1
+JOURNAL_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +110,8 @@ class CellResult:
         seed: The recorded evaluation seed.
         system_name: Name of the evaluated system.
         workload_name: Name of the workload it ran on.
-        cancer_failures: False negatives over cancer cases.
-        cancer_trials: Cancer cases seen.
-        healthy_failures: False positives over healthy cases.
-        healthy_trials: Healthy cases seen.
-        class_names: Case-class names with at least one cancer trial.
-        class_failures: False negatives per class (aligned with names).
-        class_trials: Cancer trials per class (aligned with names).
+        counts: The cell's failure counts (classes with at least one
+            cancer trial).
     """
 
     index: int
@@ -117,73 +119,11 @@ class CellResult:
     seed: int
     system_name: str
     workload_name: str
-    cancer_failures: int
-    cancer_trials: int
-    healthy_failures: int
-    healthy_trials: int
-    class_names: tuple[str, ...]
-    class_failures: tuple[int, ...]
-    class_trials: tuple[int, ...]
+    counts: FusedCounts
 
     def evaluation(self, level: float = 0.95) -> SystemEvaluation:
         """The counts as a :class:`SystemEvaluation` (same floats as live)."""
-        counts = FusedCounts(
-            cancer_failures=self.cancer_failures,
-            cancer_trials=self.cancer_trials,
-            healthy_failures=self.healthy_failures,
-            healthy_trials=self.healthy_trials,
-            class_names=self.class_names,
-            class_failures=self.class_failures,
-            class_trials=self.class_trials,
-        )
-        return counts.evaluation(self.system_name, self.workload_name, level)
-
-    def to_entry(self, shard: int) -> dict[str, Any]:
-        """The journal line for this result."""
-        return {
-            "kind": "cell",
-            "shard": shard,
-            "index": self.index,
-            "cell_id": self.cell_id,
-            "seed": self.seed,
-            "system": self.system_name,
-            "workload": self.workload_name,
-            "counts": {
-                "cancer_failures": self.cancer_failures,
-                "cancer_trials": self.cancer_trials,
-                "healthy_failures": self.healthy_failures,
-                "healthy_trials": self.healthy_trials,
-                "class_names": list(self.class_names),
-                "class_failures": list(self.class_failures),
-                "class_trials": list(self.class_trials),
-            },
-        }
-
-    @classmethod
-    def from_entry(cls, entry: Mapping[str, Any]) -> "CellResult":
-        """Rebuild a result from its journal line.
-
-        Raises:
-            SimulationError: on a malformed entry.
-        """
-        try:
-            counts = entry["counts"]
-            return cls(
-                index=int(entry["index"]),
-                cell_id=str(entry["cell_id"]),
-                seed=int(entry["seed"]),
-                system_name=str(entry["system"]),
-                workload_name=str(entry["workload"]),
-                cancer_failures=int(counts["cancer_failures"]),
-                cancer_trials=int(counts["cancer_trials"]),
-                healthy_failures=int(counts["healthy_failures"]),
-                healthy_trials=int(counts["healthy_trials"]),
-                class_names=tuple(str(n) for n in counts["class_names"]),
-                class_failures=tuple(int(f) for f in counts["class_failures"]),
-                class_trials=tuple(int(t) for t in counts["class_trials"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SimulationError(f"malformed journal cell entry: {exc}") from exc
+        return self.counts.evaluation(self.system_name, self.workload_name, level)
 
 
 @dataclass
@@ -224,21 +164,15 @@ class ShardStreamState:
             self.fp_rate = WelfordAccumulator()
 
     @classmethod
-    def from_results(
-        cls, shard: int, results: Sequence[CellResult]
-    ) -> "ShardStreamState":
-        """Fold one shard's cell results into a fresh state."""
-        state = cls(shard=shard)
-        for result in results:
-            state.cells += 1
-            state.fn_failures += result.cancer_failures
-            state.fn_trials += result.cancer_trials
-            state.fp_failures += result.healthy_failures
-            state.fp_trials += result.healthy_trials
-            if result.cancer_trials:
-                state.fn_rate.add(result.cancer_failures / result.cancer_trials)
-            if result.healthy_trials:
-                state.fp_rate.add(result.healthy_failures / result.healthy_trials)
+    def from_rows(cls, shard: int, rows: np.ndarray) -> "ShardStreamState":
+        """Fold one shard's count rows, in plan order, into a fresh state."""
+        leading = rows[:, : len(ROW_COLUMNS)]
+        state = cls(shard, len(rows), *(int(total) for total in leading.sum(axis=0)))
+        for fn_failures, fn_trials, fp_failures, fp_trials in leading.tolist():
+            if fn_trials:
+                state.fn_rate.add(fn_failures / fn_trials)
+            if fp_trials:
+                state.fp_rate.add(fp_failures / fp_trials)
         return state
 
     def merge(self, other: "ShardStreamState") -> "ShardStreamState":
@@ -255,61 +189,6 @@ class ShardStreamState:
         self.fn_rate.merge(other.fn_rate)
         self.fp_rate.merge(other.fp_rate)
         return self
-
-    def to_entry(self) -> dict[str, Any]:
-        """The journal line for this state (exact moments included)."""
-        return {
-            "kind": "shard_state",
-            "schema": SHARD_STATE_SCHEMA,
-            "shard": self.shard,
-            "cells": self.cells,
-            "fn_failures": self.fn_failures,
-            "fn_trials": self.fn_trials,
-            "fp_failures": self.fp_failures,
-            "fp_trials": self.fp_trials,
-            "fn_rate": {
-                "count": self.fn_rate.count,
-                "mean": self.fn_rate.mean,
-                "m2": self.fn_rate.m2,
-            },
-            "fp_rate": {
-                "count": self.fp_rate.count,
-                "mean": self.fp_rate.mean,
-                "m2": self.fp_rate.m2,
-            },
-        }
-
-    @classmethod
-    def from_entry(cls, entry: Mapping[str, Any]) -> "ShardStreamState":
-        """Rebuild a state from its journal line.
-
-        Raises:
-            SimulationError: on a malformed or wrong-schema entry.
-        """
-        if entry.get("schema") != SHARD_STATE_SCHEMA:
-            raise SimulationError(
-                f"shard state entry has schema {entry.get('schema')!r}; "
-                f"this build reads schema {SHARD_STATE_SCHEMA}"
-            )
-        try:
-            fn = entry["fn_rate"]
-            fp = entry["fp_rate"]
-            return cls(
-                shard=int(entry["shard"]),
-                cells=int(entry["cells"]),
-                fn_failures=int(entry["fn_failures"]),
-                fn_trials=int(entry["fn_trials"]),
-                fp_failures=int(entry["fp_failures"]),
-                fp_trials=int(entry["fp_trials"]),
-                fn_rate=WelfordAccumulator.from_moments(
-                    int(fn["count"]), float(fn["mean"]), float(fn["m2"])
-                ),
-                fp_rate=WelfordAccumulator.from_moments(
-                    int(fp["count"]), float(fp["mean"]), float(fp["m2"])
-                ),
-            )
-        except (KeyError, TypeError, ValueError, EstimationError) as exc:
-            raise SimulationError(f"malformed shard state entry: {exc}") from exc
 
     def as_dict(self) -> dict[str, Any]:
         """A JSON-ready summary (pooled rates + per-cell dispersion)."""
@@ -331,38 +210,79 @@ class ShardStreamState:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Everything a finished (or interrupted) sweep run produced.
 
+    The result is its count matrix; every other view is derived from it
+    when read.
+
     Attributes:
         plan: The executed plan.
-        results: Cell results in plan order (partial under ``max_shards``).
+        counts: One int64 row per planned cell, in index order, in the
+            :func:`~repro.engine.fused.run_fused_batch` column layout
+            (rows of shards not completed are zero).
+        class_names: The classifier's classes, in per-class column order.
+        completed_shards: Indices of the shards whose rows are filled,
+            ascending (all of them unless interrupted by ``max_shards``).
         executed: Cells computed by this run.
         skipped: Cells restored from the journal instead of recomputed.
         level: Confidence level used by :meth:`evaluations`.
-        shard_states: Per-shard mergeable streaming summaries, shard
-            order (restored from the journal for skipped shards).
     """
 
     plan: SweepPlan
-    results: tuple[CellResult, ...]
+    counts: np.ndarray
+    class_names: tuple[str, ...]
+    completed_shards: tuple[int, ...]
     executed: int
     skipped: int
     level: float = 0.95
-    shard_states: tuple[ShardStreamState, ...] = ()
+
+    @cached_property
+    def _cells(self) -> list[int]:
+        """The completed cells' indices, ascending."""
+        shards = self.plan.shards
+        return [
+            index
+            for shard in self.completed_shards
+            for index in range(shards[shard].start, shards[shard].stop)
+        ]
+
+    @cached_property
+    def _done(self) -> np.ndarray:
+        done = np.zeros(len(self.plan), dtype=bool)
+        done[self._cells] = True
+        return done
 
     @property
     def complete(self) -> bool:
         """Whether every planned cell has a result."""
-        return len(self.results) == len(self.plan)
+        return len(self._cells) == len(self.plan)
 
-    def evaluations(self) -> dict[str, SystemEvaluation]:
-        """Per-cell evaluations keyed by cell id."""
-        return {
-            result.cell_id: result.evaluation(self.level)
-            for result in self.results
-        }
+    @property
+    def results(self) -> Sequence[CellResult]:
+        """Completed cells' results in plan order, each built when read."""
+        return _CellResults(self)
+
+    def cell_result(self, index: int) -> CellResult:
+        """Cell ``index``'s result, built from its row of the matrix."""
+        plan = self.plan
+        return CellResult(
+            index=index,
+            cell_id=plan.cell_ids[index],
+            seed=plan.seeds[index],
+            system_name=plan.systems[plan.cell_system[index]].label(),
+            workload_name=plan.workload_keys[plan.cell_workload[index]],
+            counts=FusedCounts.from_row(self.counts[index], self.class_names),
+        )
+
+    def evaluations(self) -> Mapping[str, SystemEvaluation]:
+        """Per-cell evaluations keyed by cell id, each built when read.
+
+        A read-only mapping over the completed cells; equal (``==``) to
+        the dict of every evaluation.
+        """
+        return _Evaluations(self)
 
     def rows(self) -> list[dict[str, Any]]:
         """Flat per-cell rows for the consolidated analysis report.
@@ -371,15 +291,16 @@ class SweepResult:
         the input shape :func:`repro.analysis.report.build_sweep_summary`
         consumes.
         """
-        by_id = {planned.cell_id: planned for planned in self.plan.cells()}
         rows = []
-        for result in self.results:
-            planned = by_id[result.cell_id]
-            cell = planned.cell
+        planned = list(self.plan.cells())
+        leading = self.counts[:, : len(ROW_COLUMNS)].tolist()
+        for index in self._cells:
+            cell = planned[index].cell
+            fn_failures, fn_trials, fp_failures, fp_trials = leading[index]
             rows.append(
                 {
-                    "cell_id": result.cell_id,
-                    "seed": result.seed,
+                    "cell_id": planned[index].cell_id,
+                    "seed": planned[index].seed,
                     "population": cell.workload.population,
                     "profile": cell.workload.profile,
                     "system": cell.system.kind,
@@ -387,13 +308,24 @@ class SweepResult:
                     "dynamics": cell.system.dynamics,
                     "operating_point": cell.system.operating_point,
                     "replicate": cell.replicate,
-                    "fn_failures": result.cancer_failures,
-                    "fn_trials": result.cancer_trials,
-                    "fp_failures": result.healthy_failures,
-                    "fp_trials": result.healthy_trials,
+                    "fn_failures": fn_failures,
+                    "fn_trials": fn_trials,
+                    "fp_failures": fp_failures,
+                    "fp_trials": fp_trials,
                 }
             )
         return rows
+
+    @property
+    def shard_states(self) -> tuple[ShardStreamState, ...]:
+        """Per-shard mergeable streaming summaries, shard order, from the rows."""
+        shards = self.plan.shards
+        return tuple(
+            ShardStreamState.from_rows(
+                index, self.counts[shards[index].start : shards[index].stop]
+            )
+            for index in self.completed_shards
+        )
 
     def stream_state(self) -> ShardStreamState:
         """All shard states folded into one global state.
@@ -417,8 +349,44 @@ class SweepResult:
         """
         summary = self.stream_state().as_dict()
         summary.pop("shard")
-        summary["shards"] = len(self.shard_states)
+        summary["shards"] = len(self.completed_shards)
         return summary
+
+
+class _CellResults(Sequence[CellResult]):
+    """A sweep's completed cells as :class:`CellResult`\\ s, built when read."""
+
+    def __init__(self, result: SweepResult) -> None:
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result._cells)
+
+    def __getitem__(self, position: Any) -> Any:
+        if isinstance(position, slice):
+            return [self[i] for i in range(*position.indices(len(self)))]
+        return self._result.cell_result(self._result._cells[position])
+
+
+class _Evaluations(Mapping[str, SystemEvaluation]):
+    """A sweep's per-cell evaluations by cell id, built when read."""
+
+    def __init__(self, result: SweepResult) -> None:
+        self._result = result
+
+    def __getitem__(self, cell_id: str) -> SystemEvaluation:
+        result = self._result
+        index = result.plan.cell_index[cell_id]
+        if not result._done[index]:
+            raise KeyError(cell_id)
+        return result.cell_result(index).evaluation(result.level)
+
+    def __iter__(self) -> Iterator[str]:
+        ids = self._result.plan.cell_ids
+        return (ids[index] for index in self._result._cells)
+
+    def __len__(self) -> int:
+        return len(self._result._cells)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +397,16 @@ class SweepResult:
 class _WorkloadContext:
     """One distinct workload's materialised run-state (built once)."""
 
-    workload: Workload
-    arrays: CaseArrays
-    spec: _SegmentSpec | None
+    plane: CaseArrays | _SegmentSpec
     positions: np.ndarray
     codes: np.ndarray
-    class_names: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
 # journal
 
 
-def _journal_header(plan: SweepPlan) -> dict[str, Any]:
+def _journal_header(plan: SweepPlan, class_names: Sequence[str]) -> dict[str, Any]:
     return {
         "kind": "header",
         "schema": JOURNAL_SCHEMA_VERSION,
@@ -450,26 +415,45 @@ def _journal_header(plan: SweepPlan) -> dict[str, Any]:
         "seed": plan.seed,
         "chunk_size": plan.chunk_size,
         "cells": len(plan),
+        "classes": list(class_names),
+    }
+
+
+def _shard_crc(index: Any, cells: Any, rows: Any) -> int:
+    """CRC-32 of a shard line's index, cell range and rows, as compact JSON."""
+    return zlib.crc32(json.dumps([index, cells, rows], separators=(",", ":")).encode())
+
+
+def _shard_entry(shard: Shard, rows: np.ndarray) -> dict[str, Any]:
+    """The journal line for one completed shard."""
+    cells, values = [shard.start, shard.stop], rows.tolist()
+    return {
+        "kind": "shard",
+        "shard": shard.index,
+        "cells": cells,
+        "rows": values,
+        "crc": _shard_crc(shard.index, cells, values),
     }
 
 
 def _load_journal(
     path: str | Path, plan: SweepPlan, class_names: Sequence[str]
-) -> dict[str, CellResult]:
-    """Completed cells recorded in a journal, each checked against the plan.
+) -> dict[int, np.ndarray] | None:
+    """Completed shards' rows recorded in a journal, each checked against the plan.
 
-    Shard state lines are not read: a restored shard's state is rebuilt
-    from its cells.
+    Returns ``None`` when the journal holds no entry at all (missing,
+    empty, or only a torn header).
 
     Raises:
         SimulationError: when the journal belongs to a different plan
-            (grid, seed, or chunking changed), is structurally invalid,
-            or records a cell the plan or the classifier contradicts.
+            (grid, seed, or chunking changed) or classifier, is
+            structurally invalid, or records a shard the plan, its CRC
+            or its own counts contradict.
         EstimationError: on an unreadable or undecodable journal.
     """
     entries = load_journal_entries(path)
     if not entries:
-        return {}
+        return None
     header = entries[0]
     if header.get("kind") != "header":
         raise SimulationError(
@@ -487,58 +471,77 @@ def _load_journal(
             "refusing to mix results — use a fresh journal or the original "
             "grid, seed, and chunking"
         )
-    planned = {cell.cell_id: cell for cell in plan.cells()}
-    completed: dict[str, CellResult] = {}
-    for entry in entries[1:]:
-        if entry.get("kind") != "cell":
-            continue
-        result = CellResult.from_entry(entry)
-        problem = _restored_cell_problem(result, planned.get(result.cell_id), class_names)
-        if problem is None and completed.setdefault(result.cell_id, result) != result:
-            problem = "is journaled twice with different counts"
-        if problem is not None:
-            raise SimulationError(f"journal {path}: cell {result.cell_id!r} {problem}")
-    return completed
-
-
-def _restored_cell_problem(
-    result: CellResult, planned: PlannedCell | None, class_names: Sequence[str]
-) -> str | None:
-    """What the plan and the classifier contradict in a journaled cell, if anything.
-
-    The identity must be the planned one; the trials must cover the
-    workload spec's cases; the per-class counts must sum to the cancer
-    counts, over classifier classes in classifier order, each with at
-    least one trial (the only ones a cell records).  A healthy failure
-    count within its trials cannot be checked.
-    """
-    if planned is None:
-        return "is not in the plan"
-    if (result.index, result.seed, result.system_name, result.workload_name) != (
-        planned.index,
-        planned.seed,
-        planned.cell.system.label(),
-        planned.workload_key,
-    ):
-        return "does not match its planned index, seed, system and workload"
-    remaining = iter(class_names)
-    if not (
-        len(result.class_names) == len(result.class_failures) == len(result.class_trials)
-        and all(name in remaining for name in result.class_names)
-    ):
-        return f"names classes {result.class_names!r} outside the classifier's {tuple(class_names)!r}"
-    if not (
-        result.cancer_trials + result.healthy_trials == planned.cell.workload.num_cases
-        and sum(result.class_trials) == result.cancer_trials
-        and sum(result.class_failures) == result.cancer_failures
-        and 0 <= result.healthy_failures <= result.healthy_trials
-        and all(
-            0 <= failures <= trials and trials > 0
-            for failures, trials in zip(result.class_failures, result.class_trials)
+    if header.get("classes") != list(class_names):
+        raise SimulationError(
+            f"journal {path} was written with classes {header.get('classes')!r}, "
+            f"not this classifier's {list(class_names)!r}"
         )
+    restored: dict[int, np.ndarray] = {}
+    for number, entry in enumerate(entries[1:], start=2):
+        try:
+            index, rows = _restored_shard(entry, plan, len(class_names))
+        except SimulationError as exc:
+            raise SimulationError(f"journal {path} line {number}: {exc}") from None
+        previous = restored.setdefault(index, rows)
+        if not np.array_equal(previous, rows):
+            raise SimulationError(
+                f"journal {path} line {number}: shard {index} is journaled twice "
+                "with different rows"
+            )
+    return restored
+
+
+def _restored_shard(
+    entry: Mapping[str, Any], plan: SweepPlan, n_classes: int
+) -> tuple[int, np.ndarray]:
+    """A journaled shard's index and rows, once the CRC and the plan agree with it.
+
+    The line must be a shard line whose CRC matches; its range must be
+    the plan's shard's; and every row must hold one count per column,
+    trials that cover its workload's cases, per-class counts that sum to
+    its cancer counts, and failures within trials.
+    """
+    if entry.get("kind") != "shard":
+        raise SimulationError(f"is a {entry.get('kind')!r} line, not a shard line")
+    try:
+        index, cells, rows, crc = (entry[key] for key in ("shard", "cells", "rows", "crc"))
+    except KeyError as exc:
+        raise SimulationError(f"shard line has no {exc} field") from None
+    if _shard_crc(index, cells, rows) != crc:
+        raise SimulationError("shard line does not match its CRC")
+    if not (type(index) is int and 0 <= index < len(plan.shards)):
+        raise SimulationError(f"shard {index!r} is not in the plan")
+    shard = plan.shards[index]
+    if cells != [shard.start, shard.stop]:
+        raise SimulationError(
+            f"shard {index} covers cells {cells!r}, not the plan's "
+            f"{[shard.start, shard.stop]!r}"
+        )
+    width = len(ROW_COLUMNS) + 2 * n_classes
+    if not (
+        type(rows) is list
+        and len(rows) == len(shard)
+        and all(type(row) is list and len(row) == width for row in rows)
+        and all(type(value) is int and 0 <= value < 2**63 for row in rows for value in row)
     ):
-        return "has counts that contradict its workload or its per-class counts"
-    return None
+        raise SimulationError(
+            f"shard {index} does not hold {len(shard)} rows of {width} counts (integers >= 0)"
+        )
+    block = np.array(rows, dtype=np.int64)
+    class_failures, class_trials = block[:, 4 : 4 + n_classes], block[:, 4 + n_classes :]
+    num_cases = np.array([spec.num_cases for spec in plan.workloads.values()])
+    if not (
+        np.all(block[:, 1] + block[:, 3] == num_cases[plan.cell_workload[shard.start : shard.stop]])
+        and np.all(class_trials.sum(axis=1) == block[:, 1])
+        and np.all(class_failures.sum(axis=1) == block[:, 0])
+        and np.all(block[:, 0] <= block[:, 1])
+        and np.all(block[:, 2] <= block[:, 3])
+        and np.all(class_failures <= class_trials)
+    ):
+        raise SimulationError(
+            f"shard {index} has counts that contradict its workloads or its per-class counts"
+        )
+    return index, block
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +584,9 @@ def run_sweep(
         shard_size: Checkpoint granularity (cells per journalled shard).
         fuse_limit: Maximum cells per fused dispatch.
         journal: JSONL checkpoint path; each completed shard appends its
-            results.  ``None`` disables checkpointing.
+            rows.  ``None`` disables checkpointing.
         resume: Replay ``journal`` (verifying the plan fingerprint) and
-            skip already-completed cells.
+            skip already-completed shards.
         max_shards: Execute at most this many (non-empty) shards this
             run, then return a partial result — interruption made
             deterministic, for tests and budgeted runs.
@@ -648,7 +651,7 @@ def resume_sweep(
 
     Sugar for :func:`run_sweep` with ``resume=True``: the grid and seed
     must match the interrupted run (the journal's recorded plan
-    fingerprint is verified), completed cells are restored without
+    fingerprint is verified), completed shards are restored without
     recomputation, and only the remainder executes.
     """
     return run_sweep(grid, seed=seed, journal=journal, resume=True, **kwargs)
@@ -667,29 +670,23 @@ def _execute_plan(
 ) -> SweepResult:
     """Walk the plan's shards; the shared body of run/resume."""
     classifier = classifier if classifier is not None else SingleClassClassifier()
-    completed: dict[str, CellResult] = {}
-    shard_states: dict[int, ShardStreamState] = {}
-    journal_exists = False
+    class_names = tuple(case_class.name for case_class in classifier.classes)
+    restored: dict[int, np.ndarray] | None = None
     if journal is not None:
-        journal_exists = Path(journal).exists()
-        if journal_exists and not resume:
+        if Path(journal).exists() and not resume:
             raise SimulationError(
                 f"journal {journal} already exists; pass resume=True to "
                 "continue it or choose a fresh path"
             )
-        if resume and journal_exists:
-            completed = _load_journal(
-                journal, plan, [case_class.name for case_class in classifier.classes]
-            )
+        if resume:
+            restored = _load_journal(journal, plan, class_names)
 
+    counts = np.zeros((len(plan), len(ROW_COLUMNS) + 2 * len(class_names)), dtype=np.int64)
     contexts: dict[str, _WorkloadContext] = {}
-    results: dict[int, CellResult] = {}
+    completed: list[int] = []
     executed = 0
     skipped = 0
     executed_shards = 0
-    planned_by_index: dict[int, PlannedCell] = {
-        planned.index: planned for planned in plan.cells()
-    }
 
     with obs.span(
         "sweep.run",
@@ -698,66 +695,40 @@ def _execute_plan(
         shards=len(plan.shards),
         workloads=len(plan.workloads),
     ):
-        if journal is not None and not journal_exists:
-            append_journal_entries(journal, [_journal_header(plan)])
+        if journal is not None and restored is None:
+            append_journal_entries(journal, [_journal_header(plan, class_names)])
         for shard in plan.shards:
-            pending = [
-                planned
-                for planned in shard.cells()
-                if planned.cell_id not in completed
-            ]
-            for planned in shard.cells():
-                if planned.cell_id in completed:
-                    results[planned.index] = completed[planned.cell_id]
-                    skipped += 1
-                    obs.count("sweep.cells.skipped")
-            if not pending:
-                # Every cell was restored: rebuild the shard's state from
-                # them rather than trust its journaled state line.
-                shard_states[shard.index] = ShardStreamState.from_results(
-                    shard.index,
-                    [results[planned.index] for planned in shard.cells()],
-                )
-                continue
-            if max_shards is not None and executed_shards >= max_shards:
-                break
-            with obs.span("sweep.shard", shard=shard.index, cells=len(pending)):
-                shard_results = _execute_shard(
-                    plan, shard, pending, contexts, classifier, runtime, obs
-                )
-            for result in shard_results:
-                results[result.index] = result
-                executed += 1
-                obs.count("sweep.cells.completed")
-            # The shard's state covers every cell of the shard — newly
-            # executed and journal-restored alike — so folding the
-            # per-shard states reproduces the whole sweep's totals.
-            state = ShardStreamState.from_results(
-                shard.index,
-                [results[planned.index] for planned in shard.cells()],
-            )
-            shard_states[shard.index] = state
-            if journal is not None:
-                append_journal_entries(
-                    journal,
-                    [result.to_entry(shard.index) for result in shard_results]
-                    + [state.to_entry()],
-                )
-            executed_shards += 1
-            obs.count("sweep.shards.completed")
-            obs.mark("sweep.shard.completed", shard.index)
-            obs.gauge("sweep.progress", len(results) / len(plan))
-        obs.gauge("sweep.cells.done", len(results))
-    ordered = tuple(results[index] for index in sorted(results))
+            rows = None if restored is None else restored.get(shard.index)
+            if rows is not None:
+                counts[shard.start : shard.stop] = rows
+                skipped += len(shard)
+                obs.count("sweep.cells.skipped", len(shard))
+            else:
+                if max_shards is not None and executed_shards >= max_shards:
+                    break
+                with obs.span("sweep.shard", shard=shard.index, cells=len(shard)):
+                    _execute_shard(plan, shard, counts, contexts, classifier, runtime, obs)
+                if journal is not None:
+                    append_journal_entries(
+                        journal, [_shard_entry(shard, counts[shard.start : shard.stop])]
+                    )
+                executed += len(shard)
+                executed_shards += 1
+                obs.count("sweep.cells.completed", len(shard))
+                obs.count("sweep.shards.completed")
+                obs.mark("sweep.shard.completed", shard.index)
+            completed.append(shard.index)
+            obs.gauge("sweep.progress", (executed + skipped) / len(plan))
+        obs.gauge("sweep.cells.done", executed + skipped)
+    counts.flags.writeable = False
     return SweepResult(
         plan=plan,
-        results=ordered,
+        counts=counts,
+        class_names=class_names,
+        completed_shards=tuple(completed),
         executed=executed,
         skipped=skipped,
         level=level,
-        shard_states=tuple(
-            shard_states[index] for index in sorted(shard_states)
-        ),
     )
 
 
@@ -782,96 +753,55 @@ def _workload_context(
             arrays, spec = workload.to_arrays(), None
         positions = arrays.cancer_index
         codes = cancer_class_codes(workload, classifier, arrays, positions)
-        context = _WorkloadContext(
-            workload=workload,
-            arrays=arrays,
-            spec=spec,
-            positions=positions,
-            codes=codes,
-            class_names=tuple(
-                case_class.name for case_class in classifier.classes
-            ),
-        )
+        plane = spec if spec is not None else arrays
+        context = _WorkloadContext(plane=plane, positions=positions, codes=codes)
     contexts[key] = context
     obs.count("sweep.workloads.built")
     return context
 
 
-def _build_cell_work(planned: PlannedCell) -> FusedItem:
+def _build_cell_work(plan: SweepPlan, index: int) -> FusedItem:
     """Build one cell's fresh system and wrap it as a fused item."""
-    system = planned.cell.system.build(planned.seed)
+    seed = plan.seeds[index]
+    system = plan.systems[plan.cell_system[index]].build(seed)
     try:
-        return build_fused_item(planned.index, system, planned.seed)
+        return build_fused_item(index, system, seed)
     except SimulationError as exc:
-        raise SimulationError(f"cell {planned.cell_id!r}: {exc}") from exc
+        raise SimulationError(f"cell {plan.cell_ids[index]!r}: {exc}") from exc
 
 
 def _execute_shard(
     plan: SweepPlan,
     shard: Shard,
-    pending: list[PlannedCell],
+    counts: np.ndarray,
     contexts: dict[str, _WorkloadContext],
     classifier: CaseClassifier,
     runtime: EngineRuntime | None,
     obs: Instrumentation,
-) -> list[CellResult]:
-    """Execute one shard's pending cells as fused dispatches."""
-    pending_ids = {planned.cell_id for planned in pending}
+) -> None:
+    """Execute one shard's cells as fused dispatches, filling their rows of ``counts``."""
     tasks: list[FusedTask] = []
-    task_meta: list[list[PlannedCell]] = []
     for batch in shard.batches:
-        cells = [
-            planned for planned in batch.cells if planned.cell_id in pending_ids
-        ]
-        if not cells:
-            continue
         context = _workload_context(
             plan, batch.workload_key, contexts, classifier, runtime, obs
         )
-        items = tuple(_build_cell_work(planned) for planned in cells)
-        plane: Any = context.spec if context.spec is not None else context.arrays
         tasks.append(
             (
-                plane,
+                context.plane,
                 plan.chunk_size,
                 context.positions,
                 context.codes,
-                len(context.class_names),
-                items,
+                len(classifier.classes),
+                tuple(_build_cell_work(plan, index) for index in range(batch.start, batch.stop)),
             )
         )
-        task_meta.append(cells)
         obs.count("sweep.dispatches")
     if runtime is not None:
         outputs = runtime.map(run_fused_batch, tasks)
     else:
         outputs = [run_fused_batch(task) for task in tasks]
-
-    shard_results: list[CellResult] = []
-    for cells, output in zip(task_meta, outputs):
-        by_index = {planned.index: planned for planned in cells}
-        context = contexts[cells[0].workload_key]
-        for row in output:
-            planned = by_index[row[0]]
-            counts = FusedCounts.from_row(row, context.class_names)
-            shard_results.append(
-                CellResult(
-                    index=planned.index,
-                    cell_id=planned.cell_id,
-                    seed=planned.seed,
-                    system_name=planned.cell.system.label(),
-                    workload_name=planned.workload_key,
-                    cancer_failures=counts.cancer_failures,
-                    cancer_trials=counts.cancer_trials,
-                    healthy_failures=counts.healthy_failures,
-                    healthy_trials=counts.healthy_trials,
-                    class_names=counts.class_names,
-                    class_failures=counts.class_failures,
-                    class_trials=counts.class_trials,
-                )
-            )
-    shard_results.sort(key=lambda result: result.index)
-    return shard_results
+    for batch, rows in zip(shard.batches, outputs):
+        counts[batch.start : batch.stop] = rows
 
 
 def reproduce_cell(
@@ -901,12 +831,3 @@ def reproduce_cell(
         seed=planned.seed,
         chunk_size=plan.chunk_size,
     )
-
-
-def _picklable(value: object) -> bool:  # pragma: no cover - diagnostic helper
-    """Whether a value survives pickling (diagnostics for custom systems)."""
-    try:
-        pickle.dumps(value)
-    except Exception:
-        return False
-    return True

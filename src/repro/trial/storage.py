@@ -20,7 +20,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from ..core.case_class import CaseClass
 from ..exceptions import EstimationError
@@ -61,7 +61,9 @@ def append_journal_entries(
     Each entry becomes one line.  The whole batch is written, flushed,
     and fsynced in a single append so a crash between calls never leaves
     a partial *batch* — at worst the final line of the last batch is
-    truncated, which :func:`load_journal_entries` tolerates.
+    truncated, which :func:`load_journal_entries` tolerates.  Every
+    append starts on a fresh line: a torn final line is cut first, and
+    a complete one that lost its newline is terminated.
 
     Raises:
         EstimationError: if an entry is not a JSON object, or the file
@@ -77,12 +79,37 @@ def append_journal_entries(
     if not lines:
         return
     try:
-        with open(path, "a") as handle:
-            handle.write("\n".join(lines) + "\n")
+        with open(path, "a+b") as handle:
+            _start_fresh_line(handle)
+            handle.write(("\n".join(lines) + "\n").encode())
             handle.flush()
             os.fsync(handle.fileno())
     except OSError as exc:
         raise EstimationError(f"cannot append to journal {path}: {exc}") from exc
+
+
+def _start_fresh_line(handle: BinaryIO) -> None:
+    """Cut a torn final line, or terminate a complete one, before an append.
+
+    A final line that does not parse is what a mid-write kill leaves
+    (:func:`load_journal_entries` drops it); an append glued onto it
+    would turn it into a malformed line in the middle of the journal.
+    """
+    end = handle.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    handle.seek(end - 1)
+    if handle.read(1) == b"\n":
+        return
+    handle.seek(0)
+    data = handle.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        handle.truncate(start)
+    else:
+        handle.write(b"\n")
 
 
 def _undecodable(path: PathLike, exc: UnicodeDecodeError) -> EstimationError:

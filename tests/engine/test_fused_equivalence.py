@@ -2,8 +2,8 @@
 
 ``run_fused_batch`` is the shared kernel behind the sweep runner and the
 service micro-batcher.  These tests build :data:`FusedTask` tuples by
-hand and assert that every item's demultiplexed
-:class:`~repro.engine.fused.FusedCounts` rebuilds *exactly* the
+hand and assert that every item's row of the returned count matrix,
+demultiplexed as :class:`~repro.engine.fused.FusedCounts`, rebuilds *exactly* the
 :class:`~repro.system.simulate.SystemEvaluation` a standalone
 :func:`~repro.engine.executor.evaluate_system_batch` run of the same
 ``(seed, chunk_size)`` produces — for batch systems, stream systems,
@@ -164,18 +164,25 @@ class TestFusedEquivalence:
             plane = segment if segment is not None else arrays
             task = fused_task(workload, items, 128, classifier, plane=plane)
             (pooled,) = runtime.map(run_fused_batch, [task])
-        assert pooled == in_process
+        assert pooled.dtype == in_process.dtype == np.int64
+        assert np.array_equal(pooled, in_process)
 
     def test_item_order_and_indices_survive_the_round_trip(self):
+        # One row per item, in item order, whatever labels the items
+        # carry: reversing the items reverses the rows, and each row is
+        # its item's solo run.
         workload = make_workload(300)
-        pairs = [(make_system(n), 50 + n) for n in range(3)]
         classifier = SingleClassClassifier()
-        items = [
-            build_fused_item(index * 7, system, seed)
-            for index, (system, seed) in enumerate(pairs)
-        ]
-        rows = run_fused_batch(fused_task(workload, items, 128, classifier))
-        assert [row[0] for row in rows] == [0, 7, 14]
+
+        def rows(order):
+            items = [build_fused_item(7 * n, make_system(n), 50 + n) for n in order]
+            return run_fused_batch(fused_task(workload, items, 128, classifier))
+
+        forward, backward = rows([0, 1, 2]), rows([2, 1, 0])
+        assert forward.shape == (3, 4 + 2 * len(classifier.classes))
+        assert np.array_equal(forward, backward[::-1])
+        for n, row in enumerate(forward):
+            assert np.array_equal(row, rows([n])[0])
 
 
 class TestBuildFusedItem:

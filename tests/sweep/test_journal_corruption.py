@@ -1,25 +1,30 @@
 """A resumed sweep trusts nothing in its journal that the plan contradicts.
 
 Every single-bit flip and every truncation of a small journal must
-either resume to exactly the uninterrupted run — cells, evaluations and
-the shard states' streaming summary — or raise a typed error.  The one
-exception is a flip inside a ``healthy_failures`` value that keeps it
-within the cell's healthy trials: nothing else in the line repeats it,
-so only a per-line checksum (a journal format change) could catch it.
-The fuzz test counts those flips.
+either resume to exactly the uninterrupted run — counts, evaluations and
+the shard states' streaming summary — or raise a typed error: each shard
+line carries a CRC-32 over its index, cell range and rows, so no flip
+goes through silently.  The edits below recompute that CRC, to show that
+the plan and row checks catch them on their own.
 """
 
 import json
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.exceptions import EstimationError, SimulationError
-from repro.screening import SubtletyClassifier
+from repro.screening import SingleClassClassifier, SubtletyClassifier
 from repro.sweep import ScenarioGrid, resume_sweep, run_sweep
 from repro.trial import CaseRecord, TrialRecords, dump_records_csv
-from repro.trial.storage import follow_journal_records, follow_records_csv, load_records_csv
+from repro.trial.storage import (
+    follow_journal_records,
+    follow_records_csv,
+    load_journal_entries,
+    load_records_csv,
+)
 
 GRID = ScenarioGrid(
     name="fuzz",
@@ -31,6 +36,17 @@ GRID = ScenarioGrid(
 SEED = 23
 COMMON = dict(seed=SEED, classifier=SubtletyClassifier(), shard_size=2)
 FLIPS = 320
+CLASSES = len(SubtletyClassifier().classes)
+
+
+def view(result):
+    """What a resumed run must reproduce: counts, evaluations, summary."""
+    return (
+        result.counts.tolist(),
+        result.completed_shards,
+        dict(result.evaluations()),
+        result.streaming_summary(),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -42,33 +58,49 @@ def journal_bytes(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def uninterrupted():
-    result = run_sweep(GRID, **COMMON)
-    return result.results, result.streaming_summary()
+    return view(run_sweep(GRID, **COMMON))
 
 
 def resume_outcome(tmp_path, data):
-    """``"same"``, ``"typed error"``, or the differing resumed result."""
+    """``"typed error"``, or the resumed result's :func:`view`."""
     path = tmp_path / "resume.jsonl"
     path.write_bytes(data)
     try:
         result = resume_sweep(GRID, journal=path, **COMMON)
     except (SimulationError, EstimationError):
         return "typed error"
-    return result
+    return view(result)
 
 
-def healthy_failures_spans(data):
-    """Byte ranges of every ``healthy_failures`` value in the journal."""
-    key = b'"healthy_failures": '
-    spans, start = [], data.find(key)
-    while start >= 0:
-        value = start + len(key)
-        end = value
-        while data[end : end + 1].isdigit():
-            end += 1
-        spans.append(range(value, end))
-        start = data.find(key, end)
-    return spans
+def shard_crc(entry):
+    """The documented checksum: CRC-32 of ``[shard, cells, rows]`` as compact JSON."""
+    payload = [entry["shard"], entry["cells"], entry["rows"]]
+    return zlib.crc32(json.dumps(payload, separators=(",", ":")).encode())
+
+
+def edited(journal_bytes, edit, line=1):
+    """The journal with one line edited by ``edit`` and its CRC recomputed."""
+    lines = journal_bytes.decode().splitlines()
+    entry = json.loads(lines[line])
+    edit(entry)
+    entry["crc"] = shard_crc(entry)
+    lines[line] = json.dumps(entry, sort_keys=True)
+    return lines
+
+
+def write(tmp_path, lines):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def set_cell(row, column, value):
+    row[column] = value
+
+
+def add_failures(row, extra):
+    row[0] += extra
+    row[4] += extra
 
 
 class TestCorruptedJournals:
@@ -76,7 +108,6 @@ class TestCorruptedJournals:
         rng = np.random.default_rng(20261018)
         positions = rng.integers(0, len(journal_bytes), FLIPS)
         bits = rng.integers(0, 8, FLIPS)
-        unguarded = healthy_failures_spans(journal_bytes)
         silent = errors = 0
         for position, bit in zip(positions.tolist(), bits.tolist()):
             data = bytearray(journal_bytes)
@@ -84,76 +115,139 @@ class TestCorruptedJournals:
             outcome = resume_outcome(tmp_path, bytes(data))
             if outcome == "typed error":
                 errors += 1
-            elif (outcome.results, outcome.streaming_summary()) != uninterrupted:
-                assert any(position in span for span in unguarded), (position, bit)
+            elif outcome != uninterrupted:
                 silent += 1
-        # Most flips are caught; the few accepted all sit in the
-        # healthy_failures digits asserted above.
         assert errors > FLIPS // 2
-        assert silent < FLIPS // 20
+        assert silent == 0
 
     def test_every_truncation(self, tmp_path, journal_bytes, uninterrupted):
         for offset in range(len(journal_bytes)):
             outcome = resume_outcome(tmp_path, journal_bytes[:offset])
             if outcome != "typed error":
-                assert (outcome.results, outcome.streaming_summary()) == uninterrupted, offset
+                assert outcome == uninterrupted, offset
 
-    def test_shard_state_line_is_rebuilt_not_read(self, tmp_path, journal_bytes, uninterrupted):
-        lines = journal_bytes.decode().splitlines()
-        states = [i for i, line in enumerate(lines) if '"kind": "shard_state"' in line]
-        entry = json.loads(lines[states[0]])
-        entry["fn_failures"] += 1
-        lines[states[0]] = json.dumps(entry, sort_keys=True)
-        outcome = resume_outcome(tmp_path, ("\n".join(lines) + "\n").encode())
-        assert (outcome.results, outcome.streaming_summary()) == uninterrupted
+    def test_journal_has_one_checksummed_line_per_shard(self, journal_bytes):
+        header, *shards = [json.loads(line) for line in journal_bytes.decode().splitlines()]
+        assert (header["kind"], header["schema"]) == ("header", 2)
+        assert [entry["shard"] for entry in shards] == [0, 1]
+        assert [entry["cells"] for entry in shards] == [[0, 2], [2, 4]]
+        for entry in shards:
+            assert entry["kind"] == "shard"
+            assert entry["crc"] == shard_crc(entry)
+            assert [len(row) for row in entry["rows"]] == [4 + 2 * CLASSES] * 2
 
     @pytest.mark.parametrize(
-        "field, change",
+        "edit",
         [
-            ("seed", lambda entry: entry["seed"] + 1),
-            ("index", lambda entry: entry["index"] + 1),
-            ("system", lambda entry: entry["system"] + "x"),
-            ("cell_id", lambda entry: entry["cell_id"] + "x"),
+            pytest.param(lambda entry: entry.update(shard=1), id="index-of-another-shard"),
+            pytest.param(lambda entry: entry.update(shard=7), id="shard-not-in-plan"),
+            pytest.param(lambda entry: entry.update(shard=True), id="shard-not-an-int"),
+            pytest.param(lambda entry: entry.update(cells=[1, 3]), id="cells-range"),
+            pytest.param(lambda entry: entry.update(kind="cell"), id="kind"),
         ],
     )
-    def test_cell_identity_checked_against_plan(self, tmp_path, journal_bytes, field, change):
-        lines = journal_bytes.decode().splitlines()
-        first_cell = next(i for i, line in enumerate(lines) if '"kind": "cell"' in line)
-        entry = json.loads(lines[first_cell])
-        entry[field] = change(entry)
-        lines[first_cell] = json.dumps(entry, sort_keys=True)
-        with pytest.raises(SimulationError, match="cell"):
-            resume_sweep(GRID, journal=self.write(tmp_path, lines), **COMMON)
+    def test_cell_identity_checked_against_plan(self, tmp_path, journal_bytes, edit):
+        # A shard line names its cells by shard index and index range.
+        lines = edited(journal_bytes, edit)
+        with pytest.raises(SimulationError, match="line 2"):
+            resume_sweep(GRID, journal=write(tmp_path, lines), **COMMON)
 
     @pytest.mark.parametrize(
         "edit",
         [
             # trials no longer cover the workload's cases
-            lambda counts: counts.update(cancer_trials=counts["cancer_trials"] + 1),
+            lambda rows: set_cell(rows[0], 3, rows[0][3] + 1),
             # per-class trials no longer sum to the cancer trials
-            lambda counts: counts["class_trials"].__setitem__(0, counts["class_trials"][0] + 1),
+            lambda rows: set_cell(rows[0], 4 + CLASSES, rows[0][4 + CLASSES] + 1),
             # per-class failures no longer sum to the cancer failures
-            lambda counts: counts["class_failures"].__setitem__(0, counts["class_failures"][0] + 1),
-            # a class the classifier does not have
-            lambda counts: counts["class_names"].__setitem__(0, "nonexistent"),
+            lambda rows: set_cell(rows[0], 4, rows[0][4] + 1),
+            # a column more than the classifier's classes make
+            lambda rows: rows[0].append(0),
             # more false positives than healthy trials
-            lambda counts: counts.update(healthy_failures=counts["healthy_trials"] + 1),
+            lambda rows: set_cell(rows[0], 2, rows[0][3] + 1),
+            # more false negatives than cancer trials, class sum kept
+            lambda rows: add_failures(rows[0], rows[0][1] + 1 - rows[0][0]),
+            # a negative count
+            lambda rows: set_cell(rows[0], 2, -1),
+            # a count that is not an integer
+            lambda rows: set_cell(rows[0], 2, float(rows[0][2])),
+            # a count beyond int64
+            lambda rows: set_cell(rows[0], 2, 2**70),
+            # a row short
+            lambda rows: rows.pop(),
         ],
     )
     def test_cell_counts_checked(self, tmp_path, journal_bytes, edit):
-        lines = journal_bytes.decode().splitlines()
-        first_cell = next(i for i, line in enumerate(lines) if '"kind": "cell"' in line)
-        entry = json.loads(lines[first_cell])
-        edit(entry["counts"])
-        lines[first_cell] = json.dumps(entry, sort_keys=True)
-        with pytest.raises(SimulationError, match="cell"):
-            resume_sweep(GRID, journal=self.write(tmp_path, lines), **COMMON)
+        lines = edited(journal_bytes, lambda entry: edit(entry["rows"]))
+        with pytest.raises(SimulationError, match="shard 0"):
+            resume_sweep(GRID, journal=write(tmp_path, lines), **COMMON)
 
-    @staticmethod
-    def write(tmp_path, lines):
-        path = tmp_path / "edited.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        return path
+    def test_duplicate_shard_lines(self, tmp_path, journal_bytes, uninterrupted):
+        lines = journal_bytes.decode().splitlines()
+        same = write(tmp_path, lines + [lines[1]])
+        assert view(resume_sweep(GRID, journal=same, **COMMON)) == uninterrupted
+        swapped = edited(journal_bytes, lambda entry: entry["rows"].reverse())
+        assert swapped[1] != lines[1]
+        conflicting = write(tmp_path, lines + [swapped[1]])
+        with pytest.raises(SimulationError, match="shard 0 is journaled twice"):
+            resume_sweep(GRID, journal=conflicting, **COMMON)
+
+    def test_schema_1_journal_refused(self, tmp_path, journal_bytes):
+        lines = journal_bytes.decode().splitlines()
+        header = json.loads(lines[0])
+        header["schema"] = 1
+        with pytest.raises(SimulationError, match="schema 1"):
+            resume_sweep(GRID, journal=write(tmp_path, [json.dumps(header)]), **COMMON)
+
+    def test_journal_from_another_classifier_refused(self, tmp_path, journal_bytes):
+        path = write(tmp_path, journal_bytes.decode().splitlines())
+        with pytest.raises(SimulationError, match="classes"):
+            resume_sweep(
+                GRID, journal=path, **{**COMMON, "classifier": SingleClassClassifier()}
+            )
+
+
+TORN_GRID = ScenarioGrid(
+    name="torn",
+    num_cases=40,
+    systems=("unaided", "assisted"),
+    biases=("none", "mild", "strong"),
+    operating_points=(0.0,),
+    replicates=3,
+)
+
+
+def journaled_cells(path):
+    return sum(len(e["rows"]) for e in load_journal_entries(path) if e["kind"] == "shard")
+
+
+class TestTornTails:
+    """Every append starts on a fresh line, whatever the last run left."""
+
+    def test_resume_twice_after_a_torn_final_shard_line(self, tmp_path):
+        common = dict(seed=SEED, shard_size=3)
+        uninterrupted = view(run_sweep(TORN_GRID, **common))
+        path = tmp_path / "sweep.jsonl"
+        run_sweep(TORN_GRID, journal=path, max_shards=2, **common)
+        data = path.read_bytes()
+        last_line = data.rstrip(b"\n").rfind(b"\n") + 1
+        for cut in range(last_line, len(data)):
+            path.write_bytes(data[:cut])
+            first = resume_sweep(TORN_GRID, journal=path, max_shards=1, **common)
+            assert journaled_cells(path) == first.skipped + first.executed, cut
+            result = resume_sweep(TORN_GRID, journal=path, **common)
+            assert view(result) == uninterrupted, cut
+            assert result.skipped == first.skipped + first.executed, cut
+
+    def test_resume_of_an_empty_or_torn_header_journal(self, tmp_path, journal_bytes,
+                                                       uninterrupted):
+        path = tmp_path / "sweep.jsonl"
+        for cut in range(journal_bytes.index(b"\n")):
+            path.write_bytes(journal_bytes[:cut])
+            first = resume_sweep(GRID, journal=path, max_shards=1, **COMMON)
+            result = resume_sweep(GRID, journal=path, **COMMON)
+            assert view(result) == uninterrupted, cut
+            assert result.skipped == len(first.results), cut
 
 
 def _records():

@@ -3,7 +3,7 @@
 This is the acceptance test for crash-safe checkpointing: a real CLI
 process (``python -m repro sweep``) is hard-killed while shards are
 streaming into its journal, then the same grid is resumed.  Every
-journalled cell must be restored without recomputation (asserted through
+journalled shard's cells must be restored without recomputation (asserted through
 the ``sweep.cells.skipped`` counter) and the final results must be
 bit-identical to a run that was never interrupted.
 """
@@ -52,8 +52,8 @@ def _journalled_cells(journal: Path) -> int:
             entry = json.loads(line)
         except ValueError:
             continue  # torn final line mid-append
-        if entry.get("kind") == "cell":
-            count += 1
+        if entry.get("kind") == "shard":
+            count += len(entry["rows"])
     return count
 
 
@@ -105,7 +105,7 @@ def test_sigkill_mid_sweep_then_resume_recomputes_nothing(tmp_path):
     assert process.returncode != 0
 
     journalled = sum(
-        1 for e in load_journal_entries(journal) if e.get("kind") == "cell"
+        len(e["rows"]) for e in load_journal_entries(journal) if e.get("kind") == "shard"
     )
     assert journalled >= 2 * SHARD_SIZE
 

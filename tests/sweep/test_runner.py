@@ -5,16 +5,19 @@ recorded ``(seed, chunk_size)`` — never on fusion geometry, worker
 count, journalling, or which other cells ran alongside it.
 """
 
+from collections.abc import Mapping, Sequence
+
+import numpy as np
 import pytest
 
+from repro.analysis.streaming import WelfordAccumulator
+from repro.engine.fused import FusedCounts
 from repro.exceptions import SimulationError
 from repro.obs import Instrumentation
 from repro.screening import SubtletyClassifier
 from repro.sweep import (
-    CellResult,
     ScenarioGrid,
     ShardStreamState,
-    compile_grid,
     reproduce_cell,
     resume_sweep,
     run_sweep,
@@ -216,28 +219,28 @@ class TestShardStreamStates:
         ):
             assert key in summary
 
-    def test_journal_entry_round_trip(self):
+    def test_rate_moments_fold_cell_by_cell_then_shard_by_shard(self):
+        # Derived from the matrix, the moments keep the journaled-state
+        # era's fold order: cells in plan order within a shard, then a
+        # parallel merge of the shards in shard order.
         result = run_sweep(small_grid(), seed=5, shard_size=3)
-        for state in result.shard_states:
-            restored = ShardStreamState.from_entry(state.to_entry())
-            assert restored.shard == state.shard
-            assert restored.cells == state.cells
-            assert restored.fn_failures == state.fn_failures
-            assert restored.fn_trials == state.fn_trials
-            assert restored.fp_failures == state.fp_failures
-            assert restored.fp_trials == state.fp_trials
-            assert restored.fn_rate.state() == state.fn_rate.state()
-            assert restored.fp_rate.state() == state.fp_rate.state()
+        merged = ShardStreamState()
+        for shard in result.plan.shards:
+            state = ShardStreamState(shard=shard.index)
+            for cell in result.results[shard.start : shard.stop]:
+                counts = cell.counts
+                state.fn_rate.add(counts.cancer_failures / counts.cancer_trials)
+                state.fp_rate.add(counts.healthy_failures / counts.healthy_trials)
+            merged.fn_rate.merge(state.fn_rate)
+            merged.fp_rate.merge(state.fp_rate)
+        assert result.stream_state().fn_rate.state() == merged.fn_rate.state()
+        assert result.stream_state().fp_rate.state() == merged.fp_rate.state()
 
-    def test_malformed_entry_rejected(self):
-        with pytest.raises(SimulationError, match="schema"):
-            ShardStreamState.from_entry({"kind": "shard_state", "schema": 99})
-        entry = ShardStreamState().to_entry()
-        del entry["fn_rate"]
-        with pytest.raises(SimulationError, match="malformed shard state entry"):
-            ShardStreamState.from_entry(entry)
+    def test_merge_rejects_other_types(self):
         with pytest.raises(SimulationError, match="cannot merge"):
             ShardStreamState().merge({"cells": 1})
+        with pytest.raises(SimulationError, match="cannot merge"):
+            ShardStreamState().merge(WelfordAccumulator())
 
     def test_resume_restores_shard_states(self, tmp_path):
         grid = small_grid()
@@ -268,14 +271,70 @@ class TestShardStreamStates:
         assert [m.value for m in marks] == list(range(shards))
 
 
-class TestCellResult:
-    def test_journal_entry_round_trip(self):
-        result = run_sweep(small_grid(), seed=5, classifier=SubtletyClassifier())
-        for cell in result.results:
-            restored = CellResult.from_entry(cell.to_entry(shard=0))
-            assert restored == cell
-            assert restored.evaluation() == cell.evaluation()
+class TestResultViews:
+    """Every per-cell view is derived from the count matrix when read."""
 
-    def test_malformed_entry_rejected(self):
-        with pytest.raises(SimulationError, match="malformed journal cell entry"):
-            CellResult.from_entry({"kind": "cell", "cell_id": "x"})
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_sweep(small_grid(), seed=5, classifier=SubtletyClassifier(), shard_size=3)
+
+    def test_one_count_row_per_cell(self, result):
+        classes = len(SubtletyClassifier().classes)
+        assert result.counts.shape == (len(result.plan), 4 + 2 * classes)
+        assert result.counts.dtype == np.int64
+        for cell in result.results:
+            assert cell.counts == FusedCounts.from_row(result.counts[cell.index], result.class_names)
+
+    def test_evaluations_equal_an_eagerly_built_dict(self, result):
+        eager = {cell.cell_id: cell.evaluation(result.level) for cell in result.results}
+        evaluations = result.evaluations()
+        assert isinstance(evaluations, Mapping)
+        assert evaluations == eager and eager == evaluations
+        assert list(evaluations) == list(result.plan.cell_ids)
+        assert len(evaluations) == len(eager)
+
+    def test_evaluations_unknown_id_raises_key_error(self, result):
+        with pytest.raises(KeyError):
+            result.evaluations()["not-a-cell"]
+        assert "not-a-cell" not in result.evaluations()
+
+    def test_unfinished_cells_are_absent(self, tmp_path):
+        partial = run_sweep(
+            small_grid(), seed=5, shard_size=3, max_shards=1, journal=tmp_path / "j.jsonl"
+        )
+        evaluations = partial.evaluations()
+        assert len(evaluations) == len(partial.results) == 3
+        fourth = partial.plan.cell_ids[3]
+        assert fourth not in evaluations
+        with pytest.raises(KeyError):
+            evaluations[fourth]
+
+    def test_evaluations_build_only_the_cells_read(self, result, monkeypatch):
+        built = []
+        original = FusedCounts.evaluation
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FusedCounts, "evaluation", counting)
+        evaluations = result.evaluations()
+        assert len(evaluations) == len(result.plan)
+        ids = list(evaluations)
+        assert built == []
+        evaluations[ids[0]]
+        evaluations[ids[-1]]
+        assert len(built) == 2
+
+    def test_results_is_a_sized_sequence_built_when_read(self, result):
+        results = result.results
+        assert isinstance(results, Sequence)
+        assert len(results) == len(result.plan)
+        assert results[-1].index == len(result.plan) - 1
+        assert [cell.index for cell in results[2:5]] == [2, 3, 4]
+        first = results[0]
+        assert first.cell_id == result.plan.cell_ids[0]
+        assert first.seed == result.plan.seeds[0]
+        assert first.evaluation() == reproduce_cell(
+            result.plan, first.cell_id, classifier=SubtletyClassifier()
+        )
