@@ -5,7 +5,7 @@ see ``docs/observability.md``): with no instrumentation active — the
 default — the runtime's hot path pays only no-op calls on the null
 singletons.  The bar: a warm serial 4-system comparison through
 :class:`EngineRuntime` must sustain at least 98% of the throughput of
-the same work run through the bare chunk kernels with every
+the same work run through the bare fused kernel with every
 instrumentation call site bypassed (i.e. <= ~2% overhead), while
 producing bit-identical failure counts — with instrumentation off *and*
 on.
@@ -30,8 +30,8 @@ import pytest
 from benchmarks._report import write_benchmark_report
 from repro.cadt import Cadt
 from repro.engine import EngineRuntime
-from repro.engine.executor import _chunk_rngs, cancer_class_codes, plan_chunks
-from repro.engine.runtime import _decide_jobs
+from repro.engine.executor import cancer_class_codes
+from repro.engine.fused import build_fused_item, run_fused_batch
 from repro.obs import Instrumentation
 from repro.reader import MILD_BIAS, ReaderModel, ReaderSkill
 from repro.screening import (
@@ -40,7 +40,6 @@ from repro.screening import (
     trial_workload,
 )
 from repro.system import AssistedReading, FailureTally
-from repro.system.simulate import count_failures
 
 NUM_CASES = 6_000
 CHUNK_SIZE = 512
@@ -75,26 +74,28 @@ def workload():
     )
 
 
-def bare_compare(systems, workload, chunks, positions, codes, classes):
+def bare_compare(systems, workload, positions, codes, classes):
     """The runtime's warm serial loop with every instrumentation call site
     bypassed, reconstructed.
 
     Per comparison this is what a warm serial ``EngineRuntime.compare``
     does: the workload's read-only columns (``workload.to_arrays()``)
-    once, then per system the chunk plan's generators,
-    :func:`_decide_jobs` over the same jobs, and one
-    :func:`count_failures` tally over the precomputed class codes.  The
-    only thing the runtime adds on top is the instrumentation call sites
-    — exactly the cost under test.
+    once, one :func:`run_fused_batch` over the systems as fused items
+    (each deciding the chunk plan with its own generators and tallied
+    once by ``count_failures`` over the precomputed class codes), and
+    one tally per row.  The only thing the runtime adds on top is the
+    instrumentation call sites and its bookkeeping — the cost under test.
     """
     arrays = workload.to_arrays()  # the held columns: no copy, no re-check
+    items = tuple(
+        build_fused_item(index, system, SEED) for index, system in enumerate(systems)
+    )
+    rows = run_fused_batch((arrays, CHUNK_SIZE, positions, codes, len(classes), items))
+    n_classes = len(classes)
     results = {}
-    for system in systems:
-        rngs = _chunk_rngs(SEED, len(chunks))
-        jobs = [(start, stop, rng) for (start, stop), rng in zip(chunks, rngs)]
-        failed = np.concatenate(_decide_jobs(system, arrays, jobs))
+    for system, row in zip(systems, rows):
         tally = FailureTally.from_counts(
-            count_failures(failed, positions, codes, len(classes)), classes
+            (*row[:4].tolist(), row[4 : 4 + n_classes], row[4 + n_classes :]), classes
         )
         results[system.name] = tally.to_evaluation(system.name, workload.name, LEVEL)
     return results
@@ -117,7 +118,6 @@ def test_disabled_instrumentation_keeps_98_percent_throughput(workload):
     systems = make_systems()
 
     arrays = workload.to_arrays()
-    chunks = plan_chunks(len(arrays), CHUNK_SIZE)
     positions = np.flatnonzero(arrays.has_cancer)
     codes = cancer_class_codes(workload, classifier, arrays, positions)
     classes = tuple(classifier.classes)
@@ -125,7 +125,7 @@ def test_disabled_instrumentation_keeps_98_percent_throughput(workload):
     bare_times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        bare = bare_compare(systems, workload, chunks, positions, codes, classes)
+        bare = bare_compare(systems, workload, positions, codes, classes)
         bare_times.append(time.perf_counter() - start)
     bare_elapsed = min(bare_times)
 

@@ -28,7 +28,7 @@ from benchmarks._report import write_benchmark_report
 from repro.cadt import Cadt
 from repro.engine import EngineRuntime, compare_systems_batch, evaluate_system_batch
 from repro.engine.arrays import CaseArrays
-from repro.engine.executor import _chunk_rngs, _decide_chunk, plan_chunks
+from repro.engine.executor import _chunk_rngs, plan_chunks
 from repro.reader import MILD_BIAS, ReaderModel, ReaderSkill
 from repro.screening import (
     SubtletyClassifier,
@@ -70,6 +70,16 @@ def workload():
     )
 
 
+def decide_chunk(system, chunk, rng):
+    """One chunk's failure flags: the per-chunk task the per-call pool ran.
+
+    Module-level so the pool can pickle it; the system travels with
+    every task.
+    """
+    decisions = system.decide_batch(chunk, rng=rng)
+    return np.asarray(decisions.failures(chunk.has_cancer))
+
+
 def per_call_pool_compare(systems, workload, classifier):
     """The pre-runtime executor path, reconstructed faithfully.
 
@@ -86,7 +96,7 @@ def per_call_pool_compare(systems, workload, classifier):
         rngs = _chunk_rngs(SEED, len(chunks))
         with ProcessPoolExecutor(max_workers=WORKERS) as pool:
             futures = [
-                pool.submit(_decide_chunk, system, arrays.chunk(start, stop), rng)
+                pool.submit(decide_chunk, system, arrays.chunk(start, stop), rng)
                 for (start, stop), rng in zip(chunks, rngs)
             ]
             chunk_failures = [future.result() for future in futures]

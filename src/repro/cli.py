@@ -77,6 +77,31 @@ def _add_observability_arguments(
     )
 
 
+def _add_engine_arguments(
+    parser: argparse.ArgumentParser, *, workers: int = 1, chunk_size: bool = True
+) -> None:
+    """The shared ``--workers``/``--chunk-size`` engine flags.
+
+    Seeded results depend only on the seed and the chunk size, never on
+    ``--workers``.  ``uncertainty`` has no chunks, so it takes
+    ``--workers`` only (``chunk_size=False``).
+    """
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=workers,
+        help="engine processes (1 = in-process; results do not depend on it)",
+    )
+    if chunk_size:
+        parser.add_argument(
+            "--chunk-size",
+            type=int,
+            default=None,
+            help="cases per engine chunk: with the seed, what seeded results "
+            "depend on (default: the engine's standard chunk size)",
+        )
+
+
 @contextmanager
 def _observability(args: argparse.Namespace, command: str) -> Iterator[None]:
     """Activate ambient instrumentation for one command when requested.
@@ -200,15 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["batch", "scalar"],
         help="vectorized batch engine or the per-case scalar loop",
     )
-    simulate.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes for the batch engine (>1 shares one runtime pool)",
-    )
-    simulate.add_argument(
-        "--chunk-size", type=int, default=None, help="batch engine cases per chunk"
-    )
+    _add_engine_arguments(simulate)
     simulate.add_argument(
         "--bias",
         default="mild",
@@ -244,12 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pseudo trial readings per class behind each parameter's Beta posterior",
     )
     uncertainty.add_argument("--seed", type=int, default=0, help="sampling seed")
-    uncertainty.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes for the study-grid evaluation (same interval either way)",
-    )
+    _add_engine_arguments(uncertainty, chunk_size=False)
     _add_observability_arguments(uncertainty, short_flag=False)
 
     sweep = subparsers.add_parser(
@@ -260,15 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", required=True, metavar="FILE", help="scenario-grid JSON file"
     )
     sweep.add_argument("--seed", type=int, default=0, help="master sweep seed")
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes (>1 publishes each workload to shared memory once)",
-    )
-    sweep.add_argument(
-        "--chunk-size", type=int, default=None, help="cases per evaluation chunk"
-    )
+    _add_engine_arguments(sweep)
     sweep.add_argument(
         "--shard-size",
         type=int,
@@ -351,12 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8373, help="bind port")
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="engine pool processes (1 = in-process dispatch)",
-    )
+    _add_engine_arguments(serve, workers=2)
     serve.add_argument(
         "--linger-ms",
         type=float,
@@ -369,13 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="requests per fused dispatch (a full batch fires immediately)",
-    )
-    serve.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="engine chunk size (half of the determinism contract; "
-        "default: the engine's standard chunk size)",
     )
     serve.add_argument(
         "--shm-budget",

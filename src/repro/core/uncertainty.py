@@ -181,11 +181,15 @@ class BetaPosterior:
         if _scipy_beta is UNLOADED:
             _scipy_beta = scipy_distribution("beta")
         if _scipy_beta is not None:
-            value = float(_scipy_beta.ppf(q, self.alpha, self.beta))
+            try:
+                value = float(_scipy_beta.ppf(q, self.alpha, self.beta))
+            except OverflowError:
+                value = math.nan
             if math.isfinite(value):
                 return value
-            # boost's incomplete-beta inversion can give up (NaN) at
-            # subnormal levels; fall through to the Monte Carlo estimate.
+            # boost's incomplete-beta inversion can give up (NaN) or
+            # overflow (tgamma) at subnormal levels; fall through to the
+            # Monte Carlo estimate.
         rng = np.random.default_rng(0)
         samples = self.sample(rng, num_samples)
         return float(np.quantile(samples, q))

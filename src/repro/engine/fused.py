@@ -1,44 +1,44 @@
-"""Fused engine dispatches: many ``(system, seed)`` pairs, one workload plane.
+"""The engine's one kernel: fused ``(system, seed)`` items over one workload plane.
 
-This module is the shared execution kernel behind every caller that
-amortises dispatch overhead by *fusing* independent evaluations of one
-workload into a single task:
-
-* the sweep runner (:mod:`repro.sweep.runner`) fuses the cells of a
-  compiled :class:`~repro.sweep.plan.FusedBatch` and copies the rows
-  into its plan-wide count matrix;
-* the always-on service (:mod:`repro.service`) coalesces concurrent
-  requests that share a workload fingerprint into micro-batches.
-
-Both hand a :data:`FusedTask` — the workload plane (in-memory arrays or
-a shared-memory :class:`~repro.engine.runtime._SegmentSpec`), the chunk
-size, the cancer positions/class codes, and the fused items — to
-:func:`run_fused_batch`, in a pool worker or in-process, and get back
-one count matrix: a row per item, in item order (:data:`ROW_COLUMNS`).
+Every count the engine produces comes out of :func:`run_fused_batch`,
+which decides each item's chunks and tallies them with the one tally,
+:func:`~repro.system.simulate.count_failures`.  Its callers build
+:data:`FusedTask` tuples and place them in-process or on a pool:
+:meth:`EngineRuntime.compare <repro.engine.runtime.EngineRuntime.compare>`
+(behind every ``evaluate``/``compare`` entry point) fuses the systems of
+one call, the sweep runner (:mod:`repro.sweep.runner`) the cells of a
+compiled :class:`~repro.sweep.plan.FusedBatch`, and the service
+(:mod:`repro.service`) coalesced requests that share a workload.  It is
+also the worker side of the shared-memory plane: a pooled task carries
+a :class:`_SegmentSpec`, attached once per worker process.
 
 **Determinism contract.**  Each fused item carries its own seed; its
-chunk generators derive via the same ``SeedSequence`` scheme as
-:func:`~repro.engine.executor.evaluate_system_batch`, the decision
-kernels are the engine's own (:func:`~repro.engine.runtime._decide_jobs`
-/ :func:`~repro.engine.runtime._advance_stream`), and the tally is the
-engine's one tally, :func:`~repro.system.simulate.count_failures`, over
-class codes from :func:`~repro.engine.executor.cancer_class_codes`.  An
-item's counts therefore depend only on its ``(seed, chunk_size)`` —
-fused next to one neighbour or thirty-one, dispatched serially or
-pooled, the result is bit-identical to evaluating that item standalone.
-``tests/engine/test_fused_equivalence.py`` pins this against the per-call
-executor for batch, stream and double-reading systems.
+chunk generators derive via :func:`~repro.engine.executor._chunk_rngs`,
+and the class codes come from
+:func:`~repro.engine.executor.cancer_class_codes`.  An item's counts
+therefore depend only on its ``(seed, chunk_size)`` — fused next to one
+neighbour or thirty-one, over the whole plan or summed over chunk
+ranges, in-process or pooled, the result is bit-identical.
+``tests/engine/test_fused_equivalence.py`` pins this against
+:func:`~repro.engine.executor.evaluate_system_batch` for batch, stream
+and double-reading systems.
 """
 
 from __future__ import annotations
 
+import os
+import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from multiprocessing import shared_memory
+from typing import Any, NamedTuple, Sequence, overload
 
 import numpy as np
 
 from ..core.case_class import CaseClass
 from ..exceptions import SimulationError
+from ..obs import SpanPayload
+from ..reader.state import ReaderStateVector
 from ..system.simulate import FailureTally, SystemEvaluation, count_failures
 from ..system.single import ScreeningSystem
 from .arrays import CaseArrays
@@ -49,37 +49,120 @@ from .executor import (
     supports_batch,
     supports_stream,
 )
-from .runtime import _advance_stream, _attached_arrays, _decide_jobs, _Job, _SegmentSpec
 
 __all__ = [
     "ROW_COLUMNS",
     "FusedItem",
     "FusedTask",
+    "RangedFusedTask",
+    "FusedOutput",
     "FusedCounts",
     "build_fused_item",
-    "item_failures",
     "count_failures",
     "run_fused_batch",
     "cancer_class_codes",
 ]
 
+
+@dataclass(frozen=True)
+class _SegmentSpec:
+    """Recipe for rebuilding a :class:`CaseArrays` from a shared segment.
+
+    This — not the arrays — is what travels to workers: the segment
+    name, the case count, and per column its dtype string and byte
+    offset into the segment.  All offsets are 8-byte aligned.
+    """
+
+    name: str
+    num_cases: int
+    fields: tuple[tuple[str, str, int], ...]
+
+
+def _arrays_from_segment(
+    segment: shared_memory.SharedMemory, spec: _SegmentSpec
+) -> CaseArrays:
+    """Zero-copy :class:`CaseArrays` view over an attached segment."""
+    columns: dict[str, np.ndarray] = {}
+    for name, dtype_str, offset in spec.fields:
+        column: np.ndarray = np.ndarray(
+            (spec.num_cases,),
+            dtype=np.dtype(dtype_str),
+            buffer=segment.buf,
+            offset=offset,
+        )
+        column.flags.writeable = False  # the plane is read-only by contract
+        columns[name] = column
+    return CaseArrays(**columns)
+
+
+def _attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Attach to an existing segment without taking tracker ownership.
+
+    On Python >= 3.13 ``track=False`` keeps the attach out of the
+    resource tracker entirely.  Before that, attaching re-registers the
+    name — harmless for pool workers, which inherit the parent's tracker
+    (the registration set is idempotent and the parent's ``unlink`` is
+    the single point of removal), so no unregister dance is needed.
+    """
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
+    except TypeError:  # pragma: no cover - depends on Python version
+        return shared_memory.SharedMemory(name=name)
+
+
+#: Worker-side cache of attached segments, keyed by segment name.  Lives
+#: for the worker process's lifetime (i.e. the pool's), so successive
+#: tasks over one workload attach exactly once.
+_WORKER_SEGMENTS: OrderedDict[str, tuple[shared_memory.SharedMemory, CaseArrays]]
+_WORKER_SEGMENTS = OrderedDict()
+_WORKER_CACHE_MAX = 8
+
+
+def _attached_arrays(spec: _SegmentSpec) -> CaseArrays:
+    """The (cached) zero-copy view for a segment spec, worker side."""
+    cached = _WORKER_SEGMENTS.get(spec.name)
+    if cached is not None:
+        _WORKER_SEGMENTS.move_to_end(spec.name)
+        return cached[1]
+    segment = _attach_segment(spec.name)
+    arrays = _arrays_from_segment(segment, spec)
+    _WORKER_SEGMENTS[spec.name] = (segment, arrays)
+    while len(_WORKER_SEGMENTS) > _WORKER_CACHE_MAX:
+        _, (old_segment, old_arrays) = _WORKER_SEGMENTS.popitem(last=False)
+        del old_arrays  # drop the views so the mapping can be released
+        try:
+            old_segment.close()
+        except BufferError:  # pragma: no cover - a view escaped; skip close
+            pass
+    return arrays
+
+
 #: One fused item's work: ``(index, system, seed, stream)``.  ``index``
 #: is the caller's label for the item (cell index, request slot) — its
-#: row comes back at the item's position; ``stream`` selects the ordered
+#: row comes back at the item's position; a ``None`` seed draws from the
+#: components' private generators; ``stream`` selects the ordered
 #: stream-carry path over ``decide_batch``.
-FusedItem = tuple[int, ScreeningSystem, int, bool]
+FusedItem = tuple[int, ScreeningSystem, int | None, bool]
 
-#: One fused dispatch: the workload plane (a :class:`_SegmentSpec` for
-#: pooled shared-memory execution, or the :class:`CaseArrays` directly),
-#: the chunk size, the cancer positions/class codes, the class count,
-#: and the items to run against the plane.
+#: One fused dispatch over every chunk of the plan: the workload plane (a
+#: :class:`_SegmentSpec` for pooled shared-memory execution, or the
+#: :class:`CaseArrays` directly), the chunk size, the cancer
+#: positions/class codes, the class count, and the items to run.
 FusedTask = tuple[
-    "_SegmentSpec | CaseArrays",
+    _SegmentSpec | CaseArrays,
     int,
     np.ndarray,
     np.ndarray,
     int,
     tuple[FusedItem, ...],
+]
+
+#: A :data:`FusedTask` plus the chunk range ``(first, stop)`` it covers
+#: (``None``: every chunk, as a stream item needs) and the traced switch;
+#: it commits stream items' final states and returns a :class:`FusedOutput`.
+RangedFusedTask = tuple[
+    _SegmentSpec | CaseArrays, int, np.ndarray, np.ndarray, int, tuple[FusedItem, ...],
+    tuple[int, int] | None, bool,
 ]
 
 #: The leading columns of a count-matrix row; the per-class failures and
@@ -88,10 +171,21 @@ FusedTask = tuple[
 ROW_COLUMNS = ("cancer_failures", "cancer_trials", "healthy_failures", "healthy_trials")
 
 
+class FusedOutput(NamedTuple):
+    """What a :data:`RangedFusedTask` returns: the count matrix over its
+    chunk range, each stream item's final state (``None`` for batch
+    items: a caller whose task ran on copies commits them), and a traced
+    task's ``runtime.attach``/``runtime.chunk`` span payloads."""
+
+    rows: np.ndarray
+    states: tuple[ReaderStateVector | None, ...]
+    spans: list[SpanPayload]
+
+
 def build_fused_item(
-    index: int, system: ScreeningSystem, seed: int
+    index: int, system: ScreeningSystem, seed: int | None
 ) -> FusedItem:
-    """Classify a fresh system's execution mode and wrap it as a fused item.
+    """Classify a system's execution mode and wrap it as a fused item.
 
     Raises:
         SimulationError: when the system supports neither batch nor
@@ -108,52 +202,83 @@ def build_fused_item(
     return (index, system, seed, stream)
 
 
-def item_failures(
-    system: ScreeningSystem,
-    arrays: CaseArrays,
-    jobs: Sequence[_Job],
-    stream: bool,
-) -> np.ndarray:
-    """One item's per-case failure flags, via the engine's own kernels."""
-    if stream:
-        chunk_failures, _ = _advance_stream(system, arrays, jobs, system.stream_state())
-    else:
-        chunk_failures = _decide_jobs(system, arrays, jobs)
-    if len(chunk_failures) == 1:
-        return chunk_failures[0]
-    return np.concatenate(chunk_failures)
+@overload
+def run_fused_batch(task: FusedTask) -> np.ndarray: ...
 
 
-def run_fused_batch(task: FusedTask) -> np.ndarray:
-    """Execute one fused dispatch; the single kernel every path runs.
+@overload
+def run_fused_batch(task: RangedFusedTask) -> FusedOutput: ...
+
+
+def run_fused_batch(task: tuple[Any, ...]) -> np.ndarray | FusedOutput:
+    """Execute one fused dispatch; the one kernel that decides and tallies.
 
     Runs in a pool worker (attaching the shared plane) or in-process
-    (arrays travel directly) — the items' chunk jobs and generators are
-    identical either way, which is what makes serial, pooled, coalesced,
-    and resumed executions bit-identical.  Returns an int64 count matrix
-    with one row per item, in item order (columns: :data:`ROW_COLUMNS`,
-    then the per-class failures and trials).
+    (arrays travel directly) — the items' chunks and generators are
+    identical either way, which is what makes serial, pooled, ranged,
+    coalesced and resumed executions bit-identical.  Items run in order:
+    unseeded items draw from their components' private generators in
+    the caller's order, and a ranged task commits each stream item's
+    final state before the next item starts.
+
+    Returns:
+        For a :data:`FusedTask`, the int64 count matrix: one row per
+        item, in item order (columns: :data:`ROW_COLUMNS`, then the
+        per-class failures and trials).  For a :data:`RangedFusedTask`,
+        a :class:`FusedOutput` whose rows count the range's cases only.
     """
-    plane, chunk_size, positions, codes, n_classes, items = task
-    if isinstance(plane, _SegmentSpec):
-        arrays = _attached_arrays(plane)
-    else:
+    plane, chunk_size, positions, codes, n_classes, items, *extra = task
+    chunk_range, traced = extra if extra else (None, False)
+    pid = os.getpid()
+    spans: list[SpanPayload] = []
+    if isinstance(plane, CaseArrays):
         arrays = plane
+    else:
+        fresh = traced and plane.name not in _WORKER_SEGMENTS
+        began = time.perf_counter()
+        arrays = _attached_arrays(plane)
+        if fresh:
+            segment_bytes = _WORKER_SEGMENTS[plane.name][0].size
+            attrs: dict[str, object] = {"segment": plane.name, "bytes": segment_bytes}
+            spans.append(("runtime.attach", attrs, time.perf_counter() - began, pid))
     chunks = plan_chunks(len(arrays), chunk_size)
+    n_chunks = len(chunks)
+    first, stop = (0, n_chunks) if chunk_range is None else chunk_range
+    if stop - first < n_chunks:
+        chunks = chunks[first:stop]
+        low, high = chunks[0][0], chunks[-1][1]
+        cut = slice(*np.searchsorted(positions, (low, high)))
+        positions, codes = positions[cut] - low, codes[cut]
     out = np.empty((len(items), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
+    states: list[ReaderStateVector | None] = []
     for row, (_, system, seed, stream) in zip(out, items):
-        rngs = _chunk_rngs(seed, len(chunks))
-        jobs: list[_Job] = [
-            (start, stop, rng) for (start, stop), rng in zip(chunks, rngs)
-        ]
-        failed = item_failures(system, arrays, jobs, stream)
+        rngs = _chunk_rngs(seed, n_chunks, first, stop)
+        state = system.stream_state() if stream else None
+        failures = []
+        for (start, end), rng in zip(chunks, rngs):
+            began = time.perf_counter() if traced else 0.0
+            chunk = arrays.chunk(start, end)
+            if stream:
+                decisions, state = system.advance_stream(chunk, state, rng=rng)
+            else:
+                decisions = system.decide_batch(chunk, rng=rng)
+            failures.append(np.asarray(decisions.failures(chunk.has_cancer)))
+            if traced:
+                attrs = {"start": start, "stop": end}
+                spans.append(("runtime.chunk", attrs, time.perf_counter() - began, pid))
+        if extra and stream:
+            system.commit_stream(state)
+        states.append(state)
+        failed = failures[0] if len(failures) == 1 else np.concatenate(failures)
         *scalars, class_failures, class_trials = count_failures(
             failed, positions, codes, n_classes
         )
         row[:4] = scalars
         row[4 : 4 + n_classes] = class_failures
         row[4 + n_classes :] = class_trials
-    return out
+    if not extra:
+        return out
+    return FusedOutput(out, tuple(states), spans)
 
 
 @dataclass(frozen=True)
@@ -161,7 +286,7 @@ class FusedCounts:
     """One fused item's exact integer failure counts, demultiplexed.
 
     Classes with zero cancer trials are dropped (exactly as
-    :meth:`FailureTally.record_batch` never creates their entries), so
+    :meth:`FailureTally.from_counts` leaves them out), so
     :meth:`evaluation` rebuilds the same
     :class:`~repro.system.simulate.SystemEvaluation` — identical Wilson
     intervals — as a standalone run of the same ``(seed, chunk_size)``.

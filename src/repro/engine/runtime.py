@@ -1,11 +1,11 @@
 """Persistent engine runtime: pooled workers over a shared-memory workload plane.
 
-:mod:`repro.engine.executor` is correct but *per-call*: every parallel
-evaluation builds a process pool, pickles the chunk arrays into every
-task, and reclassifies the workload's cancer cases.  For programs that
-evaluate repeatedly — multi-system comparisons, extrapolation grids,
-setting sweeps — that overhead dwarfs the actual decision kernels.
-:class:`EngineRuntime` amortises all three costs:
+:class:`EngineRuntime` places every engine evaluation: it runs the
+systems of an ``evaluate``/``compare`` call as one fused batch through
+the engine's one kernel, :func:`~repro.engine.fused.run_fused_batch`,
+in-process or on its pool, and amortises everything around the kernel
+for programs that evaluate repeatedly (comparisons, extrapolation grids,
+setting sweeps):
 
 * **Persistent pool.**  One :class:`~concurrent.futures.ProcessPoolExecutor`
   is created lazily and reused across every ``evaluate``/``compare``/``map``
@@ -13,9 +13,9 @@ setting sweeps — that overhead dwarfs the actual decision kernels.
 * **Zero-copy workload plane.**  Each distinct workload's
   :class:`~repro.engine.arrays.CaseArrays` is published *once* into a
   :class:`multiprocessing.shared_memory.SharedMemory` segment; tasks
-  carry only a :class:`_SegmentSpec` (segment name + column offsets) and
-  ``(start, stop, rng)`` jobs, and workers attach and slice views —
-  no array ever travels through a pickle after publication.
+  carry only a :class:`~repro.engine.fused._SegmentSpec` (segment name +
+  column offsets), a chunk range and the items, and workers attach and
+  slice views — no array travels through a pickle after publication.
 * **Fingerprint-keyed caches.**  Workloads are cached by their content
   :meth:`~repro.screening.workload.Workload.fingerprint` (computed once
   per workload; two equal workloads share one entry), and per-classifier
@@ -25,53 +25,54 @@ setting sweeps — that overhead dwarfs the actual decision kernels.
   from the case count, worker count, and a bytes-per-chunk budget
   instead of the fixed :data:`~repro.engine.executor.DEFAULT_CHUNK_SIZE`.
 
-The determinism contract is unchanged: seeded results depend only on
-``(seed, chunk_size)`` — never on worker count, pool reuse, shared
-memory, or scheduling — because chunk generators are derived exactly as
-the per-call executor derives them and job grouping only changes *where*
-a chunk runs, not its generator.  Unseeded evaluations run serially
-in-process and stay bit-identical to the scalar loop.
-
-When shared memory is unavailable (e.g. a restricted ``/dev/shm``) the
-runtime falls back transparently to pickling the arrays once per task
-group; when the system or mapped function cannot be pickled at all, it
-falls back to in-process execution.  Results are identical on every
-path.
+Seeded results depend only on ``(seed, chunk_size)`` — never on worker
+count, pool reuse, shared memory, or scheduling — because a chunk's
+generator derives from the seed and the chunk's index alone, and chunk
+ranges only change *where* a chunk runs.  Unseeded evaluations run
+serially in-process and stay bit-identical to the scalar loop.  Without
+shared memory the arrays are pickled into every task; an unpicklable
+system or function, or a broken pool, falls back to in-process
+execution.  Results are identical on every path.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import time
 import warnings
 import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import groupby
 from multiprocessing import shared_memory
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from ..core.case_class import CaseClass
 from ..exceptions import RuntimeDegradationWarning, SimulationError
 from ..obs import Instrumentation, SpanPayload, get_instrumentation
-from ..reader.state import ReaderStateVector
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
-from ..system.simulate import SystemEvaluation, evaluate_system
+from ..system.simulate import FailureTally, SystemEvaluation, evaluate_system
 from ..system.single import ScreeningSystem
 from .arrays import ARRAY_FIELDS, CaseArrays
 from .executor import (
     DEFAULT_CHUNK_SIZE,
-    _chunk_rngs,
-    _columnise,
-    _Columns,
-    _tally,
+    cancer_class_codes,
     plan_chunks,
     supports_batch,
     supports_stream,
+)
+from .fused import (
+    ROW_COLUMNS,
+    FusedItem,
+    FusedOutput,
+    RangedFusedTask,
+    _SegmentSpec,
+    build_fused_item,
+    run_fused_batch,
 )
 
 __all__ = [
@@ -157,20 +158,6 @@ def shared_memory_available() -> bool:
     return _SHM_AVAILABLE
 
 
-@dataclass(frozen=True)
-class _SegmentSpec:
-    """Recipe for rebuilding a :class:`CaseArrays` from a shared segment.
-
-    This — not the arrays — is what travels to workers: the segment
-    name, the case count, and per column its dtype string and byte
-    offset into the segment.  All offsets are 8-byte aligned.
-    """
-
-    name: str
-    num_cases: int
-    fields: tuple[tuple[str, str, int], ...]
-
-
 def _aligned(nbytes: int) -> int:
     """Round a byte count up to 8-byte alignment."""
     return -(-nbytes // 8) * 8
@@ -205,246 +192,32 @@ def _publish_arrays(
     return segment, spec
 
 
-def _arrays_from_segment(
-    segment: shared_memory.SharedMemory, spec: _SegmentSpec
-) -> CaseArrays:
-    """Zero-copy :class:`CaseArrays` view over an attached segment."""
-    columns: dict[str, np.ndarray] = {}
-    for name, dtype_str, offset in spec.fields:
-        column: np.ndarray = np.ndarray(
-            (spec.num_cases,),
-            dtype=np.dtype(dtype_str),
-            buffer=segment.buf,
-            offset=offset,
-        )
-        column.flags.writeable = False  # the plane is read-only by contract
-        columns[name] = column
-    return CaseArrays(**columns)
+def _chunk_ranges(n_chunks: int, parts: int) -> list[tuple[int, int]]:
+    """Split a plan's chunks into at most ``parts`` contiguous, near-equal
+    ``(first, stop)`` ranges, none empty.
 
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without taking tracker ownership.
-
-    On Python >= 3.13 ``track=False`` keeps the attach out of the
-    resource tracker entirely.  Before that, attaching re-registers the
-    name — harmless for pool workers, which inherit the parent's tracker
-    (the registration set is idempotent and the parent's ``unlink`` is
-    the single point of removal), so no unregister dance is needed.
+    A scheduling decision only: every chunk keeps its own generator, so
+    an item's rows summed over the ranges are its whole-plan row.
     """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # pragma: no cover - depends on Python version
-        return shared_memory.SharedMemory(name=name)
+    split = np.array_split(np.arange(n_chunks), max(1, min(parts, n_chunks)))
+    return [(int(part[0]), int(part[-1]) + 1) for part in split]
 
 
-#: Worker-side cache of attached segments, keyed by segment name.  Lives
-#: for the worker process's lifetime (i.e. the pool's), so successive
-#: task groups over one workload attach exactly once.
-_WORKER_SEGMENTS: OrderedDict[str, tuple[shared_memory.SharedMemory, CaseArrays]]
-_WORKER_SEGMENTS = OrderedDict()
-_WORKER_CACHE_MAX = 8
+def _tally_from_row(row: np.ndarray, classes: Sequence[CaseClass]) -> FailureTally:
+    """A count-matrix row as a tally over the classifier's own classes."""
+    class_failures, class_trials = row[4:].reshape(2, len(classes))
+    return FailureTally.from_counts((*row[:4].tolist(), class_failures, class_trials), classes)
 
 
-def _attached_arrays(spec: _SegmentSpec) -> CaseArrays:
-    """The (cached) zero-copy view for a segment spec, worker side."""
-    cached = _WORKER_SEGMENTS.get(spec.name)
-    if cached is not None:
-        _WORKER_SEGMENTS.move_to_end(spec.name)
-        return cached[1]
-    segment = _attach_segment(spec.name)
-    arrays = _arrays_from_segment(segment, spec)
-    _WORKER_SEGMENTS[spec.name] = (segment, arrays)
-    while len(_WORKER_SEGMENTS) > _WORKER_CACHE_MAX:
-        _, (old_segment, old_arrays) = _WORKER_SEGMENTS.popitem(last=False)
-        del old_arrays  # drop the views so the mapping can be released
-        try:
-            old_segment.close()
-        except BufferError:  # pragma: no cover - a view escaped; skip close
-            pass
-    return arrays
+class _Columns(NamedTuple):
+    """A columnised workload and its cancer cases' classes under one
+    classifier: made once per (workload, classifier), shared by every
+    system evaluated on them."""
 
-
-#: One unit of work: decide cases ``[start, stop)`` with this generator.
-_Job = tuple[int, int, "np.random.Generator | None"]
-
-
-def _decide_job(
-    system: ScreeningSystem, arrays: CaseArrays, job: _Job
-) -> np.ndarray:
-    """Decide one chunk job.  The single decision kernel every execution
-    path — serial, pooled, traced or not — runs, which is what makes the
-    bit-identity guarantee structural rather than incidental."""
-    start, stop, rng = job
-    chunk = arrays.chunk(start, stop)
-    decisions = system.decide_batch(chunk, rng=rng)
-    return np.asarray(decisions.failures(chunk.has_cancer))
-
-
-def _decide_jobs(
-    system: ScreeningSystem, arrays: CaseArrays, jobs: Sequence[_Job]
-) -> list[np.ndarray]:
-    """Run a group of chunk jobs over in-memory arrays, in order."""
-    return [_decide_job(system, arrays, job) for job in jobs]
-
-
-def _decide_jobs_shared(
-    system: ScreeningSystem, spec: _SegmentSpec, jobs: Sequence[_Job]
-) -> list[np.ndarray]:
-    """Worker entry point: attach the shared plane, then run the jobs."""
-    return _decide_jobs(system, _attached_arrays(spec), jobs)
-
-
-def _decide_jobs_traced(
-    system: ScreeningSystem, arrays: CaseArrays, jobs: Sequence[_Job]
-) -> tuple[list[np.ndarray], list[SpanPayload]]:
-    """Traced twin of :func:`_decide_jobs`: same kernel, plus one
-    ``runtime.chunk`` span payload per job for the parent to ingest.
-
-    Timing wraps the kernel call — it never reaches inside it and never
-    touches the job's generator, so results are those of
-    :func:`_decide_jobs` by construction.
-    """
-    pid = os.getpid()
-    results: list[np.ndarray] = []
-    payload: list[SpanPayload] = []
-    for job in jobs:
-        began = time.perf_counter()
-        results.append(_decide_job(system, arrays, job))
-        payload.append(
-            (
-                "runtime.chunk",
-                {"start": job[0], "stop": job[1]},
-                time.perf_counter() - began,
-                pid,
-            )
-        )
-    return results, payload
-
-
-def _decide_jobs_shared_traced(
-    system: ScreeningSystem, spec: _SegmentSpec, jobs: Sequence[_Job]
-) -> tuple[list[np.ndarray], list[SpanPayload]]:
-    """Traced twin of :func:`_decide_jobs_shared`.
-
-    Also reports a ``runtime.attach`` span (with the segment's byte
-    size) the first time this worker process attaches the segment, so
-    the parent can count shm bytes attached across the pool.
-    """
-    fresh = spec.name not in _WORKER_SEGMENTS
-    began = time.perf_counter()
-    arrays = _attached_arrays(spec)
-    payload: list[SpanPayload] = []
-    if fresh:
-        segment_bytes = _WORKER_SEGMENTS[spec.name][0].size
-        payload.append(
-            (
-                "runtime.attach",
-                {"segment": spec.name, "bytes": segment_bytes},
-                time.perf_counter() - began,
-                os.getpid(),
-            )
-        )
-    results, chunk_payload = _decide_jobs_traced(system, arrays, jobs)
-    payload.extend(chunk_payload)
-    return results, payload
-
-
-def _advance_stream(
-    system: ScreeningSystem,
-    arrays: CaseArrays,
-    jobs: Sequence[_Job],
-    state: ReaderStateVector,
-) -> tuple[list[np.ndarray], ReaderStateVector]:
-    """Advance a reader stream over chunk jobs, in order.
-
-    The stream analogue of :func:`_decide_jobs`: each chunk's carried
-    state feeds the next, so the jobs of one stream can never be split
-    across workers — a whole stream travels as a single task.  Returns
-    the per-chunk failure flags and the final carried state.
-    """
-    failures: list[np.ndarray] = []
-    for start, stop, rng in jobs:
-        chunk = arrays.chunk(start, stop)
-        decisions, state = system.advance_stream(chunk, state, rng=rng)
-        failures.append(np.asarray(decisions.failures(chunk.has_cancer)))
-    return failures, state
-
-
-def _advance_stream_shared(
-    system: ScreeningSystem, spec: _SegmentSpec, jobs: Sequence[_Job], state: ReaderStateVector
-) -> tuple[list[np.ndarray], ReaderStateVector]:
-    """Worker entry point: attach the shared plane, then advance the stream."""
-    return _advance_stream(system, _attached_arrays(spec), jobs, state)
-
-
-def _advance_stream_traced(
-    system: ScreeningSystem,
-    arrays: CaseArrays,
-    jobs: Sequence[_Job],
-    state: ReaderStateVector,
-) -> tuple[list[np.ndarray], ReaderStateVector, list[SpanPayload]]:
-    """Traced twin of :func:`_advance_stream`: same kernel, plus one
-    ``runtime.chunk`` span payload per job.  Timing wraps the kernel and
-    never touches the generators, so results match by construction."""
-    pid = os.getpid()
-    failures: list[np.ndarray] = []
-    payload: list[SpanPayload] = []
-    for start, stop, rng in jobs:
-        began = time.perf_counter()
-        chunk = arrays.chunk(start, stop)
-        decisions, state = system.advance_stream(chunk, state, rng=rng)
-        failures.append(np.asarray(decisions.failures(chunk.has_cancer)))
-        payload.append(
-            (
-                "runtime.chunk",
-                {"start": start, "stop": stop},
-                time.perf_counter() - began,
-                pid,
-            )
-        )
-    return failures, state, payload
-
-
-def _advance_stream_shared_traced(
-    system: ScreeningSystem, spec: _SegmentSpec, jobs: Sequence[_Job], state: ReaderStateVector
-) -> tuple[list[np.ndarray], ReaderStateVector, list[SpanPayload]]:
-    """Traced twin of :func:`_advance_stream_shared` (see
-    :func:`_decide_jobs_shared_traced` for the attach span)."""
-    fresh = spec.name not in _WORKER_SEGMENTS
-    began = time.perf_counter()
-    arrays = _attached_arrays(spec)
-    payload: list[SpanPayload] = []
-    if fresh:
-        segment_bytes = _WORKER_SEGMENTS[spec.name][0].size
-        payload.append(
-            (
-                "runtime.attach",
-                {"segment": spec.name, "bytes": segment_bytes},
-                time.perf_counter() - began,
-                os.getpid(),
-            )
-        )
-    failures, state, chunk_payload = _advance_stream_traced(system, arrays, jobs, state)
-    payload.extend(chunk_payload)
-    return failures, state, payload
-
-
-def _group_jobs(jobs: Sequence[_Job], n_groups: int) -> list[list[_Job]]:
-    """Split jobs into at most ``n_groups`` contiguous, near-equal groups.
-
-    Grouping is a scheduling decision only: every job keeps its own
-    generator, so the per-chunk results are identical however the jobs
-    are grouped.
-    """
-    n_groups = max(1, min(n_groups, len(jobs)))
-    base, extra = divmod(len(jobs), n_groups)
-    groups: list[list[_Job]] = []
-    index = 0
-    for g in range(n_groups):
-        size = base + (1 if g < extra else 0)
-        groups.append(list(jobs[index : index + size]))
-        index += size
-    return groups
+    arrays: CaseArrays
+    positions: np.ndarray
+    codes: np.ndarray
+    classes: tuple[CaseClass, ...]
 
 
 @dataclass
@@ -495,10 +268,9 @@ class EngineRuntime:
 
     Everything expensive is created once and reused: the process pool,
     the shared-memory publication of each workload, the columnisation,
-    and the per-classifier cancer-class codes.  All results are
-    identical to the per-call executor's — same chunking, same chunk
-    generators, same tallies — so the runtime is a pure performance
-    substrate.
+    and the per-classifier cancer-class codes.  Results do not depend
+    on the runtime — same chunking, same chunk generators, the same
+    kernel — so it is a pure performance substrate.
 
     Args:
         workers: Worker processes for seeded parallel execution.  ``1``
@@ -717,7 +489,11 @@ class EngineRuntime:
         :func:`~repro.engine.executor.compare_systems_batch` delegates
         to, and the common-random-numbers property holds exactly as
         there (every system's chunk generators derive from the same
-        seed).  Each system is then tallied once, over all its chunks.
+        seed).  Consecutive batch- or stream-capable systems run as one
+        fused batch (:func:`~repro.engine.fused.run_fused_batch`), each
+        tallied once over all its chunks; a system supporting neither
+        degrades to the scalar loop (``runtime.degraded.scalar_system``)
+        where it stands, so every system runs in the caller's order.
         """
         if self._closed:
             raise SimulationError("cannot evaluate on a closed EngineRuntime")
@@ -729,45 +505,31 @@ class EngineRuntime:
         )
         entry: _CachedWorkload | None = None
         columns: _Columns | None = None
-        evaluations = {}
-        for system in systems:
-            stream = not supports_batch(system)
-            if stream and not supports_stream(system):
-                self._note_degradation(
-                    "scalar_system",
-                    f"system {system.name!r} supports neither batch nor stream "
-                    "execution; evaluating through the per-case scalar loop",
-                )
-                evaluations[system.name] = evaluate_system(
-                    system, workload, classifier, level, seed=seed
-                )
+        evaluations: dict[str, SystemEvaluation] = {}
+        for fusable, group in groupby(
+            systems, key=lambda system: supports_batch(system) or supports_stream(system)
+        ):
+            if not fusable:
+                for system in group:
+                    self._note_degradation(
+                        "scalar_system",
+                        f"system {system.name!r} supports neither batch nor stream "
+                        "execution; evaluating through the per-case scalar loop",
+                    )
+                    evaluations[system.name] = evaluate_system(
+                        system, workload, classifier, level, seed=seed
+                    )
                 continue
             if entry is None or columns is None:
                 if len(workload) == 0:
                     raise SimulationError("cannot evaluate a system on an empty workload")
                 entry = self._workload_entry(workload)
                 columns = self._columns(entry, workload, classifier)
-            with self._obs.span(
-                "runtime.evaluate", system=system.name, cases=len(workload)
-            ) as span:
-                arrays = columns.arrays
-                if chunk_size is None:
-                    chunk_size = plan_chunk_size(
-                        len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
-                    )
-                chunks = plan_chunks(len(arrays), chunk_size)
-                span.set(chunks=len(chunks), chunk_size=chunk_size)
-                rngs = _chunk_rngs(seed, len(chunks))
-                jobs: list[_Job] = [
-                    (start, stop, rng) for (start, stop), rng in zip(chunks, rngs)
-                ]
-                if stream:
-                    span.set(stream=True)
-                    chunk_failures = self._run_stream_jobs(system, entry, jobs, seed)
-                else:
-                    chunk_failures = self._run_jobs(system, entry, jobs, seed)
-                with self._obs.span("runtime.tally", chunks=len(chunks)):
-                    evaluations[system.name] = _tally(chunk_failures, columns).to_evaluation(
+            fused = list(group)
+            rows = self._run_fused(fused, entry, columns, seed, chunk_size)
+            with self._obs.span("runtime.tally", systems=len(fused)):
+                for system, row in zip(fused, rows):
+                    evaluations[system.name] = _tally_from_row(row, columns.classes).to_evaluation(
                         system.name, workload.name, level
                     )
         return evaluations
@@ -798,19 +560,8 @@ class EngineRuntime:
                         f"{getattr(fn, '__name__', fn)!r} (or its items) cannot "
                         "be pickled; mapping in-process instead of on the pool",
                     )
-            if pool is None:
-                return [fn(item) for item in work]
-            try:
-                futures = [pool.submit(fn, item) for item in work]
-                return [future.result() for future in futures]
-            except BrokenProcessPool:  # pragma: no cover - defensive recovery
-                self._discard_pool()
-                self._note_degradation(
-                    "broken_pool",
-                    "the worker pool broke mid-map; recomputing in-process "
-                    "(results are unaffected)",
-                )
-                return [fn(item) for item in work]
+            results = None if pool is None else self._on_pool(pool, fn, work)
+            return [fn(item) for item in work] if results is None else results
 
     # -- internals ------------------------------------------------------
 
@@ -839,6 +590,101 @@ class EngineRuntime:
                 self._obs.observe("runtime.chunk.wall_s", duration)
             elif name == "runtime.attach":
                 self._obs.count("runtime.shm.bytes_attached", float(attrs["bytes"]))  # type: ignore[arg-type]
+
+    def _run_fused(
+        self,
+        systems: list[ScreeningSystem],
+        entry: _CachedWorkload,
+        columns: _Columns,
+        seed: int | None,
+        chunk_size: int | None,
+    ) -> np.ndarray:
+        """Run systems as one fused batch; their whole-plan rows, in order.
+
+        In-process when the runtime is serial, the call unseeded (private
+        component generators cannot cross processes), the plan a single
+        chunk, or a system unpicklable.  Otherwise the batch items split
+        into at most ``workers`` chunk ranges, whose rows are summed, and
+        the stream items travel whole as one more task, every task
+        reading the published plane.  Each stream item's final state is
+        committed into the caller's system either way.
+        """
+        arrays = columns.arrays
+        if chunk_size is None:
+            chunk_size = plan_chunk_size(
+                len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
+            )
+        n_chunks = len(plan_chunks(len(arrays), chunk_size))
+        items = tuple(
+            build_fused_item(index, system, seed) for index, system in enumerate(systems)
+        )
+        n_classes, traced = len(columns.classes), self._obs.enabled
+
+        def tasks(plane: _SegmentSpec | CaseArrays, parts: list) -> list[RangedFusedTask]:
+            return [
+                (plane, chunk_size, columns.positions, columns.codes, n_classes,
+                 part, chunk_range, traced)
+                for part, chunk_range in parts
+            ]
+
+        with self._obs.span(
+            "runtime.evaluate",
+            systems=len(items),
+            cases=len(arrays),
+            chunks=n_chunks,
+            chunk_size=chunk_size,
+        ):
+            parallel = self._workers > 1 and seed is not None and n_chunks > 1
+            if parallel:
+                for _, system, _, _ in items:
+                    try:
+                        pickle.dumps(system)
+                    except Exception:
+                        parallel = False
+                        self._note_degradation(
+                            "unpicklable_system",
+                            f"system {system.name!r} cannot be pickled; evaluating "
+                            "in-process instead of on the worker pool",
+                        )
+            pool = self._ensure_pool() if parallel else None
+            parts: list[tuple[tuple[FusedItem, ...], tuple[int, int] | None]] = [(items, None)]
+            outputs: list[FusedOutput] | None = None
+            if pool is not None:
+                batch = tuple(item for item in items if not item[3])
+                streams = tuple(item for item in items if item[3])
+                ranges = _chunk_ranges(n_chunks, self._workers) if batch else []
+                parts = [(batch, chunk_range) for chunk_range in ranges]
+                if streams:
+                    parts.append((streams, None))
+                plane = self._publish(entry) or arrays
+                outputs = self._on_pool(pool, run_fused_batch, tasks(plane, parts))
+            if outputs is None:  # serial, or the pool broke: the same parts in-process
+                outputs = [run_fused_batch(task) for task in tasks(arrays, parts)]
+            rows = np.zeros((len(items), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
+            for (part, _), output in zip(parts, outputs):
+                self._ingest_worker_payload(output.spans)
+                for (index, system, _, _), row, state in zip(part, output.rows, output.states):
+                    rows[index] += row
+                    if state is not None:  # a pooled task advanced a copy
+                        system.commit_stream(state)
+        return rows
+
+    def _on_pool(
+        self, pool: ProcessPoolExecutor, fn: Callable[[Any], Any], work: Sequence[Any]
+    ) -> list[Any] | None:
+        """``fn`` over ``work`` on the pool, in order; ``None`` when the pool
+        broke (it is dropped, and the caller recomputes in-process)."""
+        try:
+            futures = [pool.submit(fn, item) for item in work]
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            self._discard_pool()
+            self._note_degradation(
+                "broken_pool",
+                "the worker pool broke; recomputing in-process (results are "
+                "unaffected)",
+            )
+            return None
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         """The persistent pool, created on first parallel need (or None)."""
@@ -894,10 +740,9 @@ class EngineRuntime:
             self._obs.count("runtime.label_cache.hit")
             return cached[1]
         self._obs.count("runtime.label_cache.miss")
-        columns = _columnise(
-            workload,
-            entry.arrays,
-            classifier,
+        positions = entry.arrays.cancer_index
+        codes = cancer_class_codes(
+            workload, classifier, entry.arrays, positions,
             on_scalar_fallback=lambda: self._note_degradation(
                 "scalar_classify",
                 f"classifier {type(classifier).__name__} has no usable "
@@ -905,6 +750,7 @@ class EngineRuntime:
                 "(labels are identical, classification is slower)",
             ),
         )
+        columns = _Columns(entry.arrays, positions, codes, tuple(classifier.classes))
         entry.columns[id(classifier)] = (classifier, columns)
         return columns
 
@@ -950,174 +796,3 @@ class EngineRuntime:
             self._obs.count("runtime.shm.evicted")
             if self.shm_bytes_live <= self._shm_byte_budget:
                 break
-
-    def _run_jobs(
-        self,
-        system: ScreeningSystem,
-        entry: _CachedWorkload,
-        jobs: list[_Job],
-        seed: int | None,
-    ) -> list[np.ndarray]:
-        """Run chunk jobs in order, parallel when it can help.
-
-        Serial conditions: one worker, no seed (private component
-        generators cannot cross processes — matches the executor's
-        contract), a single job, or an unpicklable system.  The serial
-        path is the same code the executor runs in-process, so results
-        never depend on which path was taken.
-        """
-        parallel = self._workers > 1 and seed is not None and len(jobs) > 1
-        if parallel:
-            try:
-                pickle.dumps(system)
-            except Exception:
-                parallel = False
-                self._note_degradation(
-                    "unpicklable_system",
-                    f"system {system.name!r} cannot be pickled; evaluating "
-                    "in-process instead of on the worker pool",
-                )
-        pool = self._ensure_pool() if parallel else None
-        if pool is None:
-            return self._run_jobs_serial(system, entry.arrays, jobs)
-        groups = _group_jobs(jobs, self._workers)
-        spec = self._publish(entry)
-        traced = self._obs.enabled
-        try:
-            if spec is not None:
-                shared_fn = (
-                    _decide_jobs_shared_traced if traced else _decide_jobs_shared
-                )
-                futures = [
-                    pool.submit(shared_fn, system, spec, group)
-                    for group in groups
-                ]
-            else:
-                plain_fn = _decide_jobs_traced if traced else _decide_jobs
-                futures = [
-                    pool.submit(plain_fn, system, entry.arrays, group)
-                    for group in groups
-                ]
-            outputs = [future.result() for future in futures]
-        except BrokenProcessPool:
-            self._discard_pool()
-            self._note_degradation(
-                "broken_pool",
-                "the worker pool broke mid-evaluation; recomputing the "
-                "chunks in-process (results are unaffected)",
-            )
-            return self._run_jobs_serial(system, entry.arrays, jobs)
-        if traced:
-            grouped = []
-            for results, payload in outputs:
-                self._ingest_worker_payload(payload)
-                grouped.append(results)
-        else:
-            grouped = outputs
-        return [failed for group in grouped for failed in group]
-
-    def _run_jobs_serial(
-        self,
-        system: ScreeningSystem,
-        arrays: CaseArrays,
-        jobs: list[_Job],
-    ) -> list[np.ndarray]:
-        """The in-process job loop, traced only when somebody is watching."""
-        if not self._obs.enabled:
-            return _decide_jobs(system, arrays, jobs)
-        results, payload = _decide_jobs_traced(system, arrays, jobs)
-        self._ingest_worker_payload(payload)
-        return results
-
-    def _run_stream_jobs(
-        self,
-        system: ScreeningSystem,
-        entry: _CachedWorkload,
-        jobs: list[_Job],
-        seed: int | None,
-    ) -> list[np.ndarray]:
-        """Run an ordered reader stream over chunk jobs.
-
-        The stream is inherently sequential — every chunk's carried
-        state feeds the next — so "parallel" here means moving the
-        *whole* stream as one task to a pooled worker (which reads the
-        chunks from the shared plane), keeping the parent process free.
-        Serial conditions mirror :meth:`_run_jobs`; whichever path runs,
-        the chunks advance from the same initial state in the same
-        order, and the final carried state is committed back into the
-        caller's system.  (Other worker-copy state — e.g. a tool's
-        processed-case counters — stays in the worker, exactly as on
-        the pooled batch path.)
-        """
-        initial = system.stream_state()
-        parallel = self._workers > 1 and seed is not None and len(jobs) > 1
-        if parallel:
-            try:
-                pickle.dumps((system, initial))
-            except Exception:
-                parallel = False
-                self._note_degradation(
-                    "unpicklable_system",
-                    f"system {system.name!r} (or its stream state) cannot be "
-                    "pickled; advancing the stream in-process instead of on "
-                    "the worker pool",
-                )
-        pool = self._ensure_pool() if parallel else None
-        if pool is None:
-            return self._run_stream_serial(system, entry.arrays, jobs, initial)
-        spec = self._publish(entry)
-        traced = self._obs.enabled
-        try:
-            if spec is not None:
-                shared_fn = (
-                    _advance_stream_shared_traced if traced else _advance_stream_shared
-                )
-                future = pool.submit(shared_fn, system, spec, jobs, initial)
-            else:
-                plain_fn = _advance_stream_traced if traced else _advance_stream
-                future = pool.submit(plain_fn, system, entry.arrays, jobs, initial)
-            output = future.result()
-        except BrokenProcessPool:
-            self._discard_pool()
-            self._note_degradation(
-                "broken_pool",
-                "the worker pool broke mid-stream; recomputing the chunks "
-                "in-process from the same initial state (results are "
-                "unaffected)",
-            )
-            return self._run_stream_serial(system, entry.arrays, jobs, initial)
-        if traced:
-            failures, final_state, payload = output
-            self._ingest_worker_payload(payload)
-        else:
-            failures, final_state = output
-        system.commit_stream(final_state)
-        return failures
-
-    def _run_stream_serial(
-        self,
-        system: ScreeningSystem,
-        arrays: CaseArrays,
-        jobs: list[_Job],
-        state: ReaderStateVector,
-    ) -> list[np.ndarray]:
-        """The in-process stream loop; commits the final state back."""
-        if not self._obs.enabled:
-            failures, final_state = _advance_stream(system, arrays, jobs, state)
-        else:
-            failures, final_state, payload = _advance_stream_traced(
-                system, arrays, jobs, state
-            )
-            self._ingest_worker_payload(payload)
-        system.commit_stream(final_state)
-        return failures
-
-
-def _noop(value: _T) -> _T:  # pragma: no cover - trivial
-    """Identity; handy for warming a runtime's pool in benchmarks."""
-    return value
-
-
-def warm(runtime: EngineRuntime) -> None:
-    """Force pool creation now so first-call latency is off the clock."""
-    runtime.map(_noop, [0])

@@ -18,15 +18,15 @@ interval, shard summary — is built from it only when a caller reads it.
 
 **Determinism contract.**  A cell's failure counts depend only on its
 recorded ``(seed, chunk_size)``: fused dispatches execute through the
-shared :mod:`repro.engine.fused` kernel
-(:func:`~repro.engine.fused.run_fused_batch` — the same kernel the
-always-on service's micro-batcher runs), whose chunk generators derive
-via the same ``SeedSequence`` scheme as
-:func:`~repro.engine.executor.evaluate_system_batch` and whose tally is
-an exact integer-count reformulation of
+engine's one kernel (:func:`~repro.engine.fused.run_fused_batch` — the
+same kernel the service's micro-batcher and
+:func:`~repro.engine.executor.evaluate_system_batch` run), whose chunk
+generators derive from the item's seed and the chunk's index alone and
+whose tally is an exact integer-count reformulation of
 :class:`~repro.system.simulate.FailureTally`.  Fused, sharded, serial,
 parallel, interrupted-and-resumed — all bit-identical to evaluating the
-cell standalone (:func:`reproduce_cell`).
+cell standalone (:func:`reproduce_cell`), and, for a single-chunk plan,
+to the scalar loop.
 
 **Checkpointing.**  With a journal path, a header records the plan
 fingerprint and the classifier's classes, and every completed shard
@@ -57,11 +57,12 @@ from ..engine.fused import (
     FusedCounts,
     FusedItem,
     FusedTask,
+    _SegmentSpec,
     build_fused_item,
     cancer_class_codes,
     run_fused_batch,
 )
-from ..engine.runtime import EngineRuntime, _SegmentSpec
+from ..engine.runtime import EngineRuntime
 from ..exceptions import SimulationError
 from ..obs import Instrumentation, get_instrumentation
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
@@ -815,8 +816,9 @@ def reproduce_cell(
 
     Builds the cell's workload and system from their specs and drives
     them through :func:`~repro.engine.executor.evaluate_system_batch`
-    with the recorded ``(seed, chunk_size)`` — the independent path the
-    determinism contract promises is bit-identical to the fused sweep.
+    with the recorded ``(seed, chunk_size)`` — a one-item batch, alone,
+    which the determinism contract promises is bit-identical to the
+    cell's row of the fused sweep.
     """
     from ..engine.executor import evaluate_system_batch
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     BetaPosterior,
@@ -36,7 +36,10 @@ class TestBetaPosteriorProperties:
         assert 0.0 <= posterior.mean <= 1.0
 
     @given(posterior=beta_posteriors(), q=quantile_levels)
-    @settings(max_examples=50)
+    # boost's tgamma overflows here; the Monte Carlo fallback's first call
+    # also pays scipy's lazy import, hence no deadline.
+    @example(posterior=BetaPosterior(171.5, 686.5), q=5e-324)
+    @settings(max_examples=50, deadline=None)
     def test_quantiles_are_probabilities(self, posterior, q):
         assert 0.0 <= posterior.quantile(q) <= 1.0
 

@@ -184,3 +184,32 @@ class TestCompareSystemsBatch:
         assert set(results) == {stateless.name, stateful.name}
         for evaluation in results.values():
             assert evaluation.false_negative is not None
+
+
+class TestUnseededCompareOrder:
+    @staticmethod
+    def triple(order=("a", "drift", "b")):
+        # Two batch systems and a scalar-only one (a drifting CADT), all
+        # sharing one reader: unseeded, each draws from that reader's
+        # private generator in turn.
+        reader = ReaderModel(skill=ReaderSkill(), bias=MILD_BIAS, name="shared", seed=7)
+        systems = {
+            "a": AssistedReading(reader, Cadt(seed=11), name="a"),
+            "drift": AssistedReading(
+                reader, Cadt(drift_per_case=1e-4, seed=12), name="drift"
+            ),
+            "b": UnaidedReading(reader, name="b"),
+        }
+        return [systems[name] for name in order]
+
+    def test_scalar_fallback_runs_where_it_stands(self):
+        workload = make_workload(300)
+        batch = compare_systems_batch(self.triple(), workload)
+        scalar = compare_systems(self.triple(), workload)
+        assert list(batch) == ["a", "drift", "b"]
+        assert {name: failure_counts(e) for name, e in batch.items()} == {
+            name: failure_counts(e) for name, e in scalar.items()
+        }
+        # The order is observable: deciding b before drift changes it.
+        hoisted = compare_systems(self.triple(("a", "b", "drift")), workload)
+        assert failure_counts(hoisted["b"]) != failure_counts(batch["b"])

@@ -9,10 +9,11 @@ more workers than chunks.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.engine import EngineRuntime, evaluate_system_batch, plan_chunk_size
 from repro.engine.executor import plan_chunks
-from repro.engine.runtime import MIN_CHUNK_SIZE, _group_jobs
+from repro.engine.runtime import MIN_CHUNK_SIZE, _chunk_ranges
 from repro.exceptions import SimulationError
 from tests.engine.test_equivalence import failure_counts
 from tests.engine.test_executor import make_system, make_workload
@@ -88,8 +89,16 @@ class TestDegenerateChunkShapes:
             )
         assert failure_counts(pooled) == failure_counts(serial)
 
-    def test_group_jobs_never_returns_empty_groups(self):
-        jobs = [(0, 1, None), (1, 2, None)]
-        groups = _group_jobs(jobs, 8)
-        assert groups == [[(0, 1, None)], [(1, 2, None)]]
-        assert _group_jobs(jobs, 1) == [jobs]
+    @given(n_chunks=st.integers(1, 300), parts=st.integers(1, 64))
+    def test_chunk_ranges_cover_every_chunk(self, n_chunks, parts):
+        # The pool's chunk-range splitter: no empty range, at most one
+        # range per part, contiguous, and covering every chunk once.
+        ranges = _chunk_ranges(n_chunks, parts)
+        assert 1 <= len(ranges) <= parts
+        assert all(first < stop for first, stop in ranges)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_chunks
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        sizes = [stop - first for first, stop in ranges]
+        assert max(sizes) - min(sizes) <= 1
+        assert _chunk_ranges(2, 8) == [(0, 1), (1, 2)]
+        assert _chunk_ranges(2, 1) == [(0, 2)]
