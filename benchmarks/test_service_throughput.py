@@ -91,7 +91,6 @@ def test_coalesced_service_is_3x_faster_than_serial_requests():
     obs = Instrumentation(name="bench-service")
     config = ServiceConfig(
         workers=1,
-        linger_ms=5.0,
         max_batch=32,
         chunk_size=CHUNK_SIZE,
         max_cached_workloads=8,
@@ -154,7 +153,6 @@ def test_coalesced_service_is_3x_faster_than_serial_requests():
             "requests_per_wave": total,
             "num_cases": NUM_CASES,
             "chunk_size": CHUNK_SIZE,
-            "linger_ms": config.linger_ms,
             "max_batch": config.max_batch,
             "repeats": REPEATS,
             "serial_total_s": round(serial_elapsed, 3),

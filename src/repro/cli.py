@@ -357,13 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8373, help="bind port")
     _add_engine_arguments(serve, workers=2)
     serve.add_argument(
-        "--linger-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch linger window: how long a lone request waits "
-        "for coalescing company before dispatching anyway",
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=32,
@@ -906,7 +899,6 @@ def _command_serve(args: argparse.Namespace) -> None:
 
     config = ServiceConfig(
         workers=args.workers,
-        linger_ms=args.linger_ms,
         max_batch=args.max_batch,
         chunk_size=(
             args.chunk_size if args.chunk_size is not None else DEFAULT_CHUNK_SIZE
@@ -921,8 +913,8 @@ def _command_serve(args: argparse.Namespace) -> None:
         service = ScreeningService(config, obs=get_instrumentation())
         print(
             f"serving on http://{args.host}:{args.port} "
-            f"(workers={config.workers}, linger={config.linger_ms}ms, "
-            f"max-batch={config.max_batch}); Ctrl-C drains and exits"
+            f"(workers={config.workers}, max-batch={config.max_batch}); "
+            "Ctrl-C drains and exits"
         )
         try:
             asyncio.run(serve(service, args.host, args.port))

@@ -4,13 +4,13 @@ Every count the engine produces comes out of :func:`run_fused_batch`,
 which decides each item's chunks and tallies them with the one tally,
 :func:`~repro.system.simulate.count_failures`.  Its callers build
 :data:`FusedTask` tuples and place them in-process or on a pool:
-:meth:`EngineRuntime.compare <repro.engine.runtime.EngineRuntime.compare>`
-(behind every ``evaluate``/``compare`` entry point) fuses the systems of
-one call, the sweep runner (:mod:`repro.sweep.runner`) the cells of a
-compiled :class:`~repro.sweep.plan.FusedBatch`, and the service
-(:mod:`repro.service`) coalesced requests that share a workload.  It is
-also the worker side of the shared-memory plane: a pooled task carries
-a :class:`_SegmentSpec`, attached once per worker process.
+:meth:`EngineRuntime.run_fused <repro.engine.runtime.EngineRuntime.run_fused>`
+fuses the systems of one ``evaluate``/``compare`` call or the coalesced
+requests of one service (:mod:`repro.service`) dispatch, and the sweep
+runner (:mod:`repro.sweep.runner`) the cells of a compiled
+:class:`~repro.sweep.plan.FusedBatch`.  It is also the worker side of
+the shared-memory plane: a pooled task carries a :class:`_SegmentSpec`,
+attached once per worker process.
 
 **Determinism contract.**  Each fused item carries its own seed; its
 chunk generators derive via :func:`~repro.engine.executor._chunk_rngs`,

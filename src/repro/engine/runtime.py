@@ -8,8 +8,9 @@ for programs that evaluate repeatedly (comparisons, extrapolation grids,
 setting sweeps):
 
 * **Persistent pool.**  One :class:`~concurrent.futures.ProcessPoolExecutor`
-  is created lazily and reused across every ``evaluate``/``compare``/``map``
-  call until :meth:`EngineRuntime.close` (or the context manager exit).
+  is created lazily, by the first call that needs it, and reused across
+  every ``evaluate``/``compare``/``run_fused``/``map`` call until
+  :meth:`EngineRuntime.close` (or the context manager exit).
 * **Zero-copy workload plane.**  Each distinct workload's
   :class:`~repro.engine.arrays.CaseArrays` is published *once* into a
   :class:`multiprocessing.shared_memory.SharedMemory` segment; tasks
@@ -503,8 +504,7 @@ class EngineRuntime:
         classifier = (
             classifier if classifier is not None else SingleClassClassifier()
         )
-        entry: _CachedWorkload | None = None
-        columns: _Columns | None = None
+        classes = tuple(classifier.classes)
         evaluations: dict[str, SystemEvaluation] = {}
         for fusable, group in groupby(
             systems, key=lambda system: supports_batch(system) or supports_stream(system)
@@ -520,19 +520,116 @@ class EngineRuntime:
                         system, workload, classifier, level, seed=seed
                     )
                 continue
-            if entry is None or columns is None:
-                if len(workload) == 0:
-                    raise SimulationError("cannot evaluate a system on an empty workload")
-                entry = self._workload_entry(workload)
-                columns = self._columns(entry, workload, classifier)
             fused = list(group)
-            rows = self._run_fused(fused, entry, columns, seed, chunk_size)
+            rows = self.run_fused(
+                workload, [(system, seed) for system in fused],
+                classifier=classifier, chunk_size=chunk_size,
+            )
             with self._obs.span("runtime.tally", systems=len(fused)):
                 for system, row in zip(fused, rows):
-                    evaluations[system.name] = _tally_from_row(row, columns.classes).to_evaluation(
+                    evaluations[system.name] = _tally_from_row(row, classes).to_evaluation(
                         system.name, workload.name, level
                     )
         return evaluations
+
+    def run_fused(
+        self,
+        workload: Workload,
+        items: Sequence[tuple[ScreeningSystem, int | None]],
+        *,
+        classifier: CaseClassifier,
+        chunk_size: int | None,
+    ) -> np.ndarray:
+        """Run ``(system, seed)`` items over one workload as one fused batch.
+
+        The runtime's one placement rule, behind :meth:`compare` and the
+        service's coalesced requests (whose items each carry their own
+        seed).  The batch runs in-process when the runtime is serial, an
+        item is unseeded (private component generators cannot cross
+        processes), the plan is a single chunk, or a system is
+        unpicklable.  Otherwise it runs on the pool, which the first such
+        batch launches: the batch items split into at most ``workers``
+        chunk ranges, whose rows are summed, and the stream items travel
+        whole as one more task, every task reading the published plane.
+        Each stream item's final state is committed into the caller's
+        system either way.  Every system must support batch or stream
+        execution.
+
+        Returns:
+            The int64 count matrix, one row per item in item order
+            (columns: :data:`~repro.engine.fused.ROW_COLUMNS`, then the
+            failures and trials of each of ``classifier.classes``).
+        """
+        if self._closed:
+            raise SimulationError("cannot evaluate on a closed EngineRuntime")
+        if len(workload) == 0:
+            raise SimulationError("cannot evaluate a system on an empty workload")
+        fused = tuple(
+            build_fused_item(index, system, seed)
+            for index, (system, seed) in enumerate(items)
+        )
+        entry = self._workload_entry(workload)
+        columns = self._columns(entry, workload, classifier)
+        arrays = columns.arrays
+        if chunk_size is None:
+            chunk_size = plan_chunk_size(
+                len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
+            )
+        n_chunks = len(plan_chunks(len(arrays), chunk_size))
+        n_classes, traced = len(columns.classes), self._obs.enabled
+
+        def tasks(plane: _SegmentSpec | CaseArrays, parts: list) -> list[RangedFusedTask]:
+            return [
+                (plane, chunk_size, columns.positions, columns.codes, n_classes,
+                 part, chunk_range, traced)
+                for part, chunk_range in parts
+            ]
+
+        with self._obs.span(
+            "runtime.evaluate",
+            systems=len(fused),
+            cases=len(arrays),
+            chunks=n_chunks,
+            chunk_size=chunk_size,
+        ):
+            parallel = (
+                self._workers > 1
+                and n_chunks > 1
+                and all(seed is not None for _, _, seed, _ in fused)
+            )
+            if parallel:
+                for _, system, _, _ in fused:
+                    try:
+                        pickle.dumps(system)
+                    except Exception:
+                        parallel = False
+                        self._note_degradation(
+                            "unpicklable_system",
+                            f"system {system.name!r} cannot be pickled; evaluating "
+                            "in-process instead of on the worker pool",
+                        )
+            pool = self._ensure_pool() if parallel else None
+            parts: list[tuple[tuple[FusedItem, ...], tuple[int, int] | None]] = [(fused, None)]
+            outputs: list[FusedOutput] | None = None
+            if pool is not None:
+                batch = tuple(item for item in fused if not item[3])
+                streams = tuple(item for item in fused if item[3])
+                ranges = _chunk_ranges(n_chunks, self._workers) if batch else []
+                parts = [(batch, chunk_range) for chunk_range in ranges]
+                if streams:
+                    parts.append((streams, None))
+                plane = self._publish(entry) or arrays
+                outputs = self._on_pool(pool, run_fused_batch, tasks(plane, parts))
+            if outputs is None:  # serial, or the pool broke: the same parts in-process
+                outputs = [run_fused_batch(task) for task in tasks(arrays, parts)]
+            rows = np.zeros((len(fused), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
+            for (part, _), output in zip(parts, outputs):
+                self._ingest_worker_payload(output.spans)
+                for (index, system, _, _), row, state in zip(part, output.rows, output.states):
+                    rows[index] += row
+                    if state is not None:  # a pooled task advanced a copy
+                        system.commit_stream(state)
+        return rows
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Apply a picklable function over items on the persistent pool.
@@ -590,84 +687,6 @@ class EngineRuntime:
                 self._obs.observe("runtime.chunk.wall_s", duration)
             elif name == "runtime.attach":
                 self._obs.count("runtime.shm.bytes_attached", float(attrs["bytes"]))  # type: ignore[arg-type]
-
-    def _run_fused(
-        self,
-        systems: list[ScreeningSystem],
-        entry: _CachedWorkload,
-        columns: _Columns,
-        seed: int | None,
-        chunk_size: int | None,
-    ) -> np.ndarray:
-        """Run systems as one fused batch; their whole-plan rows, in order.
-
-        In-process when the runtime is serial, the call unseeded (private
-        component generators cannot cross processes), the plan a single
-        chunk, or a system unpicklable.  Otherwise the batch items split
-        into at most ``workers`` chunk ranges, whose rows are summed, and
-        the stream items travel whole as one more task, every task
-        reading the published plane.  Each stream item's final state is
-        committed into the caller's system either way.
-        """
-        arrays = columns.arrays
-        if chunk_size is None:
-            chunk_size = plan_chunk_size(
-                len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
-            )
-        n_chunks = len(plan_chunks(len(arrays), chunk_size))
-        items = tuple(
-            build_fused_item(index, system, seed) for index, system in enumerate(systems)
-        )
-        n_classes, traced = len(columns.classes), self._obs.enabled
-
-        def tasks(plane: _SegmentSpec | CaseArrays, parts: list) -> list[RangedFusedTask]:
-            return [
-                (plane, chunk_size, columns.positions, columns.codes, n_classes,
-                 part, chunk_range, traced)
-                for part, chunk_range in parts
-            ]
-
-        with self._obs.span(
-            "runtime.evaluate",
-            systems=len(items),
-            cases=len(arrays),
-            chunks=n_chunks,
-            chunk_size=chunk_size,
-        ):
-            parallel = self._workers > 1 and seed is not None and n_chunks > 1
-            if parallel:
-                for _, system, _, _ in items:
-                    try:
-                        pickle.dumps(system)
-                    except Exception:
-                        parallel = False
-                        self._note_degradation(
-                            "unpicklable_system",
-                            f"system {system.name!r} cannot be pickled; evaluating "
-                            "in-process instead of on the worker pool",
-                        )
-            pool = self._ensure_pool() if parallel else None
-            parts: list[tuple[tuple[FusedItem, ...], tuple[int, int] | None]] = [(items, None)]
-            outputs: list[FusedOutput] | None = None
-            if pool is not None:
-                batch = tuple(item for item in items if not item[3])
-                streams = tuple(item for item in items if item[3])
-                ranges = _chunk_ranges(n_chunks, self._workers) if batch else []
-                parts = [(batch, chunk_range) for chunk_range in ranges]
-                if streams:
-                    parts.append((streams, None))
-                plane = self._publish(entry) or arrays
-                outputs = self._on_pool(pool, run_fused_batch, tasks(plane, parts))
-            if outputs is None:  # serial, or the pool broke: the same parts in-process
-                outputs = [run_fused_batch(task) for task in tasks(arrays, parts)]
-            rows = np.zeros((len(items), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
-            for (part, _), output in zip(parts, outputs):
-                self._ingest_worker_payload(output.spans)
-                for (index, system, _, _), row, state in zip(part, output.rows, output.states):
-                    rows[index] += row
-                    if state is not None:  # a pooled task advanced a copy
-                        system.commit_stream(state)
-        return rows
 
     def _on_pool(
         self, pool: ProcessPoolExecutor, fn: Callable[[Any], Any], work: Sequence[Any]

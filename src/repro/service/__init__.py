@@ -22,7 +22,7 @@ from .app import (
     serve,
 )
 from .batcher import MicroBatcher
-from .cache import CachedWorkload, WorkloadCache
+from .cache import WorkloadCache
 from .protocol import (
     MAX_DRAWS,
     MAX_NUM_CASES,
@@ -52,7 +52,6 @@ __all__ = [
     "serve",
     "MicroBatcher",
     "WorkloadCache",
-    "CachedWorkload",
     "QuotaManager",
     "TokenBucket",
     "ProtocolError",

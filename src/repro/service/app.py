@@ -9,14 +9,14 @@ Architecture::
                                            │ fused batch
                                            ▼
                                  single engine thread ──▶ EngineRuntime
-                                           │                (pool + shm)
-                                           ▼
+                                           │          (in-process, or pool
+                                           ▼           + shm when multi-chunk)
                                    FusedCounts per request
 
-Every engine interaction — workload build, publication, fused dispatch —
-runs on one dedicated thread (``EngineRuntime`` is not thread-safe), fed
-by the event loop through the micro-batcher.  Requests sharing a
-workload fingerprint fuse into one dispatch; each carries its own seed,
+Every engine interaction — workload build, fused dispatch — runs on one
+dedicated thread (``EngineRuntime`` is not thread-safe), fed by the
+event loop through the micro-batcher.  Requests sharing a workload
+fingerprint fuse into one dispatch; each carries its own seed,
 and :func:`repro.engine.fused.run_fused_batch` derives per-item chunk
 generators from ``(seed, chunk_size)`` alone, so a coalesced response is
 bit-identical to the same request evaluated standalone (pinned by
@@ -60,7 +60,7 @@ from ..core import (
     paper_example_parameters,
 )
 from ..engine.executor import DEFAULT_CHUNK_SIZE
-from ..engine.fused import FusedCounts, build_fused_item, run_fused_batch
+from ..engine.fused import FusedCounts
 from ..engine.runtime import EngineRuntime
 from ..exceptions import EstimationError, SimulationError
 from ..obs import (
@@ -69,7 +69,7 @@ from ..obs import (
     build_run_report,
     prometheus_text,
 )
-from ..screening.classifier import CaseClassifier
+from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..sweep.grid import SystemSpec, WorkloadSpec
 from ..system.simulate import SystemEvaluation
 from ..trial.records import TrialRecords
@@ -132,10 +132,11 @@ class ServiceConfig:
     """Tunables of one service instance.
 
     Attributes:
-        workers: Engine pool size (1 = in-process dispatch).
-        linger_ms: Micro-batcher window: how long a lone request waits
-            for company before dispatching anyway.
-        max_batch: Batch-size bound; a full group dispatches immediately.
+        workers: Engine pool size (1 = in-process dispatch).  A batch
+            whose workload fits one chunk runs in-process either way;
+            the pool starts on the first batch spanning several chunks.
+        max_batch: Batch-size bound; a full group dispatches immediately
+            (other groups dispatch as soon as the engine is idle).
         chunk_size: Engine chunk size — fixed per service because it is
             half of the determinism contract ``(seed, chunk_size)``.
         max_cached_workloads: Capacity of both the service's workload
@@ -145,8 +146,8 @@ class ServiceConfig:
         quota_rps: Per-tenant sustained requests/second (``None``
             disables quotas).
         quota_burst: Per-tenant burst allowance.
-        max_queue_depth: Bound on requests queued or lingering; beyond
-            it new requests get 503.
+        max_queue_depth: Bound on requests admitted and not yet
+            answered; beyond it new requests get 503.
         monitor_alpha: Family-wise false-alarm rate of the monitoring
             plane's batch drift report.
         monitor_check_every: Used records between monitoring checkpoints
@@ -155,7 +156,6 @@ class ServiceConfig:
     """
 
     workers: int = 2
-    linger_ms: float = 2.0
     max_batch: int = 32
     chunk_size: int = DEFAULT_CHUNK_SIZE
     max_cached_workloads: int = 8
@@ -167,8 +167,6 @@ class ServiceConfig:
     monitor_check_every: int = 256
 
     def __post_init__(self) -> None:
-        if self.linger_ms < 0:
-            raise SimulationError(f"linger_ms must be >= 0, got {self.linger_ms!r}")
         if self.chunk_size < 1:
             raise SimulationError(f"chunk_size must be >= 1, got {self.chunk_size!r}")
         if self.max_queue_depth < 1:
@@ -213,9 +211,13 @@ class ScreeningService:
             obs=self._obs,
         )
         self._cache = WorkloadCache(
-            capacity=self._config.max_cached_workloads,
-            classifier=classifier,
-            obs=self._obs,
+            capacity=self._config.max_cached_workloads, obs=self._obs
+        )
+        self._classifier = (
+            classifier if classifier is not None else SingleClassClassifier()
+        )
+        self._class_names = tuple(
+            case_class.name for case_class in self._classifier.classes
         )
         self._quotas = QuotaManager(
             self._config.quota_rps, self._config.quota_burst
@@ -231,9 +233,7 @@ class ScreeningService:
             obs=self._obs,
         )
         self._batcher = MicroBatcher(
-            self._dispatch_batch,
-            linger_s=self._config.linger_ms / 1000.0,
-            max_batch=self._config.max_batch,
+            self._dispatch_batch, max_batch=self._config.max_batch
         )
         # EngineRuntime is not thread-safe: every touch of it (and of
         # the workload cache) is serialized on this one thread.
@@ -271,7 +271,7 @@ class ScreeningService:
         if self._draining:
             raise ServiceUnavailableError("service is draining", retry_after=5.0)
         # One admitted request is one unit of depth from admission until
-        # its response resolves — lingering in the batcher, dispatched,
+        # its response resolves — waiting in the batcher, dispatched,
         # or awaiting demultiplexing are all "in the building".
         depth = self._inflight_requests
         self._obs.gauge("service.queue_depth", depth)
@@ -473,30 +473,21 @@ class ScreeningService:
         )
 
     def _dispatch_sync(self, items: list[_BatchItem]) -> list[FusedCounts]:
-        """One fused dispatch for one batch (engine thread only)."""
+        """One fused dispatch for one batch (engine thread only).
+
+        The runtime places it as it places a ``compare``: in-process when
+        the workload fits one chunk, split into chunk ranges over the
+        pool otherwise.
+        """
         with self._obs.span("service.dispatch", items=len(items)):
-            cached = self._cache.get(items[0][0])
-            # Republish every dispatch: a cache hit on the workload's
-            # once-computed fingerprint when the segment is resident, a
-            # fresh publication if the runtime's shm LRU evicted it
-            # meanwhile — never a stale segment name.
-            arrays, segment = self._runtime.publish_workload(cached.workload)
-            plane: Any = segment if segment is not None else arrays
-            fused = tuple(
-                build_fused_item(index, system.build(seed), seed)
-                for index, (_, system, seed) in enumerate(items)
+            rows = self._runtime.run_fused(
+                self._cache.get(items[0][0]),
+                [(system.build(seed), seed) for _, system, seed in items],
+                classifier=self._classifier,
+                chunk_size=self._config.chunk_size,
             )
-            task = (
-                plane,
-                self._config.chunk_size,
-                cached.positions,
-                cached.codes,
-                len(cached.class_names),
-                fused,
-            )
-            rows = self._runtime.map(run_fused_batch, [task])[0]
             self._obs.count("service.dispatches")
-            return [FusedCounts.from_row(row, cached.class_names) for row in rows]
+            return [FusedCounts.from_row(row, self._class_names) for row in rows]
 
     def _uncertainty_sync(
         self, profile_name: str, trials: int, draws: int, seed: int, level: float
@@ -565,6 +556,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -604,10 +596,12 @@ def _text_response(status: int, text: str) -> bytes:
 
 
 class _FramingError(Exception):
-    """A request whose body cannot be framed: answered, then closed.
+    """A request that cannot be framed: answered, then closed.
 
-    ``status`` is 400 for a malformed or negative ``Content-Length`` and
-    413 for one over the body limit.
+    ``status`` is 400 for a request line over the stream's line limit or
+    a malformed or negative ``Content-Length``, 413 for a body over the
+    body limit, and 431 for a header line over the line limit or more
+    than :data:`_MAX_HEADER_LINES` headers.
     """
 
     def __init__(self, status: int, message: str):
@@ -615,18 +609,30 @@ class _FramingError(Exception):
         self.status = status
 
 
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One line off the stream, or a :class:`_FramingError` with ``status``
+    when it is longer than the stream's limit (``readline`` reports an
+    overrun as ``ValueError``)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _FramingError(status, f"{what} exceeds the line limit") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one HTTP/1.1 request; ``None`` on EOF or a malformed head.
+    """Parse one HTTP/1.1 request; ``None`` on EOF or a malformed request line.
 
     Raises:
-        _FramingError: when ``Content-Length`` is not a decimal byte
-            count or exceeds the body limit.
+        _FramingError: when a line is over the stream's limit, the head
+            has more than :data:`_MAX_HEADER_LINES` headers, or
+            ``Content-Length`` is not a decimal byte count or exceeds the
+            body limit.
     """
     try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        request_line = await _read_line(reader, 400, "request line")
+    except ConnectionError:
         return None
     if not request_line:
         return None
@@ -635,14 +641,14 @@ async def _read_request(
         return None
     method, path, _version = parts
     headers: dict[str, str] = {}
-    for _ in range(_MAX_HEADER_LINES):
-        line = await reader.readline()
+    for _ in range(_MAX_HEADER_LINES + 1):
+        line = await _read_line(reader, 431, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     else:
-        return None
+        raise _FramingError(431, f"more than {_MAX_HEADER_LINES} header lines")
     declared = headers.get("content-length", "0") or "0"
     if not (declared.isascii() and declared.isdigit()):
         raise _FramingError(400, f"malformed Content-Length {declared!r}")
@@ -655,6 +661,18 @@ async def _read_request(
     return method, path, headers, body
 
 
+#: The one method each endpoint answers.
+_METHODS = {
+    "/healthz": "GET",
+    "/v1/metrics": "GET",
+    "/v1/monitor": "GET",
+    "/v1/evaluate": "POST",
+    "/v1/compare": "POST",
+    "/v1/uncertainty": "POST",
+    "/v1/ingest": "POST",
+}
+
+
 def _request_report(obs: Instrumentation, name: str) -> dict[str, Any]:
     return build_run_report(obs, name).as_dict()
 
@@ -664,7 +682,14 @@ async def _handle_request(
 ) -> bytes:
     tenant = headers.get("x-tenant", "default")
     path, _, query = path.partition("?")
-    if method == "GET" and path == "/healthz":
+    allowed = _METHODS.get(path)
+    if allowed is None:
+        return _json_response(404, {"error": f"unknown path {path!r}"})
+    if method != allowed:
+        return _json_response(
+            405, {"error": f"{path} requires {allowed}"}, extra_headers=[("Allow", allowed)]
+        )
+    if path == "/healthz":
         status = "draining" if service.draining else "ok"
         return _json_response(
             200,
@@ -674,7 +699,7 @@ async def _handle_request(
                 "alarms": service.monitor.tripped_alarms,
             },
         )
-    if method == "GET" and path == "/v1/metrics":
+    if path == "/v1/metrics":
         exposition = parse_qs(query).get("format", ["json"])[-1]
         if exposition == "prometheus":
             return _text_response(200, prometheus_text(service.metrics_snapshot()))
@@ -685,12 +710,8 @@ async def _handle_request(
                           "expected 'json' or 'prometheus'"},
             )
         return _json_response(200, service.metrics_snapshot())
-    if method == "GET" and path == "/v1/monitor":
+    if path == "/v1/monitor":
         return _json_response(200, service.monitor_payload())
-    if path not in ("/v1/evaluate", "/v1/compare", "/v1/uncertainty", "/v1/ingest"):
-        return _json_response(404, {"error": f"unknown path {path!r}"})
-    if method != "POST":
-        return _json_response(405, {"error": f"{path} requires POST"})
     try:
         payload = json.loads(body.decode() or "null")
     except (UnicodeDecodeError, ValueError) as exc:

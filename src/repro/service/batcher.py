@@ -1,12 +1,17 @@
 """The micro-batcher: where concurrent requests become one dispatch.
 
 Requests sharing a *batch key* (workload fingerprint + chunk size) are
-collected into a group; the group fires as one fused engine dispatch
-when either the linger window expires or the group reaches
-``max_batch`` items.  The linger window is the coalescing bargain: a
-bounded few milliseconds of added latency buys the amortisation of the
-pool round-trip, workload publication, and tally across every request
-in the batch.
+collected into a group, and groups fire by a work-conserving rule:
+
+* when no dispatch is in flight, every group formed during an
+  event-loop tick fires at the end of that tick, so a burst submitted
+  together fuses and a lone request never waits;
+* while a dispatch is in flight, submissions coalesce per key, and every
+  waiting group fires as soon as any in-flight dispatch completes;
+* a group that reaches ``max_batch`` items fires at once.
+
+Nothing waits on a timer: a batch only ever waits for the engine, which
+is busy with the dispatches ahead of it.
 
 Coalescing is invisible in the results by construction: the dispatch
 callback receives the items exactly as submitted (each carrying its own
@@ -33,41 +38,32 @@ DispatchFn = Callable[[Hashable, Sequence[Any]], Awaitable[Sequence[Any]]]
 class _Group:
     """One batch key's pending items and their waiting futures."""
 
-    __slots__ = ("items", "futures", "timer")
+    __slots__ = ("items", "futures")
 
     def __init__(self) -> None:
         self.items: list[Any] = []
         self.futures: list[asyncio.Future] = []
-        self.timer: asyncio.TimerHandle | None = None
 
 
 class MicroBatcher:
-    """Coalesce submissions per key into bounded, lingering batches.
+    """Coalesce submissions per key into work-conserving batches.
 
     Single-event-loop only (the service's); submissions from the loop
     thread need no locks.
     """
 
-    def __init__(
-        self,
-        dispatch: DispatchFn,
-        *,
-        linger_s: float = 0.002,
-        max_batch: int = 32,
-    ) -> None:
-        if linger_s < 0:
-            raise SimulationError(f"linger_s must be >= 0, got {linger_s!r}")
+    def __init__(self, dispatch: DispatchFn, *, max_batch: int = 32) -> None:
         if max_batch < 1:
             raise SimulationError(f"max_batch must be >= 1, got {max_batch!r}")
         self._dispatch = dispatch
-        self._linger_s = linger_s
         self._max_batch = max_batch
         self._groups: dict[Hashable, _Group] = {}
         self._inflight: set[asyncio.Task] = set()
+        self._tick_end: asyncio.Handle | None = None
 
     @property
     def queued(self) -> int:
-        """Items currently lingering (not yet dispatched)."""
+        """Items waiting to be dispatched."""
         return sum(len(group.items) for group in self._groups.values())
 
     @property
@@ -83,33 +79,37 @@ class MicroBatcher:
         exception.
         """
         loop = asyncio.get_running_loop()
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = _Group()
-            if self._linger_s > 0:
-                group.timer = loop.call_later(self._linger_s, self._fire, key)
+        group = self._groups.setdefault(key, _Group())
         future: asyncio.Future = loop.create_future()
         group.items.append(item)
         group.futures.append(future)
         if len(group.items) >= self._max_batch:
             self._fire(key)
-        elif self._linger_s == 0:
-            # Zero linger means "coalesce only what is already waiting":
-            # fire at the end of this event-loop tick, so a burst
-            # submitted in one tick still fuses.
-            if group.timer is None:
-                group.timer = loop.call_later(0, self._fire, key)
+        elif not self._inflight and self._tick_end is None:
+            # The engine is idle: fire at the end of this tick, so a
+            # burst submitted in one tick still fuses.
+            self._tick_end = loop.call_soon(self._fire_waiting)
         return future
 
+    def _fire_waiting(self) -> None:
+        """Fire every waiting group, one dispatch per key."""
+        if self._tick_end is not None:
+            self._tick_end.cancel()
+            self._tick_end = None
+        for key in list(self._groups):
+            self._fire(key)
+
     def _fire(self, key: Hashable) -> None:
-        group = self._groups.pop(key, None)
-        if group is None:
-            return
-        if group.timer is not None:
-            group.timer.cancel()
+        group = self._groups.pop(key)
         task = asyncio.ensure_future(self._run(key, group))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(self._finished)
+
+    def _finished(self, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        # On every completion: a key that keeps filling full batches keeps
+        # a dispatch in flight, and would starve other keys' partial groups.
+        self._fire_waiting()
 
     async def _run(self, key: Hashable, group: _Group) -> None:
         try:
@@ -130,9 +130,8 @@ class MicroBatcher:
                 future.set_result((result, batch_size))
 
     async def flush(self) -> None:
-        """Fire every lingering group and wait for all dispatches."""
+        """Fire every waiting group and wait for all dispatches."""
         while self._groups or self._inflight:
-            for key in list(self._groups):
-                self._fire(key)
+            self._fire_waiting()
             if self._inflight:
                 await asyncio.gather(*self._inflight, return_exceptions=True)

@@ -1,6 +1,5 @@
 """Executor mechanics: chunk planning, parallel fan-out, array views."""
 
-import numpy as np
 import pytest
 
 from repro.cadt import Cadt

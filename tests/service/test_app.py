@@ -19,7 +19,7 @@ from repro.sweep.grid import SystemSpec, WorkloadSpec
 
 WORKLOAD = WorkloadSpec(population="routine", num_cases=120)
 SYSTEM = SystemSpec()
-CONFIG = ServiceConfig(workers=1, linger_ms=1.0, chunk_size=128)
+CONFIG = ServiceConfig(workers=1, chunk_size=128)
 
 
 class TestAdmissionControl:
@@ -27,7 +27,6 @@ class TestAdmissionControl:
         async def main():
             config = ServiceConfig(
                 workers=1,
-                linger_ms=1.0,
                 chunk_size=128,
                 quota_rps=1.0,
                 quota_burst=1.0,
@@ -47,7 +46,6 @@ class TestAdmissionControl:
         async def main():
             config = ServiceConfig(
                 workers=1,
-                linger_ms=50.0,
                 max_batch=64,
                 chunk_size=128,
                 max_queue_depth=2,
@@ -60,7 +58,7 @@ class TestAdmissionControl:
                 second = asyncio.ensure_future(
                     service.evaluate(WORKLOAD, SYSTEM, seed=2)
                 )
-                await asyncio.sleep(0)  # both admitted and lingering
+                await asyncio.sleep(0)  # both admitted, not yet answered
                 with pytest.raises(ServiceUnavailableError) as excinfo:
                     await service.evaluate(WORKLOAD, SYSTEM, seed=3)
                 assert excinfo.value.status == 503
@@ -83,13 +81,13 @@ class TestAdmissionControl:
     def test_drain_is_idempotent_and_completes_queued_work(self):
         async def main():
             service = ScreeningService(
-                ServiceConfig(workers=1, linger_ms=500.0, chunk_size=128)
+                ServiceConfig(workers=1, chunk_size=128)
             )
             future = asyncio.ensure_future(
                 service.evaluate(WORKLOAD, SYSTEM, seed=5)
             )
             await asyncio.sleep(0)
-            # Drain fires the lingering batch instead of waiting 500ms.
+            # Drain waits for the queued batch to finish.
             await asyncio.wait_for(service.drain(), timeout=30.0)
             evaluation = await future
             assert evaluation.false_negative is not None
@@ -135,9 +133,8 @@ class TestWorkloadCache:
         assert counters["service.workload_cache.miss"] == 3
         assert counters["service.workload_cache.evicted"] == 2
         # Rebuilt entries are bit-identical: specs build deterministically.
-        assert entry_a_again.key == entry_a.key
-        assert (entry_a_again.positions == entry_a.positions).all()
-        assert (entry_a_again.codes == entry_a.codes).all()
+        assert entry_a_again is not entry_a
+        assert entry_a_again.fingerprint() == entry_a.fingerprint()
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(SimulationError, match="capacity"):
@@ -176,15 +173,20 @@ async def read_response(reader):
 
 
 async def framing_exchange(port, content_length):
-    """POST with a hand-written ``Content-Length`` and no body.
+    """POST with a hand-written ``Content-Length`` and no body."""
+    head = f"POST /v1/evaluate HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n"
+    return await raw_exchange(port, head.encode())
+
+
+async def raw_exchange(port, head):
+    """Send raw request bytes.
 
     Returns the response's status, headers and JSON body, and whether
     the server closed the connection after answering.
     """
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    head = f"POST /v1/evaluate HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n"
     try:
-        writer.write(head.encode())
+        writer.write(head)
         await writer.drain()
         status, headers, data = await read_response(reader)
         closed = await asyncio.wait_for(reader.read(), timeout=10.0) == b""
@@ -371,7 +373,7 @@ class TestHttpLayer:
                 )
             return waves
 
-        config = ServiceConfig(workers=1, linger_ms=50.0, chunk_size=128)
+        config = ServiceConfig(workers=1, chunk_size=128)
         for wave, reason in zip(self.run_with_server(config, scenario), ("too low", "finite")):
             assert [status for status, _, _ in wave] == [400, 200, 200]
             assert reason in wave[0][2]["error"]
@@ -380,7 +382,6 @@ class TestHttpLayer:
     def test_quota_rejection_is_429_with_retry_after_header(self):
         config = ServiceConfig(
             workers=1,
-            linger_ms=1.0,
             chunk_size=128,
             quota_rps=0.5,
             quota_burst=1.0,
@@ -419,6 +420,38 @@ class TestHttpLayer:
         assert headers["connection"] == "close"
         assert closed
 
+    @pytest.mark.parametrize(
+        ("head", "status", "reason"),
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400, "request line"),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431,
+             "header line"),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431,
+             "more than 100 header lines"),
+        ],
+        ids=["long-request-line", "long-header-line", "too-many-headers"],
+    )
+    def test_oversized_head_is_answered_then_close(self, head, status, reason):
+        # Each once dropped the connection without a response: a line over
+        # the stream's 64 KiB limit raised out of the connection task.
+        async def scenario(port):
+            return await raw_exchange(port, head)
+
+        got, headers, data, closed = self.run_with_server(CONFIG, scenario)
+        assert got == status
+        assert reason in data["error"]
+        assert headers["connection"] == "close"
+        assert closed
+
+    def test_hundred_headers_are_accepted(self):
+        async def scenario(port):
+            # Content-Length plus 99 more: exactly the limit.
+            return await http_request(port, "GET", "/healthz", headers=[("X-Many", "1")] * 99)
+
+        status, _, data = self.run_with_server(CONFIG, scenario)
+        assert status == 200
+        assert data["status"] == "ok"
+
     def test_oversized_content_length_is_413_then_close(self):
         async def scenario(port):
             return await framing_exchange(port, 1 << 30)
@@ -433,13 +466,21 @@ class TestHttpLayer:
         async def scenario(port):
             missing = await http_request(port, "GET", "/v1/nope")
             wrong = await http_request(port, "GET", "/v1/evaluate")
-            return missing, wrong
+            wrong_get = [
+                await http_request(port, "POST", path)
+                for path in ("/v1/monitor", "/healthz", "/v1/metrics")
+            ]
+            return missing, wrong, wrong_get
 
-        (status_missing, _, _), (status_wrong, _, _) = self.run_with_server(
-            CONFIG, scenario
+        (status_missing, _, _), (status_wrong, allow, _), wrong_get = (
+            self.run_with_server(CONFIG, scenario)
         )
         assert status_missing == 404
         assert status_wrong == 405
+        assert allow["allow"] == "POST"
+        assert [status for status, _, _ in wrong_get] == [405, 405, 405]
+        assert [headers["allow"] for _, headers, _ in wrong_get] == ["GET"] * 3
+        assert all("requires GET" in data["error"] for _, _, data in wrong_get)
 
     def test_healthz_and_metrics(self):
         async def scenario(port):

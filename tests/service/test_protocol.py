@@ -207,7 +207,7 @@ class TestRequestLimits:
             service.close()
 
     def test_over_limit_requests_are_400_and_keep_the_connection(self):
-        config = ServiceConfig(workers=1, linger_ms=1.0, chunk_size=128, max_batch=2)
+        config = ServiceConfig(workers=1, chunk_size=128, max_batch=2)
         workload = {"population": "routine", "num_cases": 60}
         requests = [
             ("/v1/evaluate", evaluate_body(workload={"population": "routine",
