@@ -22,53 +22,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Mapping
 
-from .._stats import UNLOADED, scipy_distribution
 from ..core.case_class import CaseClass
 from ..core.parameters import ModelParameters
 from ..core.profile import DemandProfile
 from ..exceptions import EstimationError
 from ..trial.records import TrialRecords
 
-#: ``scipy.stats.chi2``, imported on first use (``None``: scipy absent).
-_scipy_chi2: Any = UNLOADED
-
 __all__ = ["DriftTest", "MonitoringReport", "profile_drift_test", "rate_drift_test", "monitor_records"]
 
 
-def _chi2() -> Any:
-    """``scipy.stats.chi2``, imported on the first call; ``None`` without scipy."""
-    global _scipy_chi2
-    if _scipy_chi2 is UNLOADED:
-        _scipy_chi2 = scipy_distribution("chi2")
-    return _scipy_chi2
-
-
 def _chi2_survival(statistic: float, dof: int) -> float:
-    """P(Chi2_dof >= statistic); exact for integer dof, scipy or not.
-
-    Delegates to scipy when available; otherwise evaluates the closed
-    form for integer degrees of freedom:
+    """P(Chi2_dof >= statistic), by the closed form for integer dof:
 
         Q(x; 2)   = exp(-x/2)
         Q(x; 1)   = erfc(sqrt(x/2))
         Q(x; k+2) = Q(x; k) + (x/2)^(k/2) * exp(-x/2) / Gamma(k/2 + 1)
 
     so even dof reduce to a Poisson tail and odd dof to erfc plus a
-    half-integer series.  This replaced a Wilson-Hilferty normal
-    approximation whose relative error in the far tail (small p-values,
-    exactly where monitors alarm) reached tens of percent; the series
-    matches scipy to ~1e-12 relative (see
-    ``tests/analysis/test_monitoring.py::TestChi2SurvivalFallback``).
+    half-integer series.  The series matches ``scipy.stats.chi2.sf`` to
+    ~1e-12 relative, far tail included, where monitors alarm (see
+    ``tests/analysis/test_monitoring.py::TestChi2SurvivalFallback``), so
+    the monitors never import scipy.
     """
     if dof < 1:
         raise EstimationError(f"chi-square dof must be >= 1, got {dof!r}")
     if statistic <= 0.0:
         return 1.0
-    chi2 = _chi2()
-    if chi2 is not None:
-        return float(chi2.sf(statistic, dof))
     half = 0.5 * statistic
     if dof % 2 == 0:
         # Q(x; 2m) = e^{-x/2} * sum_{j=0}^{m-1} (x/2)^j / j!
@@ -86,11 +67,6 @@ def _chi2_survival(statistic: float, dof: int) -> float:
                 term *= half / (j - 0.5)
             total += term
     return min(1.0, total)
-
-
-def _normal_survival(z: float) -> float:
-    """P(Z >= z) for a standard normal."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -188,7 +164,8 @@ def rate_drift_test(
         z = 0.0 if observed == reference_rate else float("inf")
     else:
         z = (observed - reference_rate) / math.sqrt(variance)
-    p_value = 2.0 * _normal_survival(abs(z)) if math.isfinite(z) else 0.0
+    # Two-sided: 2 P(Z >= |z|) = erfc(|z| / sqrt(2)).
+    p_value = math.erfc(abs(z) / math.sqrt(2.0)) if math.isfinite(z) else 0.0
     return DriftTest(
         name=name,
         statistic=z,

@@ -49,7 +49,7 @@ from ..core.sequential import CovarianceDecomposition
 from ..exceptions import EstimationError
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from ..trial.records import CaseRecord
-from .monitoring import MonitoringReport, _chi2, profile_drift_test, rate_drift_test
+from .monitoring import MonitoringReport, profile_drift_test, rate_drift_test
 
 __all__ = [
     "ESTIMATOR_STATE_SCHEMA",
@@ -774,9 +774,6 @@ class StreamMonitor:
             raise EstimationError(
                 f"sprt_drift_factor must be positive and != 1, got {sprt_drift_factor!r}"
             )
-        # The drift tests' p-values need scipy's chi-square: import it
-        # with the monitor, not inside the first report mid-stream.
-        _chi2()
         self.reference_parameters = reference_parameters
         self.reference_profile = reference_profile
         self.alpha = float(alpha)

@@ -21,15 +21,11 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .._stats import UNLOADED, scipy_distribution
 from ..exceptions import EstimationError, ParameterError
 from .case_class import CaseClass
 from .parameters import ClassParameters, ModelParameters
 from .profile import DemandProfile
 from .sequential import SequentialModel
-
-#: ``scipy.stats.beta``, imported on first use (``None``: scipy absent).
-_scipy_beta: Any = UNLOADED
 
 __all__ = [
     "BetaPosterior",
@@ -39,6 +35,16 @@ __all__ = [
 ]
 
 ClassKey = CaseClass | str
+
+
+def _scipy_beta() -> Any:
+    """``scipy.stats.beta``, imported on first use; ``None`` without scipy."""
+    try:
+        from scipy.stats import beta
+    except ImportError:  # pragma: no cover - environment-dependent
+        return None
+    return beta
+
 
 #: Jeffreys prior pseudo-counts, the default non-informative prior.
 JEFFREYS_PRIOR = (0.5, 0.5)
@@ -175,14 +181,12 @@ class BetaPosterior:
         Uses scipy's exact inverse regularised incomplete beta function
         when available, otherwise a seeded Monte Carlo estimate.
         """
-        global _scipy_beta
         if not 0.0 <= q <= 1.0:
             raise EstimationError(f"quantile level must be in [0, 1], got {q!r}")
-        if _scipy_beta is UNLOADED:
-            _scipy_beta = scipy_distribution("beta")
-        if _scipy_beta is not None:
+        beta = _scipy_beta()
+        if beta is not None:
             try:
-                value = float(_scipy_beta.ppf(q, self.alpha, self.beta))
+                value = float(beta.ppf(q, self.alpha, self.beta))
             except OverflowError:
                 value = math.nan
             if math.isfinite(value):

@@ -42,7 +42,7 @@ import pickle
 import warnings
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -58,7 +58,7 @@ from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
 from ..system.simulate import FailureTally, SystemEvaluation, evaluate_system
 from ..system.single import ScreeningSystem
-from .arrays import ARRAY_FIELDS, CaseArrays
+from .arrays import ARRAY_FIELDS, ENTRIES_PER_KIND, CaseArrays
 from .executor import (
     DEFAULT_CHUNK_SIZE,
     cancer_class_codes,
@@ -204,6 +204,15 @@ def _chunk_ranges(n_chunks: int, parts: int) -> list[tuple[int, int]]:
     return [(int(part[0]), int(part[-1]) + 1) for part in split]
 
 
+def _picklable(*objects: Any) -> bool:
+    """Whether the objects pickle (an error path's check)."""
+    try:
+        pickle.dumps(objects)
+    except Exception:
+        return False
+    return True
+
+
 def _tally_from_row(row: np.ndarray, classes: Sequence[CaseClass]) -> FailureTally:
     """A count-matrix row as a tally over the classifier's own classes."""
     class_failures, class_trials = row[4:].reshape(2, len(classes))
@@ -229,7 +238,8 @@ class _CachedWorkload:
     segment: shared_memory.SharedMemory | None = None
     spec: _SegmentSpec | None = None
     #: Per-classifier cache: ``id(classifier)`` -> (classifier — a strong
-    #: reference keeping the id stable — the workload's columns under it).
+    #: reference keeping the id stable — the workload's columns under it),
+    #: at most ``ENTRIES_PER_KIND``, oldest out.
     columns: dict[int, tuple[CaseClassifier, _Columns]] = field(default_factory=dict)
 
 
@@ -636,9 +646,10 @@ class EngineRuntime:
 
         The generic escape hatch for grid work (extrapolation cells,
         sweep row blocks).  Order is preserved.  Falls back to an
-        in-process loop when the runtime is serial or ``fn``/``items``
-        cannot be pickled, and recomputes in-process if the pool breaks
-        — the result is the same either way.
+        in-process loop when the runtime is serial, and recomputes
+        in-process when the pool breaks or fails to pickle ``fn`` or any
+        item (told from ``fn``'s own errors by pickling them again, on
+        that path only) — the result is the same either way.
         """
         if self._closed:
             raise SimulationError("cannot map on a closed EngineRuntime")
@@ -647,17 +658,17 @@ class EngineRuntime:
             return []
         with self._obs.span("runtime.map", items=len(work)):
             pool = self._ensure_pool()
-            if pool is not None:
-                try:
-                    pickle.dumps((fn, work[0]))
-                except Exception:
-                    pool = None
-                    self._note_degradation(
-                        "unpicklable_map",
-                        f"{getattr(fn, '__name__', fn)!r} (or its items) cannot "
-                        "be pickled; mapping in-process instead of on the pool",
-                    )
-            results = None if pool is None else self._on_pool(pool, fn, work)
+            try:
+                results = None if pool is None else self._on_pool(pool, fn, work)
+            except (pickle.PicklingError, TypeError, AttributeError):
+                if _picklable(fn, *work):
+                    raise  # fn's own error, or its result's
+                self._note_degradation(
+                    "unpicklable_map",
+                    f"{getattr(fn, '__name__', fn)!r} (or its items) cannot "
+                    "be pickled; mapping in-process instead of on the pool",
+                )
+                results = None
             return [fn(item) for item in work] if results is None else results
 
     # -- internals ------------------------------------------------------
@@ -692,7 +703,12 @@ class EngineRuntime:
         self, pool: ProcessPoolExecutor, fn: Callable[[Any], Any], work: Sequence[Any]
     ) -> list[Any] | None:
         """``fn`` over ``work`` on the pool, in order; ``None`` when the pool
-        broke (it is dropped, and the caller recomputes in-process)."""
+        broke (it is dropped, and the caller recomputes in-process).  Any
+        other error propagates once every task is cancelled or settled: a
+        task still being pickled at a ``cancel_futures`` shutdown would
+        leave the pool waiting for it forever.
+        """
+        futures: list[Future] = []
         try:
             futures = [pool.submit(fn, item) for item in work]
             return [future.result() for future in futures]
@@ -704,6 +720,11 @@ class EngineRuntime:
                 "unaffected)",
             )
             return None
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         """The persistent pool, created on first parallel need (or None)."""
@@ -752,7 +773,9 @@ class EngineRuntime:
         Keyed by classifier identity (classifiers are deterministic by
         protocol, but only *this object's* determinism is known — two
         distinct instances are never conflated).  The entry keeps a
-        strong reference to the classifier so the id cannot be reused.
+        strong reference to the classifier so the id cannot be reused,
+        and at most ``ENTRIES_PER_KIND`` of them, as :meth:`compare`
+        brings a fresh one per call when given none.
         """
         cached = entry.columns.get(id(classifier))
         if cached is not None and cached[0] is classifier:
@@ -771,6 +794,8 @@ class EngineRuntime:
         )
         columns = _Columns(entry.arrays, positions, codes, tuple(classifier.classes))
         entry.columns[id(classifier)] = (classifier, columns)
+        if len(entry.columns) > ENTRIES_PER_KIND:
+            del entry.columns[next(iter(entry.columns))]
         return columns
 
     def _publish(self, entry: _CachedWorkload) -> _SegmentSpec | None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..analysis.monitoring import DriftTest, MonitoringReport
+from ..core.case_class import CaseClass
 from ..exceptions import EstimationError, SimulationError
 from ..sweep.grid import PROFILES, SystemSpec, WorkloadSpec
 from ..system.simulate import RateEstimate, SystemEvaluation
@@ -250,9 +251,10 @@ def parse_ingest_request(payload: Any) -> IngestRequest:
     if not isinstance(entries, (list, tuple)) or not entries:
         raise ProtocolError("ingest request must list at least one record")
     records = TrialRecords()
+    classes: dict[str, CaseClass] = {}
     for index, entry in enumerate(entries):
         try:
-            records.append(record_from_entry(entry))
+            records.append(record_from_entry(entry, classes))
         except EstimationError as exc:
             raise ProtocolError(f"records[{index}]: {exc}") from exc
     return IngestRequest(records=records)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .._stats import normal_quantile
 from ..core.uncertainty import BetaPosterior
 from ..exceptions import EstimationError
 
@@ -28,8 +29,8 @@ __all__ = [
     "jeffreys_interval",
 ]
 
-#: Two-sided standard-normal quantiles for common levels (used by Wilson
-#: when scipy is unavailable; exact enough for interval construction).
+#: Two-sided standard-normal quantiles for common levels, to the ten decimals
+#: Wilson intervals have always used; other levels take ``normal_quantile``.
 _Z_BY_LEVEL = {0.80: 1.2815515655, 0.90: 1.6448536270, 0.95: 1.9599639845, 0.99: 2.5758293035}
 
 
@@ -78,14 +79,7 @@ def _check_counts(events: int, trials: int) -> None:
 def _z_for_level(level: float) -> float:
     if level in _Z_BY_LEVEL:
         return _Z_BY_LEVEL[level]
-    try:  # scipy gives arbitrary levels exactly when present
-        from scipy.stats import norm
-
-        return float(norm.ppf(1.0 - (1.0 - level) / 2.0))
-    except ImportError:  # pragma: no cover - environment-dependent
-        raise EstimationError(
-            f"level {level!r} needs scipy; without it use one of {sorted(_Z_BY_LEVEL)}"
-        ) from None
+    return -normal_quantile((1.0 - level) / 2.0)
 
 
 def wilson_interval(events: int, trials: int, level: float = 0.95) -> ConfidenceInterval:

@@ -19,8 +19,9 @@ import csv
 import json
 import os
 import time
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from ..core.case_class import CaseClass
 from ..exceptions import EstimationError
@@ -188,72 +189,85 @@ def record_to_entry(record: CaseRecord) -> dict[str, Any]:
     }
 
 
+#: The keys a record entry may carry.
+_ENTRY_KEYS = frozenset(CSV_COLUMNS)
+
+
 def _entry_bool(entry: Mapping[str, Any], key: str) -> bool:
     value = entry.get(key)
-    if not isinstance(value, bool):
+    if value is not True and value is not False:
         raise EstimationError(f"record field {key!r} must be a boolean, got {value!r}")
     return value
 
 
-def record_from_entry(entry: Mapping[str, Any]) -> CaseRecord:
+def record_from_entry(
+    entry: Mapping[str, Any], classes: dict[str, CaseClass] | None = None
+) -> CaseRecord:
     """Parse a JSON object written by :func:`record_to_entry`.
 
     Strict in the journal's spirit: unknown keys and mistyped fields are
     rejected loudly rather than silently coerced — a record that only
     *almost* parses would silently corrupt every downstream estimate.
+    Exact types (decoded JSON's ``dict``, ``int``, ``str``) are tested
+    before ``isinstance``.  ``classes`` (name -> :class:`CaseClass`, one
+    dict per batch, never kept: the names are the client's) builds each
+    class once.
 
     Raises:
         EstimationError: on a non-object entry, unknown/missing keys, a
             mistyped field, or an internally inconsistent record (e.g.
             aided without ``machine_failed``).
     """
-    if not isinstance(entry, Mapping):
+    if type(entry) is not dict and not isinstance(entry, Mapping):
         raise EstimationError(
             f"record entry must be a JSON object, got {type(entry).__name__}"
         )
-    unknown = set(entry) - set(CSV_COLUMNS)
-    if unknown:
+    if not _ENTRY_KEYS.issuperset(entry):
         raise EstimationError(
-            f"unknown record fields {sorted(unknown)}; expected {list(CSV_COLUMNS)}"
+            f"unknown record fields {sorted(set(entry) - _ENTRY_KEYS)}; "
+            f"expected {list(CSV_COLUMNS)}"
         )
-    case_id = entry.get("case_id")
-    if not isinstance(case_id, int) or isinstance(case_id, bool):
+    get = entry.get
+    case_id = get("case_id")
+    if type(case_id) is not int and (not isinstance(case_id, int) or isinstance(case_id, bool)):
         raise EstimationError(
             f"record field 'case_id' must be an integer, got {case_id!r}"
         )
-    reader_name = entry.get("reader_name")
-    if not isinstance(reader_name, str):
+    reader_name = get("reader_name")
+    if type(reader_name) is not str and not isinstance(reader_name, str):
         raise EstimationError(
             f"record field 'reader_name' must be a string, got {reader_name!r}"
         )
-    class_name = entry.get("case_class")
-    if not isinstance(class_name, str) or not class_name:
+    class_name = get("case_class")
+    if (type(class_name) is not str and not isinstance(class_name, str)) or not class_name:
         raise EstimationError(
             f"record field 'case_class' must be a non-empty string, got {class_name!r}"
         )
-    machine_failed = entry.get("machine_failed")
-    if machine_failed is not None and not isinstance(machine_failed, bool):
+    machine_failed = get("machine_failed")
+    if machine_failed is not None and machine_failed is not True and machine_failed is not False:
         raise EstimationError(
             f"record field 'machine_failed' must be a boolean or null, "
             f"got {machine_failed!r}"
         )
-    false_prompts = entry.get("machine_false_prompts")
-    if false_prompts is not None and (
+    false_prompts = get("machine_false_prompts")
+    if false_prompts is not None and type(false_prompts) is not int and (
         not isinstance(false_prompts, int) or isinstance(false_prompts, bool)
     ):
         raise EstimationError(
             f"record field 'machine_false_prompts' must be an integer or null, "
             f"got {false_prompts!r}"
         )
+    classes = {} if classes is None else classes
+    case_class = classes.get(class_name) or classes.setdefault(class_name, CaseClass(class_name))
     return CaseRecord(
-        case_id=case_id,
-        reader_name=reader_name,
-        case_class=CaseClass(class_name),
-        has_cancer=_entry_bool(entry, "has_cancer"),
-        aided=_entry_bool(entry, "aided"),
-        machine_failed=machine_failed,
-        machine_false_prompts=false_prompts,
-        recalled=_entry_bool(entry, "recalled"),
+        case_id,
+        reader_name,
+        case_class,
+        _entry_bool(entry, "has_cancer"),
+        _entry_bool(entry, "aided"),
+        machine_failed,
+        false_prompts,
+        _entry_bool(entry, "recalled"),
     )
 
 

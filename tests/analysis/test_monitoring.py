@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    MonitoringReport,
     monitor_records,
     profile_drift_test,
     rate_drift_test,
 )
+from repro.analysis.monitoring import _chi2_survival
 from repro.core import (
     CaseClass,
     ClassParameters,
@@ -62,9 +62,10 @@ def sample_field_records(
 
 
 class TestChi2SurvivalFallback:
-    """The scipy-free ``_chi2_survival`` branch (exact integer-dof series).
+    """``_chi2_survival``, the monitors' one chi-square path (the exact
+    integer-dof series; scipy is never imported for it).
 
-    Precomputed scipy 1.17 reference values pin the fallback even when
+    Precomputed scipy 1.17 reference values pin the series even when
     scipy is absent from the environment; when it is present we also
     compare directly.  The old Wilson-Hilferty approximation failed these
     at the tails (tens of percent relative error for small p-values).
@@ -84,53 +85,50 @@ class TestChi2SurvivalFallback:
         (100.0, 3): 1.554159431389603e-21,
     }
 
-    @pytest.fixture
-    def without_scipy(self, monkeypatch):
-        from repro.analysis import monitoring
-
-        monkeypatch.setattr(monitoring, "_scipy_chi2", None)
-        return monitoring._chi2_survival
-
-    def test_fallback_matches_scipy_reference_values(self, without_scipy):
+    def test_fallback_matches_scipy_reference_values(self):
         for (statistic, dof), expected in self.SCIPY_REFERENCE.items():
-            got = without_scipy(statistic, dof)
+            got = _chi2_survival(statistic, dof)
             assert got == pytest.approx(expected, rel=1e-12), (statistic, dof)
 
-    def test_fallback_matches_live_scipy_when_available(self, without_scipy):
+    def test_fallback_matches_live_scipy_when_available(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         for statistic in (0.01, 0.7, 3.9, 17.3, 42.0):
             for dof in range(1, 15):
                 expected = float(scipy_stats.chi2.sf(statistic, dof))
-                got = without_scipy(statistic, dof)
+                got = _chi2_survival(statistic, dof)
                 assert got == pytest.approx(expected, rel=1e-10, abs=1e-300), (
                     statistic,
                     dof,
                 )
 
-    def test_far_tail_does_not_explode(self, without_scipy):
+    def test_far_tail_does_not_explode(self):
         # Deep underflow territory: must stay a probability, not a NaN.
-        value = without_scipy(3000.0, 4)
+        value = _chi2_survival(3000.0, 4)
         assert 0.0 <= value <= 1e-300
 
-    def test_boundaries(self, without_scipy):
-        assert without_scipy(0.0, 3) == 1.0
-        assert without_scipy(-1.0, 3) == 1.0
+    def test_boundaries(self):
+        assert _chi2_survival(0.0, 3) == 1.0
+        assert _chi2_survival(-1.0, 3) == 1.0
         with pytest.raises(EstimationError, match="dof"):
-            without_scipy(1.0, 0)
+            _chi2_survival(1.0, 0)
 
-    def test_monitoring_verdicts_agree_with_and_without_scipy(self, monkeypatch):
-        """End-to-end: a drift report's p-values must not depend on scipy."""
-        from repro.analysis import monitoring
-
+    def test_monitoring_verdicts_agree_with_and_without_scipy(self):
+        """End-to-end: every p-value of a drift report equals scipy's own
+        tail probability of its statistic (chi-square for the profile,
+        two-sided normal for the rates)."""
+        scipy_stats = pytest.importorskip("scipy.stats")
         records = sample_field_records(
             REFERENCE_PARAMETERS, REFERENCE_PROFILE, 2000, seed=9
         )
-        with_scipy = monitor_records(records, REFERENCE_PARAMETERS, REFERENCE_PROFILE)
-        monkeypatch.setattr(monitoring, "_scipy_chi2", None)
-        without = monitor_records(records, REFERENCE_PARAMETERS, REFERENCE_PROFILE)
-        assert [t.name for t in with_scipy.tests] == [t.name for t in without.tests]
-        for a, b in zip(with_scipy.tests, without.tests):
-            assert a.p_value == pytest.approx(b.p_value, rel=1e-10, abs=1e-300)
+        report = monitor_records(records, REFERENCE_PARAMETERS, REFERENCE_PROFILE)
+        dof = len(REFERENCE_PROFILE.classes) - 1
+        assert report.tests[0].name == "profile"
+        for test in report.tests:
+            if test.name == "profile":
+                expected = float(scipy_stats.chi2.sf(test.statistic, dof))
+            else:
+                expected = min(1.0, 2.0 * float(scipy_stats.norm.sf(abs(test.statistic))))
+            assert test.p_value == pytest.approx(expected, rel=1e-10, abs=1e-300), test.name
 
 
 class TestProfileDriftTest:

@@ -1,5 +1,7 @@
 """EngineRuntime: pooled workers, shared-memory plane, caches, planning."""
 
+import threading
+import warnings
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -14,7 +16,9 @@ from repro.engine import (
     shared_memory_available,
 )
 from repro.engine import runtime as runtime_module
-from repro.exceptions import SimulationError
+from repro.engine.arrays import ENTRIES_PER_KIND
+from repro.exceptions import RuntimeDegradationWarning, SimulationError
+from repro.obs import Instrumentation
 from repro.reader import MILD_BIAS, ReaderModel, ReaderSkill
 from repro.screening import SubtletyClassifier
 
@@ -26,6 +30,11 @@ from repro.system import AssistedReading
 def named_system(seed=4, name=None):
     reader = ReaderModel(skill=ReaderSkill(), bias=MILD_BIAS, name="r", seed=seed)
     return AssistedReading(reader, Cadt(seed=seed + 1000), name=name)
+
+
+def type_name(value):
+    """Picklable by reference, and defined for any item, picklable or not."""
+    return type(value).__name__
 
 
 class FailingBatchSystem:
@@ -172,6 +181,19 @@ class TestPoolReuse:
             runtime.evaluate(make_system(), second, seed=1, chunk_size=200)
             assert runtime.cache_info()["workloads"] == 1
 
+    def test_classifier_cache_is_bounded(self):
+        # Each call without a classifier brings a fresh one; the workload's
+        # entry keeps at most ENTRIES_PER_KIND of them, oldest out.
+        workload = make_workload(2000)
+        with EngineRuntime(workers=1) as runtime:
+            counts = [
+                failure_counts(runtime.evaluate(make_system(), workload, seed=5))
+                for _ in range(50)
+            ]
+            (entry,) = runtime._cache.values()
+            assert len(entry.columns) <= ENTRIES_PER_KIND == 8
+        assert counts == [counts[0]] * 50
+
 
 @pytest.mark.skipif(
     not shared_memory_available(), reason="no shared memory in this environment"
@@ -259,6 +281,42 @@ class TestRuntimeApi:
         with EngineRuntime(workers=2) as runtime:
             doubled = runtime.map(lambda x: 2 * x, [1, 2, 3])
         assert doubled == [2, 4, 6]
+
+    def test_map_falls_back_for_an_unpicklable_later_item(self):
+        obs = Instrumentation()
+        with EngineRuntime(workers=2, obs=obs) as runtime:
+            with pytest.warns(RuntimeDegradationWarning, match="unpicklable_map"):
+                names = runtime.map(type_name, [1, 2.0, threading.Lock()])
+            assert runtime.degradations == frozenset({"unpicklable_map"})
+        assert names == ["int", "float", "lock"]
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["runtime.degraded.unpicklable_map"] == 1.0
+
+    def test_map_raises_what_the_function_raises_on_the_pool(self):
+        with EngineRuntime(workers=2) as runtime:
+            with pytest.raises(TypeError, match="bad operand type for abs"):
+                runtime.map(abs, [-1, "x", -3])
+            assert runtime.degradations == frozenset()
+            assert runtime.map(abs, [-4]) == [4]
+
+    def test_map_fallback_leaves_a_pool_that_closes(self):
+        """Tasks that fail to pickle settle before the pool shuts down,
+        so closing right after the fallback cannot hang."""
+        results = []
+
+        def round_trips():
+            for _ in range(3):
+                with EngineRuntime(workers=2) as runtime:
+                    results.append(runtime.map(abs, [-1, 2]))
+                    results.append(runtime.map(lambda x: 2 * x, range(8)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeDegradationWarning)
+            worker = threading.Thread(target=round_trips, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert results == [[1, 2], [0, 2, 4, 6, 8, 10, 12, 14]] * 3
 
     def test_map_empty(self):
         with EngineRuntime(workers=2) as runtime:

@@ -9,6 +9,7 @@ from repro.trial import (
     jeffreys_interval,
     wilson_interval,
 )
+from repro.trial.intervals import _z_for_level
 
 METHODS = [wilson_interval, clopper_pearson_interval, jeffreys_interval]
 
@@ -76,6 +77,16 @@ class TestCommonBehaviour:
 
 
 class TestMethodSpecifics:
+    def test_wilson_z_at_tabled_and_untabled_levels(self):
+        # Tabled levels keep their ten-decimal values; any other level
+        # takes the normal quantile (scipy.stats.norm.ppf(0.965) pinned).
+        assert _z_for_level(0.95) == 1.9599639845
+        assert _z_for_level(0.93) == pytest.approx(1.8119106729525989, rel=1e-15)
+        # Bounds as computed with scipy's norm.ppf for z.
+        interval = wilson_interval(13, 100, level=0.93)
+        assert interval.lower == pytest.approx(0.0806595714066275, rel=1e-14)
+        assert interval.upper == pytest.approx(0.20286254292985179, rel=1e-14)
+
     def test_wilson_known_value(self):
         # Canonical check: 0 of 10 at 95% gives upper ~ 0.278 (Wilson).
         interval = wilson_interval(0, 10)

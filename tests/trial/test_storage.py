@@ -1,6 +1,7 @@
 """Tests for repro.trial.storage (CSV and JSON-entry round-trips)."""
 
 import json
+import types
 
 import pytest
 
@@ -107,6 +108,28 @@ class TestRecordEntryCodec:
         entry[field] = bad
         with pytest.raises(EstimationError, match=field):
             record_from_entry(entry)
+
+    def test_other_mappings_and_subclasses_take_the_isinstance_path(self, sample_records):
+        class Name(str):
+            pass
+
+        class Count(int):
+            pass
+
+        record = next(iter(sample_records))
+        entry = record_to_entry(record)
+        entry.update(case_id=Count(entry["case_id"]), reader_name=Name(entry["reader_name"]))
+        assert record_from_entry(types.MappingProxyType(entry)) == record
+        with pytest.raises(EstimationError, match="JSON object"):
+            record_from_entry([("case_id", 1)])
+
+    def test_one_class_object_per_name_within_a_batch(self, sample_records):
+        classes = {}
+        decoded = [record_from_entry(record_to_entry(r), classes) for r in sample_records]
+        assert decoded == list(sample_records)
+        assert sorted(classes) == ["difficult", "easy"]
+        for record in decoded:
+            assert record.case_class is classes[record.case_class.name]
 
     def test_inconsistent_record_rejected(self):
         entry = {
