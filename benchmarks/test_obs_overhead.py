@@ -13,7 +13,10 @@ on.
 The comparison is serial (``workers=1``) and cache-warm on both sides so
 the timed region is exactly the decision kernels plus (on the runtime
 side) the null-instrumentation call sites under test — no pool
-scheduling noise, no columnisation, no classification.  Results are
+scheduling noise, no columnisation, no classification.  The two sides
+are timed interleaved, one repeat of each in turn, and each keeps its
+best repeat, so a burst of contention on a shared machine slows both
+sides' repeats around it rather than deciding the ratio.  Results are
 written to ``BENCH_obs.json`` at the repo root (uploaded as a CI
 artifact).  Run with::
 
@@ -90,7 +93,8 @@ def bare_compare(systems, workload, positions, codes, classes):
     items = tuple(
         build_fused_item(index, system, SEED) for index, system in enumerate(systems)
     )
-    rows = run_fused_batch((arrays, CHUNK_SIZE, positions, codes, len(classes), items))
+    task = (arrays, CHUNK_SIZE, positions, codes, len(classes), items, None, False)
+    rows = run_fused_batch(task).rows
     n_classes = len(classes)
     results = {}
     for system, row in zip(systems, rows):
@@ -122,13 +126,6 @@ def test_disabled_instrumentation_keeps_98_percent_throughput(workload):
     codes = cancer_class_codes(workload, classifier, arrays, positions)
     classes = tuple(classifier.classes)
 
-    bare_times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        bare = bare_compare(systems, workload, positions, codes, classes)
-        bare_times.append(time.perf_counter() - start)
-    bare_elapsed = min(bare_times)
-
     with EngineRuntime(workers=1) as runtime:
         assert not runtime.obs.enabled  # the default really is the null path
         # One untimed comparison warms the workload and label caches so
@@ -136,14 +133,18 @@ def test_disabled_instrumentation_keeps_98_percent_throughput(workload):
         runtime.compare(
             systems, workload, classifier, seed=SEED, chunk_size=CHUNK_SIZE
         )
-        runtime_times = []
+        bare_times, runtime_times = [], []
         for _ in range(REPEATS):
+            start = time.perf_counter()
+            bare = bare_compare(systems, workload, positions, codes, classes)
+            bare_times.append(time.perf_counter() - start)
             start = time.perf_counter()
             plain = runtime.compare(
                 systems, workload, classifier, seed=SEED, chunk_size=CHUNK_SIZE
             )
             runtime_times.append(time.perf_counter() - start)
-        runtime_elapsed = min(runtime_times)
+    bare_elapsed = min(bare_times)
+    runtime_elapsed = min(runtime_times)
 
     # Instrumented run, untimed: the on/off bit-identity half of the
     # observability contract, at benchmark scale.

@@ -2,15 +2,14 @@
 
 Every count the engine produces comes out of :func:`run_fused_batch`,
 which decides each item's chunks and tallies them with the one tally,
-:func:`~repro.system.simulate.count_failures`.  Its callers build
-:data:`FusedTask` tuples and place them in-process or on a pool:
-:meth:`EngineRuntime.run_fused <repro.engine.runtime.EngineRuntime.run_fused>`
-fuses the systems of one ``evaluate``/``compare`` call or the coalesced
-requests of one service (:mod:`repro.service`) dispatch, and the sweep
-runner (:mod:`repro.sweep.runner`) the cells of a compiled
-:class:`~repro.sweep.plan.FusedBatch`.  It is also the worker side of
-the shared-memory plane: a pooled task carries a :class:`_SegmentSpec`,
-attached once per worker process.
+:func:`~repro.system.simulate.count_failures`.  Its one caller,
+:meth:`EngineRuntime.run_fused <repro.engine.runtime.EngineRuntime.run_fused>`,
+builds the :data:`FusedTask` tuples and places them in-process or on its
+pool, for the systems of one ``evaluate``/``compare`` call, the coalesced
+requests of one service (:mod:`repro.service`) dispatch and the cells of
+one sweep (:mod:`repro.sweep.runner`) shard alike.  It is also the
+worker side of the shared-memory plane: a pooled task carries a
+:class:`_SegmentSpec`, attached once per worker process.
 
 **Determinism contract.**  Each fused item carries its own seed; its
 chunk generators derive via :func:`~repro.engine.executor._chunk_rngs`,
@@ -31,7 +30,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, NamedTuple, Sequence, overload
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +53,6 @@ __all__ = [
     "ROW_COLUMNS",
     "FusedItem",
     "FusedTask",
-    "RangedFusedTask",
     "FusedOutput",
     "FusedCounts",
     "build_fused_item",
@@ -144,23 +142,12 @@ def _attached_arrays(spec: _SegmentSpec) -> CaseArrays:
 #: stream-carry path over ``decide_batch``.
 FusedItem = tuple[int, ScreeningSystem, int | None, bool]
 
-#: One fused dispatch over every chunk of the plan: the workload plane (a
-#: :class:`_SegmentSpec` for pooled shared-memory execution, or the
-#: :class:`CaseArrays` directly), the chunk size, the cancer
-#: positions/class codes, the class count, and the items to run.
+#: One fused dispatch: the workload plane (a :class:`_SegmentSpec` for
+#: pooled shared-memory execution, or the :class:`CaseArrays` directly),
+#: the chunk size, the cancer positions/class codes, the class count, the
+#: items to run, the chunk range ``(first, stop)`` of the plan it covers
+#: (``None``: every chunk, as a stream item needs) and the traced switch.
 FusedTask = tuple[
-    _SegmentSpec | CaseArrays,
-    int,
-    np.ndarray,
-    np.ndarray,
-    int,
-    tuple[FusedItem, ...],
-]
-
-#: A :data:`FusedTask` plus the chunk range ``(first, stop)`` it covers
-#: (``None``: every chunk, as a stream item needs) and the traced switch;
-#: it commits stream items' final states and returns a :class:`FusedOutput`.
-RangedFusedTask = tuple[
     _SegmentSpec | CaseArrays, int, np.ndarray, np.ndarray, int, tuple[FusedItem, ...],
     tuple[int, int] | None, bool,
 ]
@@ -172,10 +159,10 @@ ROW_COLUMNS = ("cancer_failures", "cancer_trials", "healthy_failures", "healthy_
 
 
 class FusedOutput(NamedTuple):
-    """What a :data:`RangedFusedTask` returns: the count matrix over its
-    chunk range, each stream item's final state (``None`` for batch
-    items: a caller whose task ran on copies commits them), and a traced
-    task's ``runtime.attach``/``runtime.chunk`` span payloads."""
+    """What a :data:`FusedTask` returns: the count matrix over its chunk
+    range, each stream item's final state (``None`` for batch items: a
+    caller whose task ran on copies commits them), and a traced task's
+    ``runtime.attach``/``runtime.chunk`` span payloads."""
 
     rows: np.ndarray
     states: tuple[ReaderStateVector | None, ...]
@@ -202,15 +189,7 @@ def build_fused_item(
     return (index, system, seed, stream)
 
 
-@overload
-def run_fused_batch(task: FusedTask) -> np.ndarray: ...
-
-
-@overload
-def run_fused_batch(task: RangedFusedTask) -> FusedOutput: ...
-
-
-def run_fused_batch(task: tuple[Any, ...]) -> np.ndarray | FusedOutput:
+def run_fused_batch(task: FusedTask) -> FusedOutput:
     """Execute one fused dispatch; the one kernel that decides and tallies.
 
     Runs in a pool worker (attaching the shared plane) or in-process
@@ -218,17 +197,15 @@ def run_fused_batch(task: tuple[Any, ...]) -> np.ndarray | FusedOutput:
     identical either way, which is what makes serial, pooled, ranged,
     coalesced and resumed executions bit-identical.  Items run in order:
     unseeded items draw from their components' private generators in
-    the caller's order, and a ranged task commits each stream item's
-    final state before the next item starts.
+    the caller's order, and each stream item's final state is committed
+    into its system before the next item starts.
 
     Returns:
-        For a :data:`FusedTask`, the int64 count matrix: one row per
+        A :class:`FusedOutput` whose int64 count matrix has one row per
         item, in item order (columns: :data:`ROW_COLUMNS`, then the
-        per-class failures and trials).  For a :data:`RangedFusedTask`,
-        a :class:`FusedOutput` whose rows count the range's cases only.
+        per-class failures and trials), counting the range's cases only.
     """
-    plane, chunk_size, positions, codes, n_classes, items, *extra = task
-    chunk_range, traced = extra if extra else (None, False)
+    plane, chunk_size, positions, codes, n_classes, items, chunk_range, traced = task
     pid = os.getpid()
     spans: list[SpanPayload] = []
     if isinstance(plane, CaseArrays):
@@ -266,7 +243,7 @@ def run_fused_batch(task: tuple[Any, ...]) -> np.ndarray | FusedOutput:
             if traced:
                 attrs = {"start": start, "stop": end}
                 spans.append(("runtime.chunk", attrs, time.perf_counter() - began, pid))
-        if extra and stream:
+        if stream:
             system.commit_stream(state)
         states.append(state)
         failed = failures[0] if len(failures) == 1 else np.concatenate(failures)
@@ -276,8 +253,6 @@ def run_fused_batch(task: tuple[Any, ...]) -> np.ndarray | FusedOutput:
         row[:4] = scalars
         row[4 : 4 + n_classes] = class_failures
         row[4 + n_classes :] = class_trials
-    if not extra:
-        return out
     return FusedOutput(out, tuple(states), spans)
 
 

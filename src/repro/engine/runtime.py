@@ -1,11 +1,11 @@
 """Persistent engine runtime: pooled workers over a shared-memory workload plane.
 
 :class:`EngineRuntime` places every engine evaluation: it runs the
-systems of an ``evaluate``/``compare`` call as one fused batch through
-the engine's one kernel, :func:`~repro.engine.fused.run_fused_batch`,
-in-process or on its pool, and amortises everything around the kernel
-for programs that evaluate repeatedly (comparisons, extrapolation grids,
-setting sweeps):
+systems of an ``evaluate``/``compare`` call, a service dispatch or a
+sweep shard as fused batches through the engine's one kernel,
+:func:`~repro.engine.fused.run_fused_batch`, in-process or on its pool,
+and amortises everything around the kernel for programs that evaluate
+repeatedly (comparisons, extrapolation grids, setting sweeps):
 
 * **Persistent pool.**  One :class:`~concurrent.futures.ProcessPoolExecutor`
   is created lazily, by the first call that needs it, and reused across
@@ -70,7 +70,7 @@ from .fused import (
     ROW_COLUMNS,
     FusedItem,
     FusedOutput,
-    RangedFusedTask,
+    FusedTask,
     _SegmentSpec,
     build_fused_item,
     run_fused_batch,
@@ -241,6 +241,16 @@ class _CachedWorkload:
     #: reference keeping the id stable — the workload's columns under it),
     #: at most ``ENTRIES_PER_KIND``, oldest out.
     columns: dict[int, tuple[CaseClassifier, _Columns]] = field(default_factory=dict)
+
+
+class _Batch(NamedTuple):
+    """One batch of a :meth:`EngineRuntime.run_fused` call, ready to place."""
+
+    entry: _CachedWorkload
+    columns: _Columns
+    items: tuple[FusedItem, ...]
+    chunk_size: int
+    n_chunks: int
 
 
 def _release_segment(entry: _CachedWorkload) -> None:
@@ -435,18 +445,19 @@ class EngineRuntime:
     ) -> tuple[CaseArrays, _SegmentSpec | None]:
         """Cache and (if parallel) publish one workload's columns.
 
-        The sweep runner's entry into the runtime's workload plane:
-        returns the cached :class:`CaseArrays` plus, on a parallel
+        Returns the cached :class:`CaseArrays` plus, on a parallel
         shared-memory runtime, the :class:`_SegmentSpec` pooled tasks
-        attach with (``None`` on serial/no-shm runtimes — callers then
-        ship the arrays themselves).  Repeated calls for equal workloads
-        hit the fingerprint-keyed cache, so each distinct workload is
-        published once per runtime, however many callers share it.
+        attach with (``None`` on serial/no-shm runtimes).  Repeated calls
+        for equal workloads hit the fingerprint-keyed cache, so each
+        distinct workload is published once per runtime, however many
+        callers share it; :meth:`run_fused` publishes through the same
+        cache.
         """
         if self._closed:
             raise SimulationError("cannot publish on a closed EngineRuntime")
         entry = self._workload_entry(workload)
         spec = self._publish(entry) if self._workers > 1 else None
+        self._trim()
         return entry.arrays, spec
 
     # -- evaluation ----------------------------------------------------
@@ -531,8 +542,8 @@ class EngineRuntime:
                     )
                 continue
             fused = list(group)
-            rows = self.run_fused(
-                workload, [(system, seed) for system in fused],
+            (rows,) = self.run_fused(
+                [(workload, [(system, seed) for system in fused])],
                 classifier=classifier, chunk_size=chunk_size,
             )
             with self._obs.span("runtime.tally", systems=len(fused)):
@@ -544,102 +555,112 @@ class EngineRuntime:
 
     def run_fused(
         self,
-        workload: Workload,
-        items: Sequence[tuple[ScreeningSystem, int | None]],
+        batches: Sequence[tuple[Workload, Sequence[tuple[ScreeningSystem, int | None]]]],
         *,
         classifier: CaseClassifier,
         chunk_size: int | None,
-    ) -> np.ndarray:
-        """Run ``(system, seed)`` items over one workload as one fused batch.
+    ) -> list[np.ndarray]:
+        """Run ``(workload, [(system, seed), ...])`` batches as fused tasks.
 
-        The runtime's one placement rule, behind :meth:`compare` and the
-        service's coalesced requests (whose items each carry their own
-        seed).  The batch runs in-process when the runtime is serial, an
-        item is unseeded (private component generators cannot cross
-        processes), the plan is a single chunk, or a system is
-        unpicklable.  Otherwise it runs on the pool, which the first such
-        batch launches: the batch items split into at most ``workers``
-        chunk ranges, whose rows are summed, and the stream items travel
-        whole as one more task, every task reading the published plane.
-        Each stream item's final state is committed into the caller's
-        system either way.  Every system must support batch or stream
-        execution.
+        The runtime's one placement rule, behind :meth:`compare` (one
+        batch), a service dispatch (one batch of coalesced requests, each
+        item with its own seed) and a sweep shard (a batch per fused
+        dispatch of the plan).  The parts run on the pool, which the
+        first such call launches, when the runtime has workers, every
+        item is seeded (private component generators cannot cross
+        processes) and there is more than one batch or a multi-chunk
+        plan; otherwise every batch runs whole in-process.  On the pool a
+        multi-chunk batch splits into at most ``workers`` chunk ranges of
+        its batch items, whose rows are summed, plus one part holding its
+        stream items whole; any other batch travels whole.  Every part
+        reads its workload's published plane.  A system the pool cannot
+        pickle sends the same parts back in-process
+        (``unpicklable_system``).  Each stream item's final state is
+        committed into the caller's system either way.  Every system must
+        support batch or stream execution.
 
         Returns:
-            The int64 count matrix, one row per item in item order
-            (columns: :data:`~repro.engine.fused.ROW_COLUMNS`, then the
-            failures and trials of each of ``classifier.classes``).
+            One int64 count matrix per batch, in batch order, with one
+            row per item in item order (columns:
+            :data:`~repro.engine.fused.ROW_COLUMNS`, then the failures
+            and trials of each of ``classifier.classes``).
         """
         if self._closed:
             raise SimulationError("cannot evaluate on a closed EngineRuntime")
-        if len(workload) == 0:
-            raise SimulationError("cannot evaluate a system on an empty workload")
-        fused = tuple(
-            build_fused_item(index, system, seed)
-            for index, (system, seed) in enumerate(items)
-        )
-        entry = self._workload_entry(workload)
-        columns = self._columns(entry, workload, classifier)
-        arrays = columns.arrays
-        if chunk_size is None:
-            chunk_size = plan_chunk_size(
-                len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
+        work: list[_Batch] = []
+        for workload, pairs in batches:
+            if len(workload) == 0:
+                raise SimulationError("cannot evaluate a system on an empty workload")
+            items = tuple(
+                build_fused_item(index, system, seed)
+                for index, (system, seed) in enumerate(pairs)
             )
-        n_chunks = len(plan_chunks(len(arrays), chunk_size))
-        n_classes, traced = len(columns.classes), self._obs.enabled
-
-        def tasks(plane: _SegmentSpec | CaseArrays, parts: list) -> list[RangedFusedTask]:
-            return [
-                (plane, chunk_size, columns.positions, columns.codes, n_classes,
-                 part, chunk_range, traced)
-                for part, chunk_range in parts
-            ]
-
+            entry = self._workload_entry(workload)
+            columns = self._columns(entry, workload, classifier)
+            size = chunk_size
+            if size is None:
+                size = plan_chunk_size(
+                    len(columns.arrays), self._workers,
+                    bytes_per_case=columns.arrays.bytes_per_case,
+                )
+            n_chunks = len(plan_chunks(len(columns.arrays), size))
+            work.append(_Batch(entry, columns, items, size, n_chunks))
+        n_classes, traced = len(classifier.classes), self._obs.enabled
         with self._obs.span(
             "runtime.evaluate",
-            systems=len(fused),
-            cases=len(arrays),
-            chunks=n_chunks,
-            chunk_size=chunk_size,
+            batches=len(work),
+            systems=sum(len(batch.items) for batch in work),
+            cases=sum(len(batch.columns.arrays) for batch in work),
+            chunks=sum(batch.n_chunks for batch in work),
+            chunk_size=max((batch.chunk_size for batch in work), default=chunk_size),
         ):
             parallel = (
                 self._workers > 1
-                and n_chunks > 1
-                and all(seed is not None for _, _, seed, _ in fused)
+                and all(seed is not None for batch in work for _, _, seed, _ in batch.items)
+                and (len(work) > 1 or any(batch.n_chunks > 1 for batch in work))
             )
-            if parallel:
-                for _, system, _, _ in fused:
-                    try:
-                        pickle.dumps(system)
-                    except Exception:
-                        parallel = False
-                        self._note_degradation(
-                            "unpicklable_system",
-                            f"system {system.name!r} cannot be pickled; evaluating "
-                            "in-process instead of on the worker pool",
-                        )
             pool = self._ensure_pool() if parallel else None
-            parts: list[tuple[tuple[FusedItem, ...], tuple[int, int] | None]] = [(fused, None)]
+            # One (batch number, items, chunk range) per task.
+            parts: list[tuple[int, tuple[FusedItem, ...], tuple[int, int] | None]] = []
+            for number, batch in enumerate(work):
+                if pool is None or batch.n_chunks == 1:
+                    parts.append((number, batch.items, None))
+                    continue
+                plain = tuple(item for item in batch.items if not item[3])
+                streams = tuple(item for item in batch.items if item[3])
+                if plain:
+                    ranges = _chunk_ranges(batch.n_chunks, self._workers)
+                    parts += [(number, plain, chunk_range) for chunk_range in ranges]
+                if streams:
+                    parts.append((number, streams, None))
+
+            def tasks(planes: Sequence[_SegmentSpec | CaseArrays]) -> list[FusedTask]:
+                return [
+                    (planes[number], work[number].chunk_size, work[number].columns.positions,
+                     work[number].columns.codes, n_classes, items, chunk_range, traced)
+                    for number, items, chunk_range in parts
+                ]
+
             outputs: list[FusedOutput] | None = None
             if pool is not None:
-                batch = tuple(item for item in fused if not item[3])
-                streams = tuple(item for item in fused if item[3])
-                ranges = _chunk_ranges(n_chunks, self._workers) if batch else []
-                parts = [(batch, chunk_range) for chunk_range in ranges]
-                if streams:
-                    parts.append((streams, None))
-                plane = self._publish(entry) or arrays
-                outputs = self._on_pool(pool, run_fused_batch, tasks(plane, parts))
-            if outputs is None:  # serial, or the pool broke: the same parts in-process
-                outputs = [run_fused_batch(task) for task in tasks(arrays, parts)]
-            rows = np.zeros((len(fused), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
-            for (part, _), output in zip(parts, outputs):
+                planes = [self._publish(batch.entry) or batch.columns.arrays for batch in work]
+                outputs = self._on_pool(pool, run_fused_batch, tasks(planes), "unpicklable_system")
+            pooled = outputs is not None
+            if outputs is None:  # serial, or the pool could not run the parts
+                outputs = [run_fused_batch(task) for task in tasks([b.columns.arrays for b in work])]
+            results = [
+                np.zeros((len(batch.items), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
+                for batch in work
+            ]
+            for (number, items, _), output in zip(parts, outputs):
                 self._ingest_worker_payload(output.spans)
-                for (index, system, _, _), row, state in zip(part, output.rows, output.states):
-                    rows[index] += row
-                    if state is not None:  # a pooled task advanced a copy
-                        system.commit_stream(state)
-        return rows
+                results[number][[index for index, _, _, _ in items]] += output.rows
+                if pooled:  # the pool advanced copies: commit their final states
+                    for (_, system, _, _), state in zip(items, output.states):
+                        if state is not None:
+                            system.commit_stream(state)
+        self._trim()
+        return results
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Apply a picklable function over items on the persistent pool.
@@ -658,17 +679,7 @@ class EngineRuntime:
             return []
         with self._obs.span("runtime.map", items=len(work)):
             pool = self._ensure_pool()
-            try:
-                results = None if pool is None else self._on_pool(pool, fn, work)
-            except (pickle.PicklingError, TypeError, AttributeError):
-                if _picklable(fn, *work):
-                    raise  # fn's own error, or its result's
-                self._note_degradation(
-                    "unpicklable_map",
-                    f"{getattr(fn, '__name__', fn)!r} (or its items) cannot "
-                    "be pickled; mapping in-process instead of on the pool",
-                )
-                results = None
+            results = None if pool is None else self._on_pool(pool, fn, work, "unpicklable_map")
             return [fn(item) for item in work] if results is None else results
 
     # -- internals ------------------------------------------------------
@@ -700,11 +711,18 @@ class EngineRuntime:
                 self._obs.count("runtime.shm.bytes_attached", float(attrs["bytes"]))  # type: ignore[arg-type]
 
     def _on_pool(
-        self, pool: ProcessPoolExecutor, fn: Callable[[Any], Any], work: Sequence[Any]
+        self,
+        pool: ProcessPoolExecutor,
+        fn: Callable[[Any], Any],
+        work: Sequence[Any],
+        unpicklable: str,
     ) -> list[Any] | None:
         """``fn`` over ``work`` on the pool, in order; ``None`` when the pool
-        broke (it is dropped, and the caller recomputes in-process).  Any
-        other error propagates once every task is cancelled or settled: a
+        broke (it is dropped) or could not pickle ``fn`` or its work (the
+        ``unpicklable`` degradation), and the caller recomputes
+        in-process.  A pickling-type error is told from ``fn``'s own
+        errors by pickling the work again, on that path only.  Any other
+        error propagates.  Every task is cancelled or settled first: a
         task still being pickled at a ``cancel_futures`` shutdown would
         leave the pool waiting for it forever.
         """
@@ -720,11 +738,20 @@ class EngineRuntime:
                 "unaffected)",
             )
             return None
-        except BaseException:
+        except BaseException as error:
             for future in futures:
                 future.cancel()
             wait(futures)
-            raise
+            if not isinstance(error, (pickle.PicklingError, TypeError, AttributeError)):
+                raise
+            if _picklable(fn, *work):
+                raise  # fn's own error, or its result's
+            self._note_degradation(
+                unpicklable,
+                f"{getattr(fn, '__name__', fn)!r} or its work cannot be pickled; "
+                "running in-process instead of on the pool (results are unaffected)",
+            )
+            return None
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         """The persistent pool, created on first parallel need (or None)."""
@@ -757,9 +784,6 @@ class EngineRuntime:
         self._obs.count("runtime.workload_cache.miss")
         entry = _CachedWorkload(arrays=workload.to_arrays())
         self._cache[digest] = entry
-        while len(self._cache) > self._max_cached:
-            _, evicted = self._cache.popitem(last=False)
-            _release_segment(evicted)
         return entry
 
     def _columns(
@@ -814,29 +838,34 @@ class EngineRuntime:
                 )
                 return None
             self._obs.count("runtime.shm.bytes_published", entry.segment.size)
-            self._enforce_shm_budget(entry)
             self._obs.gauge("runtime.shm.segments", len(self.active_segments))
         return entry.spec
 
-    def _enforce_shm_budget(self, keep: _CachedWorkload) -> None:
-        """Unlink LRU segments until live shm bytes fit the budget.
+    def _trim(self) -> None:
+        """Evict least-recently-used workloads past ``max_cached_workloads``,
+        then unlink least-recently-used segments until live shm bytes fit
+        the budget.
 
-        The just-published entry is never evicted (it is about to be
-        used); everything else unlinks oldest-first.  Only the shared
-        plane is dropped — the entry's arrays and class-code caches stay, so
-        an evicted workload re-publishes cheaply on its next parallel
-        use.  Workers still holding an attached view keep the memory
-        alive until their own LRU cache closes it (POSIX unlink
-        semantics), so in-flight reads are unaffected.
+        Runs once a call is done with its workloads, so every plane its
+        tasks read stays published until they finish, and the most
+        recently used workload always keeps its segment.  Under the
+        budget only the shared plane is dropped — the entry's arrays and
+        class-code caches stay, so an evicted workload re-publishes
+        cheaply on its next parallel use.  Workers still holding an
+        attached view keep the memory alive until their own LRU cache
+        closes it (POSIX unlink semantics).
         """
-        if self._shm_byte_budget is None:
+        while len(self._cache) > self._max_cached:
+            _, evicted = self._cache.popitem(last=False)
+            _release_segment(evicted)
+        if self._shm_byte_budget is None or self.shm_bytes_live <= self._shm_byte_budget:
             return
-        if self.shm_bytes_live <= self._shm_byte_budget:
-            return
-        for entry in list(self._cache.values()):  # OrderedDict: LRU first
-            if entry is keep or entry.segment is None:
+        *older, _ = self._cache.values()
+        for entry in older:  # OrderedDict: LRU first
+            if entry.segment is None:
                 continue
             _release_segment(entry)
             self._obs.count("runtime.shm.evicted")
             if self.shm_bytes_live <= self._shm_byte_budget:
                 break
+        self._obs.gauge("runtime.shm.segments", len(self.active_segments))

@@ -23,7 +23,7 @@ without changing the carry protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,7 @@ from ..exceptions import ParameterError, SimulationError
 
 __all__ = ["STATE_FIELDS", "ReaderStateVector"]
 
-#: The state columns, in declaration order (mirrors ``ReaderStateVector``).
-STATE_FIELDS = (
-    "trust",
-    "observed_successes",
-    "caught_failures",
-    "decrement",
-    "cases_this_session",
-)
-
+#: Each state column's dtype, in declaration order (mirrors ``ReaderStateVector``).
 _FIELD_DTYPES = {
     "trust": np.float64,
     "observed_successes": np.int64,
@@ -47,6 +39,9 @@ _FIELD_DTYPES = {
     "decrement": np.float64,
     "cases_this_session": np.int64,
 }
+
+#: The state columns, in declaration order.
+STATE_FIELDS = tuple(_FIELD_DTYPES)
 
 
 @dataclass(frozen=True)
@@ -76,23 +71,21 @@ class ReaderStateVector:
 
     def __post_init__(self) -> None:
         length: int | None = None
-        for spec in fields(self):
-            column = np.ascontiguousarray(
-                getattr(self, spec.name), dtype=_FIELD_DTYPES[spec.name]
-            )
+        for name, dtype in _FIELD_DTYPES.items():
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             if column.ndim != 1:
                 raise SimulationError(
-                    f"state column {spec.name!r} must be 1-D, "
+                    f"state column {name!r} must be 1-D, "
                     f"got shape {column.shape!r}"
                 )
             if length is None:
                 length = len(column)
             elif len(column) != length:
                 raise SimulationError(
-                    f"state column {spec.name!r} has {len(column)} slots, "
+                    f"state column {name!r} has {len(column)} slots, "
                     f"expected {length}"
                 )
-            object.__setattr__(self, spec.name, column)
+            object.__setattr__(self, name, column)
 
     @classmethod
     def fresh(cls, num_readers: int = 1, initial_trust: float = 1.0) -> "ReaderStateVector":

@@ -480,9 +480,9 @@ class ScreeningService:
         pool otherwise.
         """
         with self._obs.span("service.dispatch", items=len(items)):
-            rows = self._runtime.run_fused(
-                self._cache.get(items[0][0]),
-                [(system.build(seed), seed) for _, system, seed in items],
+            workload = self._cache.get(items[0][0])
+            (rows,) = self._runtime.run_fused(
+                [(workload, [(system.build(seed), seed) for _, system, seed in items])],
                 classifier=self._classifier,
                 chunk_size=self._config.chunk_size,
             )

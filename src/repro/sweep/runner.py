@@ -1,26 +1,27 @@
 """The sweep runner: execute compiled plans fast, checkpointed, resumable.
 
-Execution walks the plan shard by shard.  Per distinct workload (not per
-cell) it materialises the cases, columnises them, classifies the cancer
-cases, and — on a parallel runtime — publishes the arrays to shared
-memory once, through the :class:`~repro.engine.runtime.EngineRuntime`
-fingerprint-keyed caches.  Cells sharing a workload then execute as
-fused dispatches: one task carries many ``(system, seed)`` pairs against
-one set of arrays, so the pool round-trip, the columnisation, and the
-classification amortise across the whole batch.
+Execution walks the plan shard by shard, on one
+:class:`~repro.engine.runtime.EngineRuntime` (``workers=1`` when
+serial).  Each distinct workload (not each cell) is materialised once per
+run.  A shard's fused dispatches — each many ``(system, seed)`` pairs
+against one workload — go to the runtime as the batches of one
+:meth:`~repro.engine.runtime.EngineRuntime.run_fused` call, which
+columnises, classifies and (when pooled) publishes each workload once,
+through its fingerprint-keyed caches, and places the batches by the rule
+every evaluation shares.
 
 **One count matrix.**  A run's result is one int64 matrix with a row per
 planned cell (eq. (8)'s per-class failure counts, in the column layout
-of :func:`~repro.engine.fused.run_fused_batch`): every dispatch's rows
+of :meth:`~repro.engine.runtime.EngineRuntime.run_fused`): every dispatch's rows
 are copied into it, every journal line holds a shard's block of it, and
 every per-cell object — :class:`CellResult`, evaluation, Wilson
 interval, shard summary — is built from it only when a caller reads it.
 
 **Determinism contract.**  A cell's failure counts depend only on its
 recorded ``(seed, chunk_size)``: fused dispatches execute through the
-engine's one kernel (:func:`~repro.engine.fused.run_fused_batch` — the
-same kernel the service's micro-batcher and
-:func:`~repro.engine.executor.evaluate_system_batch` run), whose chunk
+runtime's one placement rule and the engine's one kernel (the path the
+service's micro-batcher and
+:func:`~repro.engine.executor.evaluate_system_batch` take), whose chunk
 generators derive from the item's seed and the chunk's index alone and
 whose tally is an exact integer-count reformulation of
 :class:`~repro.system.simulate.FailureTally`.  Fused, sharded, serial,
@@ -50,22 +51,13 @@ from typing import Any
 import numpy as np
 
 from ..analysis.streaming import WelfordAccumulator
-from ..engine.arrays import CaseArrays
 from ..engine.executor import DEFAULT_CHUNK_SIZE
-from ..engine.fused import (
-    ROW_COLUMNS,
-    FusedCounts,
-    FusedItem,
-    FusedTask,
-    _SegmentSpec,
-    build_fused_item,
-    cancer_class_codes,
-    run_fused_batch,
-)
+from ..engine.fused import ROW_COLUMNS, FusedCounts
 from ..engine.runtime import EngineRuntime
 from ..exceptions import SimulationError
 from ..obs import Instrumentation, get_instrumentation
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
+from ..screening.workload import Workload
 from ..system.simulate import SystemEvaluation
 from ..trial.storage import append_journal_entries, load_journal_entries
 from .grid import ScenarioGrid
@@ -221,7 +213,7 @@ class SweepResult:
     Attributes:
         plan: The executed plan.
         counts: One int64 row per planned cell, in index order, in the
-            :func:`~repro.engine.fused.run_fused_batch` column layout
+            :meth:`~repro.engine.runtime.EngineRuntime.run_fused` column layout
             (rows of shards not completed are zero).
         class_names: The classifier's classes, in per-class column order.
         completed_shards: Indices of the shards whose rows are filled,
@@ -388,19 +380,6 @@ class _Evaluations(Mapping[str, SystemEvaluation]):
 
     def __len__(self) -> int:
         return len(self._result._cells)
-
-
-# ---------------------------------------------------------------------------
-# per-workload context
-
-
-@dataclass
-class _WorkloadContext:
-    """One distinct workload's materialised run-state (built once)."""
-
-    plane: CaseArrays | _SegmentSpec
-    positions: np.ndarray
-    codes: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +554,11 @@ def run_sweep(
         classifier: Per-class breakdown criterion (single class when
             omitted), shared by every cell.
         level: Confidence level of the per-cell intervals.
-        workers: Worker processes.  ``1`` runs everything in-process;
-            more fan fused dispatches out over a persistent
-            :class:`~repro.engine.runtime.EngineRuntime` reading the
-            workload plane from shared memory.  Results are identical
-            at every worker count.
+        workers: Worker processes of the run's
+            :class:`~repro.engine.runtime.EngineRuntime`.  ``1`` runs
+            everything in-process; more spread each shard's fused
+            dispatches over the pool, reading the workload plane from
+            shared memory.  Results are identical at every worker count.
         chunk_size: Chunk size all cells evaluate with (results depend
             only on ``(seed, chunk_size)``).
         shard_size: Checkpoint granularity (cells per journalled shard).
@@ -593,8 +572,8 @@ def run_sweep(
             deterministic, for tests and budgeted runs.
         runtime: An existing runtime to execute on (its worker count
             wins over ``workers``); the caller keeps ownership.  With
-            ``None`` and ``workers > 1``, a runtime is created and
-            closed internally.
+            ``None``, a runtime of ``workers`` is created and closed
+            internally.
         obs: Instrumentation to record into (ambient resolution when
             ``None``).
 
@@ -617,10 +596,9 @@ def run_sweep(
         fuse_limit=fuse_limit,
     )
     instrumentation = obs if obs is not None else get_instrumentation()
-    own_runtime = runtime is None and workers > 1
-    active_runtime = runtime
+    own_runtime = runtime is None
     if own_runtime:
-        active_runtime = EngineRuntime(
+        runtime = EngineRuntime(
             workers=workers,
             max_cached_workloads=max(4, len(plan.workloads)),
             obs=instrumentation,
@@ -630,15 +608,15 @@ def run_sweep(
             plan,
             classifier=classifier,
             level=level,
-            runtime=active_runtime,
+            runtime=runtime,
             journal=journal,
             resume=resume,
             max_shards=max_shards,
             obs=instrumentation,
         )
     finally:
-        if own_runtime and active_runtime is not None:
-            active_runtime.close()
+        if own_runtime:
+            runtime.close()
 
 
 def resume_sweep(
@@ -663,7 +641,7 @@ def _execute_plan(
     *,
     classifier: CaseClassifier | None,
     level: float,
-    runtime: EngineRuntime | None,
+    runtime: EngineRuntime,
     journal: str | Path | None,
     resume: bool,
     max_shards: int | None,
@@ -683,7 +661,7 @@ def _execute_plan(
             restored = _load_journal(journal, plan, class_names)
 
     counts = np.zeros((len(plan), len(ROW_COLUMNS) + 2 * len(class_names)), dtype=np.int64)
-    contexts: dict[str, _WorkloadContext] = {}
+    workloads: dict[str, Workload] = {}
     completed: list[int] = []
     executed = 0
     skipped = 0
@@ -708,7 +686,7 @@ def _execute_plan(
                 if max_shards is not None and executed_shards >= max_shards:
                     break
                 with obs.span("sweep.shard", shard=shard.index, cells=len(shard)):
-                    _execute_shard(plan, shard, counts, contexts, classifier, runtime, obs)
+                    _execute_shard(plan, shard, counts, workloads, classifier, runtime, obs)
                 if journal is not None:
                     append_journal_entries(
                         journal, [_shard_entry(shard, counts[shard.start : shard.stop])]
@@ -733,74 +711,42 @@ def _execute_plan(
     )
 
 
-def _workload_context(
-    plan: SweepPlan,
-    key: str,
-    contexts: dict[str, _WorkloadContext],
-    classifier: CaseClassifier,
-    runtime: EngineRuntime | None,
-    obs: Instrumentation,
-) -> _WorkloadContext:
-    """The (cached) run-state for one distinct workload."""
-    context = contexts.get(key)
-    if context is not None:
+def _workload(
+    plan: SweepPlan, key: str, workloads: dict[str, Workload], obs: Instrumentation
+) -> Workload:
+    """One distinct workload, built on first use and reused after."""
+    workload = workloads.get(key)
+    if workload is not None:
         obs.count("sweep.workloads.reused")
-        return context
+        return workload
     with obs.span("sweep.workload", key=key):
-        workload = plan.workloads[key].build()
-        if runtime is not None:
-            arrays, spec = runtime.publish_workload(workload)
-        else:
-            arrays, spec = workload.to_arrays(), None
-        positions = arrays.cancer_index
-        codes = cancer_class_codes(workload, classifier, arrays, positions)
-        plane = spec if spec is not None else arrays
-        context = _WorkloadContext(plane=plane, positions=positions, codes=codes)
-    contexts[key] = context
+        workload = workloads[key] = plan.workloads[key].build()
     obs.count("sweep.workloads.built")
-    return context
-
-
-def _build_cell_work(plan: SweepPlan, index: int) -> FusedItem:
-    """Build one cell's fresh system and wrap it as a fused item."""
-    seed = plan.seeds[index]
-    system = plan.systems[plan.cell_system[index]].build(seed)
-    try:
-        return build_fused_item(index, system, seed)
-    except SimulationError as exc:
-        raise SimulationError(f"cell {plan.cell_ids[index]!r}: {exc}") from exc
+    return workload
 
 
 def _execute_shard(
     plan: SweepPlan,
     shard: Shard,
     counts: np.ndarray,
-    contexts: dict[str, _WorkloadContext],
+    workloads: dict[str, Workload],
     classifier: CaseClassifier,
-    runtime: EngineRuntime | None,
+    runtime: EngineRuntime,
     obs: Instrumentation,
 ) -> None:
-    """Execute one shard's cells as fused dispatches, filling their rows of ``counts``."""
-    tasks: list[FusedTask] = []
+    """Run one shard's fused dispatches as the batches of one
+    :meth:`~repro.engine.runtime.EngineRuntime.run_fused` call, filling
+    their rows of ``counts``."""
+    batches = []
     for batch in shard.batches:
-        context = _workload_context(
-            plan, batch.workload_key, contexts, classifier, runtime, obs
-        )
-        tasks.append(
-            (
-                context.plane,
-                plan.chunk_size,
-                context.positions,
-                context.codes,
-                len(classifier.classes),
-                tuple(_build_cell_work(plan, index) for index in range(batch.start, batch.stop)),
-            )
-        )
+        seeds = plan.seeds[batch.start : batch.stop]
+        specs = plan.cell_system[batch.start : batch.stop]
+        batches.append((
+            _workload(plan, batch.workload_key, workloads, obs),
+            [(plan.systems[spec].build(seed), seed) for spec, seed in zip(specs, seeds)],
+        ))
         obs.count("sweep.dispatches")
-    if runtime is not None:
-        outputs = runtime.map(run_fused_batch, tasks)
-    else:
-        outputs = [run_fused_batch(task) for task in tasks]
+    outputs = runtime.run_fused(batches, classifier=classifier, chunk_size=plan.chunk_size)
     for batch, rows in zip(shard.batches, outputs):
         counts[batch.start : batch.stop] = rows
 

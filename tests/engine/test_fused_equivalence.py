@@ -1,8 +1,8 @@
 """Pin the fused-dispatch kernel bit-identical to the per-call executor.
 
-``run_fused_batch`` is the shared kernel behind the sweep runner and the
-service micro-batcher.  These tests build :data:`FusedTask` tuples by
-hand and assert that every item's row of the returned count matrix,
+``run_fused_batch`` is the one kernel behind every evaluation, sweep
+shard and service dispatch.  These tests build :data:`FusedTask` tuples
+by hand and assert that every item's row of the returned count matrix,
 demultiplexed as :class:`~repro.engine.fused.FusedCounts`, rebuilds *exactly* the
 :class:`~repro.system.simulate.SystemEvaluation` a standalone
 :func:`~repro.engine.executor.evaluate_system_batch` run of the same
@@ -47,7 +47,7 @@ def double_system(seed=3):
 
 
 def fused_task(workload, items, chunk_size, classifier, plane=None):
-    """Hand-build one dispatch exactly as the runner/service do."""
+    """Hand-build one whole-plan, untraced dispatch as the runtime does."""
     arrays = workload.to_arrays()
     positions = np.flatnonzero(arrays.has_cancer)
     codes = cancer_class_codes(workload, classifier, arrays, positions)
@@ -59,6 +59,8 @@ def fused_task(workload, items, chunk_size, classifier, plane=None):
         codes,
         n_classes,
         tuple(items),
+        None,
+        False,
     )
 
 
@@ -69,7 +71,7 @@ def fused_evaluations(workload, pairs, chunk_size, classifier=None):
         build_fused_item(index, system, seed)
         for index, (system, seed) in enumerate(pairs)
     ]
-    rows = run_fused_batch(fused_task(workload, items, chunk_size, classifier))
+    rows = run_fused_batch(fused_task(workload, items, chunk_size, classifier)).rows
     class_names = tuple(case_class.name for case_class in classifier.classes)
     return [
         FusedCounts.from_row(row, class_names).evaluation(
@@ -164,8 +166,8 @@ class TestFusedEquivalence:
             plane = segment if segment is not None else arrays
             task = fused_task(workload, items, 128, classifier, plane=plane)
             (pooled,) = runtime.map(run_fused_batch, [task])
-        assert pooled.dtype == in_process.dtype == np.int64
-        assert np.array_equal(pooled, in_process)
+        assert pooled.rows.dtype == in_process.rows.dtype == np.int64
+        assert np.array_equal(pooled.rows, in_process.rows)
 
     def test_item_order_and_indices_survive_the_round_trip(self):
         # One row per item, in item order, whatever labels the items
@@ -176,7 +178,7 @@ class TestFusedEquivalence:
 
         def rows(order):
             items = [build_fused_item(7 * n, make_system(n), 50 + n) for n in order]
-            return run_fused_batch(fused_task(workload, items, 128, classifier))
+            return run_fused_batch(fused_task(workload, items, 128, classifier)).rows
 
         forward, backward = rows([0, 1, 2]), rows([2, 1, 0])
         assert forward.shape == (3, 4 + 2 * len(classifier.classes))

@@ -1,12 +1,12 @@
-"""Ranged fused tasks: the fields the evaluate/compare paths add to a task.
+"""Ranged fused tasks: the chunk range and traced switch of a task.
 
-A :data:`~repro.engine.fused.RangedFusedTask` carries a chunk range and a
-traced switch after the six fields the sweep runner and the service
-send.  Its rows over a plan's chunk ranges must sum to the whole-plan
-row, a stream item's final state must come back (and be committed), and
-tracing must leave the counts alone.  The executor entry points, with no
-runtime passed, must run on the same kernel and report through the
-runtime's degradation channel.
+A :data:`~repro.engine.fused.FusedTask` carries a chunk range and a
+traced switch after its plane, chunking, class codes and items.  Its
+rows over a plan's chunk ranges must sum to the whole-plan row, a stream
+item's final state must come back (and be committed), and tracing must
+leave the counts alone.  The executor entry points, with no runtime
+passed, must run on the same kernel and report through the runtime's
+degradation channel.
 """
 
 import os
@@ -53,9 +53,6 @@ class TestRangedTasks:
             for chunk_range in _chunk_ranges(n_chunks, parts)
         )
         assert np.array_equal(summed, whole.rows)
-        # ... and the whole-plan row is the six-field task's row.
-        six = run_fused_batch(ranged_task(workload, items, chunk_size)[:6])
-        assert np.array_equal(whole.rows, six)
 
     def test_stream_item_state_returned_and_committed(self):
         workload = make_workload(400)
@@ -68,11 +65,6 @@ class TestRangedTasks:
         evaluate_system_batch(reference, workload, SubtletyClassifier(), seed=9, chunk_size=64)
         assert reader_state(system) == reader_state(reference)
         assert state.decrement.tolist() == [reader_state(reference)[0]]
-        # A six-field task leaves the system where it was.
-        untouched = stream_system()
-        before = reader_state(untouched)
-        run_fused_batch(ranged_task(workload, [build_fused_item(0, untouched, 9)], 64)[:6])
-        assert reader_state(untouched) == before
 
     def test_traced_switch_returns_chunk_spans_and_the_same_rows(self):
         workload = make_workload(300)

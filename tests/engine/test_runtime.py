@@ -24,6 +24,8 @@ from repro.screening import SubtletyClassifier
 
 from tests.engine.test_equivalence import failure_counts
 from tests.engine.test_executor import make_system, make_workload
+from tests.engine.test_fused_equivalence import stream_system
+from tests.engine.test_stateful_equivalence import reader_state
 from repro.system import AssistedReading
 
 
@@ -550,3 +552,74 @@ class TestShmByteBudget:
         runtime.close()
         with pytest.raises(SimulationError, match="closed"):
             runtime.publish_workload(make_workload(400, seed=3))
+
+
+class TestRunFusedBatches:
+    """``run_fused`` places every batch of a call by one rule: a call with
+    more than one batch, or a multi-chunk batch, goes to the pool."""
+
+    @staticmethod
+    def batches():
+        # 300 cases over 128-case chunks: three chunk ranges' worth of
+        # batch items plus a stream part; 100 cases: one chunk, whole.
+        return [
+            (make_workload(300, seed=1), [(named_system(1, "a"), 11), (stream_system(2), 12)]),
+            (make_workload(100, seed=2), [(named_system(3, "b"), 21), (stream_system(4), 22)]),
+        ]
+
+    def test_two_batches_pool_once_and_equal_each_batch_alone(self):
+        classifier = SubtletyClassifier()
+        alone = self.batches()
+        with EngineRuntime(workers=1) as serial:
+            expected = [
+                serial.run_fused([batch], classifier=classifier, chunk_size=128)[0]
+                for batch in alone
+            ]
+        together = self.batches()
+        with EngineRuntime(workers=2) as runtime:
+            rows = runtime.run_fused(together, classifier=classifier, chunk_size=128)
+            assert runtime.pool_launches == 1
+        assert [r.dtype for r in rows] == [np.int64, np.int64]
+        assert all(np.array_equal(got, want) for got, want in zip(rows, expected))
+        # The stream items' final states came back from the pool.
+        assert [reader_state(system) for _, items in together for system, _ in items[1:]] == [
+            reader_state(system) for _, items in alone for system, _ in items[1:]
+        ]
+
+    def test_one_single_chunk_batch_launches_no_pool(self):
+        classifier = SubtletyClassifier()
+        with EngineRuntime(workers=2) as runtime:
+            (batch, _) = self.batches()
+            runtime.run_fused([batch], classifier=classifier, chunk_size=300)
+            assert runtime.pool_launches == 0
+            # Two single-chunk batches are more than one batch: pooled.
+            runtime.run_fused(self.batches(), classifier=classifier, chunk_size=300)
+            assert runtime.pool_launches == 1
+
+    def test_every_plane_of_a_call_outlives_its_tasks(self, monkeypatch):
+        # One entry and one byte of shared memory: each batch's plane must
+        # stay published until the call's tasks finish, and be released
+        # (not leaked) once the call trims the caches.
+        created = []
+        publish = runtime_module._publish_arrays
+
+        def recording(arrays):
+            segment, spec = publish(arrays)
+            created.append(spec.name)
+            return segment, spec
+
+        monkeypatch.setattr(runtime_module, "_publish_arrays", recording)
+        classifier = SubtletyClassifier()
+        with EngineRuntime(workers=1) as serial:
+            expected = serial.run_fused(self.batches(), classifier=classifier, chunk_size=128)
+        with EngineRuntime(workers=2, max_cached_workloads=1, shm_byte_budget=1) as runtime:
+            if not runtime.uses_shared_memory:
+                pytest.skip("shared memory unavailable")
+            rows = runtime.run_fused(self.batches(), classifier=classifier, chunk_size=128)
+            assert runtime.cache_info()["workloads"] == 1
+            live = set(runtime.active_segments)
+        assert all(np.array_equal(got, want) for got, want in zip(rows, expected))
+        assert len(created) == 2 and len(live) == 1
+        for name in set(created) - live:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)

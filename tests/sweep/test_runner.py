@@ -5,6 +5,7 @@ recorded ``(seed, chunk_size)`` — never on fusion geometry, worker
 count, journalling, or which other cells ran alongside it.
 """
 
+import os
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro.analysis.streaming import WelfordAccumulator
 from repro.engine.fused import FusedCounts
+from repro.engine.runtime import shared_memory_available
 from repro.exceptions import SimulationError
 from repro.obs import Instrumentation
 from repro.screening import SubtletyClassifier
@@ -109,6 +111,27 @@ class TestRunSweep:
         assert metrics.counter("sweep.workloads.built").value == len(
             result.plan.workloads
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dispatches_are_traced_under_their_shard(self, workers):
+        obs = Instrumentation(name="test")
+        run_sweep(small_grid(), seed=5, workers=workers, obs=obs)
+        records = obs.spans.records()
+        shards = [r for r in records if r.name == "sweep.shard"]
+        placed = [r for r in records if r.name == "runtime.evaluate"]
+        assert len(placed) == len(shards)
+        for record in placed:
+            assert any(
+                shard.started_s <= record.started_s
+                and record.started_s + record.duration_s <= shard.started_s + shard.duration_s
+                for shard in shards
+            )
+        chunks = [r for r in records if r.name == "runtime.chunk"]
+        assert chunks
+        if workers > 1:  # two workloads per shard: two batches, so pooled
+            assert all(r.pid != os.getpid() for r in chunks)
+            if shared_memory_available():
+                assert any(r.name == "runtime.attach" for r in records)
 
     def test_invalid_arguments_rejected(self):
         grid = small_grid()
