@@ -12,6 +12,7 @@ CI artifact).  Run with::
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -27,6 +28,7 @@ from repro.core import (
 NUM_DRAWS = 10_000
 REQUIRED_SPEEDUP = 10.0
 SEED = 2026
+REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -48,18 +50,32 @@ def uncertain_paper_model():
     )
 
 
-def test_kernel_is_10x_faster_than_scalar(uncertain_paper_model):
-    start = time.perf_counter()
-    vectorized = uncertain_paper_model.failure_probability_interval(
-        PAPER_FIELD_PROFILE, num_samples=NUM_DRAWS, seed=SEED
-    )
-    vectorized_elapsed = time.perf_counter() - start
+def timed_interval(model, method):
+    """The interval by ``method`` and the best time of ``REPEATS`` calls.
 
-    start = time.perf_counter()
-    scalar = uncertain_paper_model.failure_probability_interval(
-        PAPER_FIELD_PROFILE, num_samples=NUM_DRAWS, seed=SEED, method="scalar"
-    )
-    scalar_elapsed = time.perf_counter() - start
+    Each path is called once untimed first: numpy loads ``numpy.random``
+    and ``numpy.ma`` (inside the first ``np.quantile``) on first use,
+    about 9 ms that would otherwise be charged to whichever path ran
+    first, so both paths are timed warm.
+    """
+
+    def call():
+        return model.failure_probability_interval(
+            PAPER_FIELD_PROFILE, num_samples=NUM_DRAWS, seed=SEED, method=method
+        )
+
+    interval = call()
+    best = math.inf
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return interval, best
+
+
+def test_kernel_is_10x_faster_than_scalar(uncertain_paper_model):
+    vectorized, vectorized_elapsed = timed_interval(uncertain_paper_model, "vectorized")
+    scalar, scalar_elapsed = timed_interval(uncertain_paper_model, "scalar")
 
     # The speedup claim is only meaningful if the outputs agree exactly:
     # both paths consume the same param-major table for this seed.

@@ -54,6 +54,7 @@ from .monitoring import MonitoringReport, profile_drift_test, rate_drift_test
 __all__ = [
     "ESTIMATOR_STATE_SCHEMA",
     "MONITOR_SNAPSHOT_SCHEMA",
+    "SPRT_DRIFT_FACTOR",
     "ClassCell",
     "ClassEstimate",
     "CusumAlarm",
@@ -65,6 +66,10 @@ __all__ = [
 
 #: Schema version stamped on :meth:`StreamingEstimator.state` payloads.
 ESTIMATOR_STATE_SCHEMA = 1
+
+#: The drifted ``PMf`` a :class:`StreamMonitor`'s SPRT tests the
+#: reference rate against, as a multiple of that rate.
+SPRT_DRIFT_FACTOR = 2.0
 
 
 @dataclass
@@ -726,7 +731,10 @@ class StreamMonitor:
       (``<class>/PMf``, ``<class>/PHf|Mf``, ``<class>/PHf|Ms``) over the
       window's standardised z-statistic;
     - a :class:`SprtAlarm` per class over the ``PMf`` count stream,
-      testing the reference rate against ``sprt_drift_factor`` times it.
+      testing the reference rate against :data:`SPRT_DRIFT_FACTOR` times
+      it.
+
+    Both alarms keep their classes' default thresholds and error rates.
 
     Alarm state is published through ``repro.obs``: gauges
     (``monitor.records_used``, ``monitor.alarms.tripped``, the live
@@ -749,11 +757,6 @@ class StreamMonitor:
         *,
         alpha: float = 0.01,
         check_every: int = 256,
-        cusum_threshold: float = 5.0,
-        cusum_drift: float = 0.5,
-        sprt_drift_factor: float = 2.0,
-        sprt_alpha: float = 0.01,
-        sprt_beta: float = 0.10,
         obs: Instrumentation | None = None,
     ) -> None:
         if not isinstance(reference_parameters, ModelParameters):
@@ -770,19 +773,10 @@ class StreamMonitor:
             raise EstimationError(f"alpha must be in (0, 1), got {alpha!r}")
         if not isinstance(check_every, int) or check_every < 1:
             raise EstimationError(f"check_every must be an int >= 1, got {check_every!r}")
-        if sprt_drift_factor <= 0.0 or sprt_drift_factor == 1.0:
-            raise EstimationError(
-                f"sprt_drift_factor must be positive and != 1, got {sprt_drift_factor!r}"
-            )
         self.reference_parameters = reference_parameters
         self.reference_profile = reference_profile
         self.alpha = float(alpha)
         self.check_every = check_every
-        self._cusum_threshold = float(cusum_threshold)
-        self._cusum_drift = float(cusum_drift)
-        self._sprt_drift_factor = float(sprt_drift_factor)
-        self._sprt_alpha = float(sprt_alpha)
-        self._sprt_beta = float(sprt_beta)
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
         self._estimator = StreamingEstimator()
         self._last_cells: dict[str, ClassCell] = {}
@@ -878,27 +872,17 @@ class StreamMonitor:
                 statistic = rate_drift_test(key, failures, trials, rate).statistic
                 alarm = self._cusum.get(key)
                 if alarm is None:
-                    alarm = self._cusum[key] = CusumAlarm(
-                        key,
-                        threshold=self._cusum_threshold,
-                        drift=self._cusum_drift,
-                    )
+                    alarm = self._cusum[key] = CusumAlarm(key)
                 if alarm.update(statistic):
                     fired += 1
                     self._obs.mark(f"monitor.alarm.{key}", alarm.fires)
             rate = self.reference_parameters[name].p_machine_failure
-            drifted_rate = min(self._sprt_drift_factor * rate, 1.0 - 1e-12)
+            drifted_rate = min(SPRT_DRIFT_FACTOR * rate, 1.0 - 1e-12)
             if 0.0 < rate < 1.0 and 0.0 < drifted_rate < 1.0 and drifted_rate != rate:
                 key = f"{name}/PMf"
                 sprt = self._sprt.get(key)
                 if sprt is None:
-                    sprt = self._sprt[key] = SprtAlarm(
-                        key,
-                        rate,
-                        drifted_rate,
-                        alpha=self._sprt_alpha,
-                        beta=self._sprt_beta,
-                    )
+                    sprt = self._sprt[key] = SprtAlarm(key, rate, drifted_rate)
                 if window.records > 0 and sprt.update(
                     window.machine_failures, window.records
                 ):

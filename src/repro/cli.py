@@ -77,14 +77,11 @@ def _add_observability_arguments(
     )
 
 
-def _add_engine_arguments(
-    parser: argparse.ArgumentParser, *, workers: int = 1, chunk_size: bool = True
-) -> None:
+def _add_engine_arguments(parser: argparse.ArgumentParser, *, workers: int = 1) -> None:
     """The shared ``--workers``/``--chunk-size`` engine flags.
 
-    Seeded results depend only on the seed and the chunk size, never on
-    ``--workers``.  ``uncertainty`` has no chunks, so it takes
-    ``--workers`` only (``chunk_size=False``).
+    ``simulate``, ``sweep`` and ``serve`` take both.  Seeded results
+    depend only on the seed and the chunk size, never on ``--workers``.
     """
     parser.add_argument(
         "--workers",
@@ -92,14 +89,13 @@ def _add_engine_arguments(
         default=workers,
         help="engine processes (1 = in-process; results do not depend on it)",
     )
-    if chunk_size:
-        parser.add_argument(
-            "--chunk-size",
-            type=int,
-            default=None,
-            help="cases per engine chunk: with the seed, what seeded results "
-            "depend on (default: the engine's standard chunk size)",
-        )
+    parser.add_argument(
+        "--chunk-size",
+        type=int,
+        default=None,
+        help="cases per engine chunk: with the seed, what seeded results "
+        "depend on (default: the engine's standard chunk size)",
+    )
 
 
 @contextmanager
@@ -261,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pseudo trial readings per class behind each parameter's Beta posterior",
     )
     uncertainty.add_argument("--seed", type=int, default=0, help="sampling seed")
-    _add_engine_arguments(uncertainty, chunk_size=False)
     _add_observability_arguments(uncertainty, short_flag=False)
 
     sweep = subparsers.add_parser(
@@ -697,53 +692,18 @@ def _command_simulate(args: argparse.Namespace) -> None:
 def _command_uncertainty(args: argparse.Namespace) -> None:
     import time
 
-    from .core import BetaPosterior, UncertainClassParameters, UncertainModel
+    from .core import UncertainModel
 
     if args.trials < 1:
         raise ReproError(f"--trials must be at least 1, got {args.trials}")
     parameters, profiles = _load_parameters(args.model)
     profile = _profiles_or_default(profiles, args.profile)
-    uncertain = UncertainModel(
-        {
-            cls: UncertainClassParameters(
-                *(
-                    BetaPosterior.from_counts(
-                        round(getattr(params, name) * args.trials), args.trials
-                    )
-                    for name in (
-                        "p_machine_failure",
-                        "p_human_failure_given_machine_failure",
-                        "p_human_failure_given_machine_success",
-                    )
-                )
-            )
-            for cls, params in parameters.items()
-        }
-    )
+    uncertain = UncertainModel.from_trial_counts(parameters, args.trials)
     with _observability(args, "uncertainty"):
         start = time.perf_counter()
-        if getattr(args, "workers", 1) > 1:
-            # Route through the extrapolation-study grid on a shared
-            # runtime.  The baseline scenario is a no-op transform and the
-            # interval formulas coincide, so the numbers are bit-identical
-            # to failure_probability_interval below.
-            from .core import ExtrapolationStudy
-            from .engine import EngineRuntime
-
-            study = ExtrapolationStudy(parameters, {args.profile: profile})
-            with EngineRuntime(workers=args.workers) as runtime:
-                intervals = study.credible_intervals(
-                    uncertain,
-                    level=args.level,
-                    num_draws=args.draws,
-                    seed=args.seed,
-                    runtime=runtime,
-                )
-            interval = intervals[(ExtrapolationStudy.BASELINE_NAME, args.profile)]
-        else:
-            interval = uncertain.failure_probability_interval(
-                profile, level=args.level, num_samples=args.draws, seed=args.seed
-            )
+        interval = uncertain.failure_probability_interval(
+            profile, level=args.level, num_samples=args.draws, seed=args.seed
+        )
         elapsed = time.perf_counter() - start
         print(
             f"profile {args.profile!r}: {args.level:.0%} credible interval for "

@@ -31,7 +31,6 @@ from .uncertainty import CredibleInterval, UncertainModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..engine.posterior import ParameterTable
-    from ..engine.runtime import EngineRuntime
 
 __all__ = [
     "Change",
@@ -332,15 +331,9 @@ class StudyResult:
 
 
 def _study_cell_samples(
-    job: "tuple[Scenario, DemandProfile, ParameterTable]",
+    scenario: Scenario, profile: DemandProfile, table: "ParameterTable"
 ) -> np.ndarray:
-    """Failure-probability samples for one (scenario, profile) study cell.
-
-    Module-level so an :class:`~repro.engine.runtime.EngineRuntime` can
-    pickle it into pool workers; the serial path calls it directly, so
-    both paths run literally the same code per cell.
-    """
-    scenario, profile, table = job
+    """Failure-probability samples for one (scenario, profile) study cell."""
     try:
         cell_table, cell_profile = scenario.apply_arrays(table, profile)
         return np.asarray(
@@ -349,8 +342,6 @@ def _study_cell_samples(
     except NotImplementedError:
         # A custom Change without an array transform: per-row scalar
         # loop over the same shared table (identical results, slower).
-        # The counter is best-effort — it records in-process, while pool
-        # workers see the null ambient instrumentation.
         get_instrumentation().count("study.degraded.scalar_cell")
         samples = np.empty(len(table), dtype=np.float64)
         for i in range(len(table)):
@@ -438,7 +429,6 @@ class ExtrapolationStudy:
         num_draws: int = 10_000,
         rng: np.random.Generator | None = None,
         seed: int | None = None,
-        runtime: "EngineRuntime | None" = None,
     ) -> dict[tuple[str, str], CredibleInterval]:
         """Credible intervals for every (scenario, profile) cell of the study.
 
@@ -461,12 +451,6 @@ class ExtrapolationStudy:
             rng: Random generator; built from ``seed`` when omitted.
             seed: Seed used when ``rng`` is omitted; leaving both unset
                 draws irreproducible OS entropy.
-            runtime: An :class:`~repro.engine.runtime.EngineRuntime` to
-                fan the grid cells out over.  The per-cell computation
-                is unchanged — every cell still sees the same shared
-                posterior table — so results are identical with or
-                without one; the runtime only parallelises and reuses
-                its persistent pool across repeated studies.
 
         Returns:
             Mapping from ``(scenario name, profile name)`` to the
@@ -481,16 +465,12 @@ class ExtrapolationStudy:
             for scenario in self._scenarios
             for profile_name, profile in self._profiles.items()
         ]
-        jobs = [(scenario, profile, table) for scenario, _, profile in cells]
         with get_instrumentation().span(
             "study.credible_intervals", cells=len(cells), draws=num_draws
         ):
-            if runtime is not None:
-                sample_arrays = runtime.map(_study_cell_samples, jobs)
-            else:
-                sample_arrays = [_study_cell_samples(job) for job in jobs]
             intervals: dict[tuple[str, str], CredibleInterval] = {}
-            for (scenario, profile_name, _), samples in zip(cells, sample_arrays):
+            for scenario, profile_name, profile in cells:
+                samples = _study_cell_samples(scenario, profile, table)
                 intervals[(scenario.name, profile_name)] = CredibleInterval.from_samples(
                     samples, level
                 )

@@ -19,19 +19,15 @@ explicit misclassification costs and prevalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .._validation import check_positive, check_probability
 from ..exceptions import ParameterError
 from .case_class import CaseClass
-from .parameters import ModelParameters
 from .profile import DemandProfile
 from .sequential import SequentialModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..engine.runtime import EngineRuntime
 
 __all__ = [
     "SystemOperatingPoint",
@@ -271,37 +267,11 @@ class TradeoffFrontier:
         return iter(self._points)
 
 
-def _sweep_block(
-    job: tuple[
-        ModelParameters,
-        np.ndarray,
-        tuple[CaseClass | str, ...] | None,
-        DemandProfile,
-    ],
-) -> np.ndarray:
-    """Failure rates for one contiguous block of sweep settings.
-
-    Module-level so an :class:`~repro.engine.runtime.EngineRuntime` can
-    pickle it into pool workers.  Each row of the sweep table is an
-    independent equation-(8) evaluation, so splitting the sweep into row
-    blocks cannot change any row's value — the fan-out is bit-identical
-    to the single-table contraction.
-    """
-    parameters, factors, classes, profile = job
-    from ..engine.posterior import ParameterTable
-
-    table = ParameterTable.from_model_parameters(
-        parameters, num_rows=len(factors)
-    ).with_machine_improved(factors, classes)
-    return np.asarray(table.system_failure_probability(profile), dtype=np.float64)
-
-
 def sweep_machine_settings(
     model: TwoSidedModel,
     settings: Mapping[str, tuple[float, float]],
     classes: Sequence[CaseClass | str] | None = None,
     method: str = "vectorized",
-    runtime: "EngineRuntime | None" = None,
 ) -> TradeoffFrontier:
     """Evaluate a whole sweep of CADT settings into a trade-off frontier.
 
@@ -324,11 +294,6 @@ def sweep_machine_settings(
             changes; all classes of each side when ``None``.  Must exist
             on both sides when given.
         method: ``"vectorized"`` (default) or ``"scalar"``.
-        runtime: An :class:`~repro.engine.runtime.EngineRuntime` to fan
-            the vectorized sweep out over, as contiguous row blocks per
-            worker.  Rows are independent, so the result is
-            bit-identical with or without one; ignored by the scalar
-            method.
 
     Returns:
         A :class:`TradeoffFrontier` over one
@@ -360,21 +325,10 @@ def sweep_machine_settings(
                     if side == "fn"
                     else model.false_positive_model
                 )
-                if runtime is not None and len(labels) > 1:
-                    class_key = tuple(classes) if classes is not None else None
-                    n_blocks = min(runtime.workers, len(labels))
-                    bounds = np.linspace(0, len(labels), n_blocks + 1, dtype=int)
-                    jobs = [
-                        (side_model.parameters, factors[lo:hi], class_key, profile)
-                        for lo, hi in zip(bounds, bounds[1:])
-                        if hi > lo
-                    ]
-                    rates[side] = np.concatenate(runtime.map(_sweep_block, jobs))
-                else:
-                    table = ParameterTable.from_model_parameters(
-                        side_model.parameters, num_rows=len(labels)
-                    ).with_machine_improved(factors, classes)
-                    rates[side] = table.system_failure_probability(profile)
+                table = ParameterTable.from_model_parameters(
+                    side_model.parameters, num_rows=len(labels)
+                ).with_machine_improved(factors, classes)
+                rates[side] = table.system_failure_probability(profile)
             points = [
                 SystemOperatingPoint(
                     label=label,

@@ -312,6 +312,32 @@ class UncertainModel:
             }
         )
 
+    @classmethod
+    def from_trial_counts(
+        cls, parameters: ModelParameters, trials: int
+    ) -> "UncertainModel":
+        """Pseudo-trial posteriors around a known parameter table.
+
+        Each parameter ``p`` of each class becomes
+        ``BetaPosterior.from_counts(round(p * trials), trials)``, as if it
+        had been estimated from ``trials`` readings.
+        """
+        return cls(
+            {
+                case_class: UncertainClassParameters(
+                    *(
+                        BetaPosterior.from_counts(round(p * trials), trials)
+                        for p in (
+                            params.p_machine_failure,
+                            params.p_human_failure_given_machine_failure,
+                            params.p_human_failure_given_machine_success,
+                        )
+                    )
+                )
+                for case_class, params in parameters.items()
+            }
+        )
+
     def mean_model(self) -> SequentialModel:
         """The sequential model at the posterior-mean parameters."""
         return SequentialModel(

@@ -296,10 +296,9 @@ class EngineRuntime:
     Args:
         workers: Worker processes for seeded parallel execution.  ``1``
             keeps everything in-process (no pool, no shared memory).
-        use_shared_memory: ``None`` probes availability (the default);
-            ``False`` always pickles arrays into tasks; ``True``
-            requests shared memory but still falls back if a segment
-            cannot be created.
+            Shared memory is used where :func:`shared_memory_available`
+            finds it; elsewhere, and after a segment cannot be created,
+            arrays are pickled into tasks.
         max_cached_workloads: Distinct workloads kept resident (LRU).
         shm_byte_budget: Soft cap on the total bytes of live shared
             segments.  When a fresh publication pushes the total over
@@ -322,7 +321,6 @@ class EngineRuntime:
     def __init__(
         self,
         workers: int = 2,
-        use_shared_memory: bool | None = None,
         max_cached_workloads: int = 4,
         shm_byte_budget: int | None = None,
         obs: Instrumentation | None = None,
@@ -344,16 +342,13 @@ class EngineRuntime:
         )
         self._obs = obs if obs is not None else get_instrumentation()
         self._degraded: set[str] = set()
-        if use_shared_memory is None or use_shared_memory:
-            self._use_shm = shared_memory_available()
-            if not self._use_shm and self._workers > 1:
-                self._note_degradation(
-                    "no_shm",
-                    "shared memory is unavailable; workloads will be pickled "
-                    "into every task group (results are unaffected)",
-                )
-        else:
-            self._use_shm = False
+        self._use_shm = shared_memory_available()
+        if not self._use_shm and self._workers > 1:
+            self._note_degradation(
+                "no_shm",
+                "shared memory is unavailable; workloads will be pickled "
+                "into every task group (results are unaffected)",
+            )
         self._pool_box: list[ProcessPoolExecutor | None] = [None]
         self._pool_launches = 0
         self._cache: OrderedDict[str, _CachedWorkload] = OrderedDict()
@@ -665,12 +660,12 @@ class EngineRuntime:
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Apply a picklable function over items on the persistent pool.
 
-        The generic escape hatch for grid work (extrapolation cells,
-        sweep row blocks).  Order is preserved.  Falls back to an
-        in-process loop when the runtime is serial, and recomputes
-        in-process when the pool breaks or fails to pickle ``fn`` or any
-        item (told from ``fn``'s own errors by pickling them again, on
-        that path only) — the result is the same either way.
+        The generic escape hatch for work that is not a fused engine
+        batch.  Order is preserved.  Falls back to an in-process loop
+        when the runtime is serial, and recomputes in-process when the
+        pool breaks or fails to pickle ``fn`` or any item (told from
+        ``fn``'s own errors by pickling them again, on that path only) —
+        the result is the same either way.
         """
         if self._closed:
             raise SimulationError("cannot map on a closed EngineRuntime")

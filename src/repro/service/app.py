@@ -53,9 +53,7 @@ from ..analysis.streaming import StreamMonitor
 from ..core import (
     PAPER_FIELD_PROFILE,
     PAPER_TRIAL_PROFILE,
-    BetaPosterior,
     CredibleInterval,
-    UncertainClassParameters,
     UncertainModel,
     paper_example_parameters,
 )
@@ -495,23 +493,8 @@ class ScreeningService:
         profile = (
             PAPER_FIELD_PROFILE if profile_name == "field" else PAPER_TRIAL_PROFILE
         )
-        parameters = paper_example_parameters()
-        uncertain = UncertainModel(
-            {
-                cls: UncertainClassParameters(
-                    *(
-                        BetaPosterior.from_counts(
-                            round(getattr(params, name) * trials), trials
-                        )
-                        for name in (
-                            "p_machine_failure",
-                            "p_human_failure_given_machine_failure",
-                            "p_human_failure_given_machine_success",
-                        )
-                    )
-                )
-                for cls, params in parameters.items()
-            }
+        uncertain = UncertainModel.from_trial_counts(
+            paper_example_parameters(), trials
         )
         return uncertain.failure_probability_interval(
             profile, level=level, num_samples=draws, seed=seed

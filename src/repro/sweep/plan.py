@@ -40,6 +40,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from ..engine.executor import DEFAULT_CHUNK_SIZE
 from ..exceptions import SimulationError
 from ..obs import get_instrumentation
 from .grid import ScenarioCell, ScenarioGrid, SystemSpec, WorkloadSpec
@@ -273,7 +274,7 @@ def compile_grid(
     grid: ScenarioGrid,
     *,
     seed: int,
-    chunk_size: int = 16384,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     shard_size: int = DEFAULT_SHARD_SIZE,
     fuse_limit: int = DEFAULT_FUSE_LIMIT,
 ) -> SweepPlan:

@@ -564,8 +564,6 @@ class TestStreamMonitor:
             self.make_monitor(alpha=0.0)
         with pytest.raises(EstimationError, match="check_every"):
             self.make_monitor(check_every=0)
-        with pytest.raises(EstimationError, match="sprt_drift_factor"):
-            self.make_monitor(sprt_drift_factor=1.0)
 
 
 class TestClassCell:

@@ -28,6 +28,7 @@ from repro.core import (
     sweep_machine_settings,
 )
 from repro.exceptions import EstimationError
+from repro.obs import Instrumentation, use_instrumentation
 
 
 @pytest.fixture
@@ -178,11 +179,16 @@ class TestExtrapolationEquivalence:
                 return parameters.with_machine_improved(2.0), profile
 
         profiles = {"field": PAPER_FIELD_PROFILE}
-        fallback = ExtrapolationStudy(
-            paper_example_parameters(),
-            profiles,
-            [Scenario("change", (OpaqueImprove(),))],
-        ).credible_intervals(uncertain_paper_model, num_draws=300, seed=9)
+        obs = Instrumentation()
+        with use_instrumentation(obs):
+            fallback = ExtrapolationStudy(
+                paper_example_parameters(),
+                profiles,
+                [Scenario("change", (OpaqueImprove(),))],
+            ).credible_intervals(uncertain_paper_model, num_draws=300, seed=9)
+        # Only the opaque scenario's cell degrades; the baseline's takes
+        # the array path.
+        assert obs.metrics.counter("study.degraded.scalar_cell").value == 1
         array = ExtrapolationStudy(
             paper_example_parameters(),
             profiles,

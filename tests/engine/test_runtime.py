@@ -104,9 +104,13 @@ class TestDeterminism:
             )
         assert failure_counts(pooled) == failure_counts(serial)
 
-    def test_fallback_path_matches_shared_memory_path(self):
+    def test_fallback_path_matches_shared_memory_path(self, monkeypatch):
         workload = make_workload(2500)
-        with EngineRuntime(workers=2, use_shared_memory=False) as no_shm:
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime_module, "shared_memory_available", lambda: False)
+            with pytest.warns(RuntimeDegradationWarning, match="no_shm"):
+                no_shm = EngineRuntime(workers=2)
+        with no_shm:
             assert not no_shm.uses_shared_memory
             pickled = evaluate_system_batch(
                 make_system(), workload, seed=7, chunk_size=500, runtime=no_shm
@@ -398,75 +402,6 @@ class TestRuntimeApi:
                         shared_memory.SharedMemory(name=name)
         finally:
             runtime.close()
-
-
-class TestRoutedConsumers:
-    def test_credible_intervals_identical_with_runtime(self):
-        from repro.core import (
-            BetaPosterior,
-            ExtrapolationStudy,
-            UncertainClassParameters,
-            UncertainModel,
-        )
-        from repro.core.profile import DemandProfile
-
-        uncertain = UncertainModel(
-            {
-                "easy": UncertainClassParameters(
-                    BetaPosterior.from_counts(2, 100),
-                    BetaPosterior.from_counts(30, 100),
-                    BetaPosterior.from_counts(1, 100),
-                ),
-                "difficult": UncertainClassParameters(
-                    BetaPosterior.from_counts(20, 100),
-                    BetaPosterior.from_counts(40, 100),
-                    BetaPosterior.from_counts(5, 100),
-                ),
-            }
-        )
-        study = ExtrapolationStudy(
-            uncertain.mean_model().parameters,
-            {"field": DemandProfile({"easy": 0.9, "difficult": 0.1})},
-        )
-        serial = study.credible_intervals(uncertain, num_draws=500, seed=4)
-        with EngineRuntime(workers=2) as runtime:
-            pooled = study.credible_intervals(
-                uncertain, num_draws=500, seed=4, runtime=runtime
-            )
-        assert serial == pooled
-
-    def test_sweep_identical_with_runtime(self):
-        from repro.core import sweep_machine_settings
-        from repro.core.parameters import ClassParameters, ModelParameters
-        from repro.core.profile import DemandProfile
-        from repro.core.sequential import SequentialModel
-        from repro.core.tradeoff import TwoSidedModel
-
-        model = TwoSidedModel(
-            SequentialModel(
-                ModelParameters(
-                    {
-                        "subtle": ClassParameters(0.4, 0.8, 0.3),
-                        "obvious": ClassParameters(0.05, 0.2, 0.05),
-                    }
-                )
-            ),
-            SequentialModel(
-                ModelParameters(
-                    {
-                        "busy_film": ClassParameters(0.5, 0.3, 0.15),
-                        "clean_film": ClassParameters(0.1, 0.1, 0.03),
-                    }
-                )
-            ),
-            cancer_profile=DemandProfile({"subtle": 0.3, "obvious": 0.7}),
-            healthy_profile=DemandProfile({"busy_film": 0.4, "clean_film": 0.6}),
-        )
-        settings = {f"s{i}": (0.5 + 0.25 * i, 2.0 - 0.2 * i) for i in range(7)}
-        serial = sweep_machine_settings(model, settings)
-        with EngineRuntime(workers=2) as runtime:
-            pooled = sweep_machine_settings(model, settings, runtime=runtime)
-        assert serial.points == pooled.points
 
 
 class TestShmByteBudget:
