@@ -16,7 +16,12 @@ side) the null-instrumentation call sites under test — no pool
 scheduling noise, no columnisation, no classification.  The two sides
 are timed interleaved, one repeat of each in turn, and each keeps its
 best repeat, so a burst of contention on a shared machine slows both
-sides' repeats around it rather than deciding the ratio.  Results are
+sides' repeats around it rather than deciding the ratio.  The workload
+is large enough (about 14 ms of kernel work per comparison on a 2-vCPU
+VM) that the runtime's fixed per-call bookkeeping stays well under a
+point of it, and the repeats many enough that each side's best repeat
+finds a quiet moment: with 6,000 cases and 7 repeats the gate failed
+in 3 to 7 of 20 fresh runs of code whose overhead is about one point.  Results are
 written to ``BENCH_obs.json`` at the repo root (uploaded as a CI
 artifact).  Run with::
 
@@ -44,10 +49,10 @@ from repro.screening import (
 )
 from repro.system import AssistedReading, FailureTally
 
-NUM_CASES = 6_000
+NUM_CASES = 48_000
 CHUNK_SIZE = 512
 NUM_SYSTEMS = 4
-REPEATS = 7
+REPEATS = 31
 SEED = 2026
 LEVEL = 0.95
 #: Throughput ratio (bare / runtime elapsed) the disabled path must keep.

@@ -41,10 +41,11 @@ __all__ = [
 
 ArrayLike = float | np.ndarray
 
-#: Largest Poisson rate :func:`poisson_from_uniform` accepts.  Far above
-#: anything the false-prompt model produces; the guard exists so extreme
-#: threshold tunings fail loudly instead of iterating forever.
-MAX_POISSON_RATE = 1.0e3
+#: Largest Poisson rate :func:`poisson_from_uniform` accepts: the largest
+#: round rate whose ``exp(-rate)`` is a normal float (it is subnormal above
+#: 708.4 and 0.0 from 746, where the inversion returns wrong counts), so
+#: extreme threshold tunings fail loudly.
+MAX_POISSON_RATE = 700.0
 
 
 def exp(x: ArrayLike) -> ArrayLike:
@@ -121,19 +122,30 @@ class PoissonRates(NamedTuple):
 
     Attributes:
         rate: The rates, ``float64``.
-        p_zero: ``exp(-rate)``, each rate's ``P(K = 0)``.
+        cdf: The first rows of each rate's CDF, ``(rows, *rate.shape)``,
+            stepped by the inversion's own recurrence.
+        pmf: ``P(K = rows - 1)``, where the recurrence resumes.
         iteration_cap: Most pmf/cdf steps an inversion takes; it only
             guards against float saturation in the extreme tail (``u``
             within an ulp of 1).
     """
 
     rate: np.ndarray
-    p_zero: np.ndarray
+    cdf: np.ndarray
+    pmf: np.ndarray
     iteration_cap: int
 
+    @property
+    def p_zero(self) -> np.ndarray:
+        """``exp(-rate)``, each rate's ``P(K = 0)``."""
+        return self.cdf[0]
 
-def poisson_rates(rate: np.ndarray) -> PoissonRates:
+
+def poisson_rates(rate: np.ndarray, rows: int = 1) -> PoissonRates:
     """Validate an array of Poisson rates and precompute what inverting them needs.
+
+    ``rows`` CDF rows are kept (at most the iteration cap): an inversion
+    steps only the elements whose count reaches them.
 
     Raises:
         ValueError: when a rate is not finite, is negative, or exceeds
@@ -148,39 +160,48 @@ def poisson_rates(rate: np.ndarray) -> PoissonRates:
             f"Poisson rate {max_rate!r} exceeds the supported maximum "
             f"{MAX_POISSON_RATE!r}"
         )
-    return PoissonRates(
-        rate=rate,
-        p_zero=np.exp(-rate),
-        iteration_cap=int(max_rate + 64.0 * np.sqrt(max_rate + 1.0)) + 64,
-    )
+    iteration_cap = int(max_rate + 64.0 * np.sqrt(max_rate + 1.0)) + 64
+    cdf = np.empty((min(rows, iteration_cap), *rate.shape))
+    np.exp(-rate, out=cdf[0])
+    pmf = cdf[0].copy()
+    for k in range(1, len(cdf)):
+        pmf *= rate
+        pmf /= k
+        np.add(cdf[k - 1], pmf, out=cdf[k])
+    return PoissonRates(rate=rate, cdf=cdf, pmf=pmf, iteration_cap=iteration_cap)
 
 
 def poisson_counts(u: np.ndarray, rates: PoissonRates) -> np.ndarray:
     """Poisson quantiles of the uniforms ``u`` at validated ``rates`` (same shape).
 
     The smallest ``k`` with ``u < CDF(k)``, elementwise, as an int64
-    array.  Each step of the pmf/cdf recurrence runs on the whole array,
-    resolved elements included: an unresolved element's count equals the
-    step ``k``, so ``pmf * rate / k`` is exactly its own recurrence step,
-    and a resolved element stays resolved because its ``cdf`` never
-    decreases.  The counts are therefore those of a per-element loop,
-    bit for bit.
+    array: the number of ``rates.cdf`` rows ``u`` is at or above (each
+    element's rows never decrease), and for the elements at or above
+    every row, the steps of the same pmf/cdf recurrence on from the
+    last, to the same iteration cap.  Each element's steps are its own
+    recurrence's, so the counts are a per-element loop's, bit for bit,
+    at any depth (one row, ``P(K = 0)``, steps every nonzero count).
     """
-    rate, p_zero, iteration_cap = rates
-    counts = np.zeros(u.shape, dtype=np.int64)
-    unresolved = u >= p_zero
+    rate, cdf, pmf, iteration_cap = rates
+    at_or_above = u >= cdf
+    # At most the row count, which the iteration cap (< 2**16) bounds.
+    counts = np.add.reduce(at_or_above.view(np.uint8), axis=0, dtype=np.uint16)
+    counts = counts.astype(np.int64)
+    past = np.nonzero(at_or_above[-1])
     # The loop runs to the largest realised count.
-    if unresolved.any():
-        pmf = p_zero.copy()
-        cdf = p_zero.copy()
-        for k in range(1, iteration_cap + 1):
-            counts += unresolved
+    if past[0].size:
+        u, rate, pmf, last = u[past], rate[past], pmf[past], cdf[-1][past]
+        more = np.zeros(u.shape, dtype=np.int64)
+        unresolved = np.ones(u.shape, dtype=bool)
+        for k in range(len(cdf), iteration_cap):
             pmf *= rate
             pmf /= k
-            cdf += pmf
-            np.greater_equal(u, cdf, out=unresolved)
+            last += pmf
+            np.greater_equal(u, last, out=unresolved)
             if not unresolved.any():
                 break
+            more += unresolved
+        counts[past] += more
     return counts
 
 
@@ -212,9 +233,12 @@ def poisson_from_uniform(u: ArrayLike, rate: ArrayLike) -> ArrayLike:
     return counts
 
 
-def float_key(value: float) -> int:
+_DOUBLE = struct.Struct("<d")
+
+
+def float_key(value: float) -> bytes:
     """``value``'s exact IEEE 754 bits, as a memo key (``0.0`` and ``-0.0`` differ)."""
-    return struct.unpack("<q", struct.pack("<d", value))[0]
+    return _DOUBLE.pack(value)
 
 
 def read_only(array: np.ndarray) -> np.ndarray:

@@ -44,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 
 __all__ = ["CadtOutput", "CadtBatchOutput", "CadtTable", "DetectionAlgorithm"]
 
+#: Rows of each case's false-prompt CDF a :class:`CadtTable` keeps (8
+#: bytes a case each): at the paper's tunings few counts reach 5.
+PROMPT_CDF_ROWS = 5
+
 
 @dataclass(frozen=True)
 class CadtOutput:
@@ -126,7 +130,8 @@ class CadtTable(NamedTuple):
 
     Attributes:
         miss: ``pMf(x)`` per case, ``float64[n]``; 0 on healthy cases.
-        prompts: The validated false-prompt rates and their ``exp(-rate)``.
+        prompts: The validated false-prompt rates and the first
+            :data:`PROMPT_CDF_ROWS` rows of their CDFs.
     """
 
     miss: np.ndarray
@@ -237,9 +242,9 @@ class DetectionAlgorithm:
         rate = self.base_false_prompt_rate * (
             1.0 + self.distractor_gain * arrays.distractor_level
         )
-        prompts = poisson_rates(rate * _exp(-self.threshold_shift))
-        read_only(prompts.rate)
-        read_only(prompts.p_zero)
+        prompts = poisson_rates(rate * _exp(-self.threshold_shift), PROMPT_CDF_ROWS)
+        for array in (prompts.rate, prompts.cdf, prompts.pmf):
+            read_only(array)
         return CadtTable(
             miss=read_only(np.where(arrays.has_cancer, missed, 0.0)), prompts=prompts
         )
@@ -248,7 +253,8 @@ class DetectionAlgorithm:
         """Run the algorithm over a batch, consuming pre-drawn uniforms.
 
         Reads this tuning's :meth:`probability_table`; only the draws'
-        comparisons and the Poisson inversion run per call.
+        comparisons against it, and the Poisson inversion's steps past
+        the table's CDF rows, run per call.
 
         Args:
             arrays: The batch, as a struct of arrays.

@@ -23,7 +23,9 @@ from .._numeric import read_only as _read_only
 from ..exceptions import SimulationError
 from ..screening.case import Case, LesionType
 
-__all__ = ["CaseArrays", "SharedLayout", "LESION_CODES", "ARRAY_FIELDS", "ENTRIES_PER_KIND"]
+__all__ = [
+    "CaseArrays", "ReaderRoles", "SharedLayout", "LESION_CODES", "ARRAY_FIELDS", "ENTRIES_PER_KIND"
+]
 
 _T = TypeVar("_T")
 
@@ -65,7 +67,20 @@ def _column_logit(column: np.ndarray) -> np.ndarray:
     return _read_only(np.asarray(_logit(column)))
 
 
-class SharedLayout(NamedTuple):
+class ReaderRoles(NamedTuple):
+    """Where one reader's uniforms sit in a draw, one index array per role:
+    ``recall`` in :attr:`CaseArrays.healthy_index` order, the cancer roles
+    (in the order a cancer consumes them) in ``cancer_index`` order."""
+
+    recall: np.ndarray
+    lapse: np.ndarray
+    prompt: np.ndarray
+    detect: np.ndarray
+    classify: np.ndarray
+
+
+@dataclass(frozen=True)
+class SharedLayout:
     """Where each component's uniforms sit in one shared flat draw.
 
     A system whose components share one generator consumes, per case,
@@ -78,14 +93,28 @@ class SharedLayout(NamedTuple):
         total: Uniforms in the flat draw.
         cadt_index: ``int64[n, 2]`` positions of each case's CADT pair;
             ``None`` without a tool.
-        reader_index: Per reader, in reading order, where its uniforms
-            sit in the flat draw, listed in the reader layout
-            (:attr:`CaseArrays.reader_offsets`).
+        reader_roles: Per reader, in reading order, where its uniforms
+            sit in the flat draw, by role (:class:`ReaderRoles`).
+        own_roles: The same roles in a reader's own draw
+            (:attr:`CaseArrays.reader_roles`).
     """
 
     total: int
     cadt_index: np.ndarray | None
-    reader_index: tuple[np.ndarray, ...]
+    reader_roles: tuple[ReaderRoles, ...]
+    own_roles: ReaderRoles
+
+    @cached_property
+    def reader_index(self) -> tuple[np.ndarray, ...]:
+        """Per reader, where its uniforms sit in the flat draw, listed in
+        the reader layout; built on first read from the roles."""
+        indexes = []
+        for roles in self.reader_roles:
+            index = np.empty(sum(map(len, roles)), dtype=np.int64)
+            for own, shared in zip(self.own_roles, roles):
+                index[own] = shared
+            indexes.append(_read_only(index))
+        return tuple(indexes)
 
 
 @dataclass(frozen=True)
@@ -315,16 +344,30 @@ class CaseArrays:
         offsets = np.cumsum(counts) - counts  # exclusive prefix sum
         cadt_index = None
         if cadt:
-            cadt_index = _read_only(np.stack((offsets, offsets + 1), axis=1))
-        # Reader k's segment of case i starts at offsets[i] + head +
-        # k * per_reader[i]; `within` ranks each uniform inside its segment.
-        within = np.arange(self.reader_total) - np.repeat(self.reader_offsets, per_reader)
-        first = np.repeat(offsets + head, per_reader) + within
-        step = np.repeat(per_reader, per_reader)
+            # Column-major, so each column the tool reads of its gathered
+            # pairs is contiguous.
+            cadt_index = _read_only(np.stack((offsets, offsets + 1)).T)
+        # Reader k's segment of case i starts at offsets[i] + head + k * per_reader[i].
         return SharedLayout(
             total=int(counts.sum()),
             cadt_index=cadt_index,
-            reader_index=tuple(_read_only(first + k * step) for k in range(readers)),
+            reader_roles=tuple(
+                self._roles(offsets + head + k * per_reader) for k in range(readers)
+            ),
+            own_roles=self.reader_roles,
+        )
+
+    @cached_property
+    def reader_roles(self) -> ReaderRoles:
+        """A reader's :class:`ReaderRoles` in its own draw (the reader layout)."""
+        return self._roles(self.reader_offsets)
+
+    def _roles(self, segment: np.ndarray) -> ReaderRoles:
+        """The roles of a reader whose segment of case ``i`` starts at ``segment[i]``."""
+        start = segment[self.cancer_index]
+        return ReaderRoles(
+            _read_only(segment[self.healthy_index]),
+            *(_read_only(start + role) for role in range(_CANCER_DRAWS)),
         )
 
     @cached_property

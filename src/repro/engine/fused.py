@@ -38,7 +38,7 @@ from ..core.case_class import CaseClass
 from ..exceptions import SimulationError
 from ..obs import SpanPayload
 from ..reader.state import ReaderStateVector
-from ..system.simulate import FailureTally, SystemEvaluation, count_failures
+from ..system.simulate import FailureTally, SystemEvaluation, count_failures, count_trials
 from ..system.single import ScreeningSystem
 from .arrays import CaseArrays
 from .executor import (
@@ -221,20 +221,25 @@ def run_fused_batch(task: FusedTask) -> FusedOutput:
     chunks = plan_chunks(len(arrays), chunk_size)
     n_chunks = len(chunks)
     first, stop = (0, n_chunks) if chunk_range is None else chunk_range
+    low, high = 0, len(arrays)
     if stop - first < n_chunks:
         chunks = chunks[first:stop]
         low, high = chunks[0][0], chunks[-1][1]
         cut = slice(*np.searchsorted(positions, (low, high)))
         positions, codes = positions[cut] - low, codes[cut]
+    chunk_arrays = [arrays.chunk(start, end) for start, end in chunks]
+    # Every item decides the same cases: the trials are the task's.
     out = np.empty((len(items), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
+    out[:, 1], out[:, 3], out[:, 4 + n_classes :] = count_trials(
+        high - low, positions, codes, n_classes
+    )
     states: list[ReaderStateVector | None] = []
     for row, (_, system, seed, stream) in zip(out, items):
         rngs = _chunk_rngs(seed, n_chunks, first, stop)
         state = system.stream_state() if stream else None
         failures = []
-        for (start, end), rng in zip(chunks, rngs):
+        for (start, end), chunk, rng in zip(chunks, chunk_arrays, rngs):
             began = time.perf_counter() if traced else 0.0
-            chunk = arrays.chunk(start, end)
             if stream:
                 decisions, state = system.advance_stream(chunk, state, rng=rng)
             else:
@@ -247,12 +252,9 @@ def run_fused_batch(task: FusedTask) -> FusedOutput:
             system.commit_stream(state)
         states.append(state)
         failed = failures[0] if len(failures) == 1 else np.concatenate(failures)
-        *scalars, class_failures, class_trials = count_failures(
+        row[0], row[2], row[4 : 4 + n_classes] = count_failures(
             failed, positions, codes, n_classes
         )
-        row[:4] = scalars
-        row[4 : 4 + n_classes] = class_failures
-        row[4 + n_classes :] = class_trials
     return FusedOutput(out, tuple(states), spans)
 
 

@@ -43,7 +43,7 @@ from .reader import ReaderDecision, ReaderModel
 from .state import ReaderStateVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from ..engine.arrays import CaseArrays
+    from ..engine.arrays import CaseArrays, ReaderRoles
 
 __all__ = ["AdaptiveTrust", "AdaptiveReader"]
 
@@ -231,6 +231,7 @@ class AdaptiveReader:
         state: ReaderStateVector,
         u: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
+        roles: "ReaderRoles | None" = None,
     ) -> tuple[np.ndarray, ReaderStateVector]:
         """Decide one chunk from a carried state; never mutates ``self``.
 
@@ -238,12 +239,13 @@ class AdaptiveReader:
         cancer case, one per healthy case).  When ``u`` is omitted they
         are drawn from ``rng`` (or this wrapper's private generator), so
         an unseeded serial stream is bit-identical to calling
-        :meth:`decide` case by case.
+        :meth:`decide` case by case.  ``roles`` says where the reader's
+        uniforms sit in a ``u`` shared with other components.
         """
         if u is None:
             u = (rng if rng is not None else self._rng()).random(arrays.reader_total)
         return advance_adaptive_chunk(
-            self._base_reader, self.trust, arrays, cadt_output, state, u
+            self._base_reader, self.trust, arrays, cadt_output, state, u, roles
         )
 
     def __repr__(self) -> str:

@@ -31,14 +31,15 @@ steps it once.  A fatigued reader then decides through the rested
 reader's own body (:meth:`~repro.reader.reader.ReaderModel.decide_chunk`)
 over the probability table of its path, memoised on the chunk as well;
 the adaptive kernel vectorizes its per-case decision work (sigmoids,
-uniform comparisons) over the chunk's shared layout, index sets and
+uniform comparisons) over the chunk's role indices, index sets and
 difficulty logits (:class:`~repro.engine.arrays.CaseArrays`).  Every
 expression reproduces the scalar operation order exactly (see
 ``docs/engine.md``).
 
 The kernels never draw randomness: callers pass the chunk's flat
 uniforms ``u`` in the fixed layout the scalar loop consumes (four per
-cancer case, one per healthy case, in case order).
+cancer case, one per healthy case, in case order), or a shared draw
+with the reader's :class:`~repro.engine.arrays.ReaderRoles` in it.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ from .._numeric import float_key, read_only
 from .._numeric import sigmoid as _sigmoid
 from ..cadt.algorithm import CadtBatchOutput
 from ..exceptions import SimulationError
-from .reader import ReaderModel, check_chunk_outputs
+from .reader import ReaderModel, check_chunk_outputs, draw_roles
 from .state import ReaderStateVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from ..engine.arrays import CaseArrays
+    from ..engine.arrays import CaseArrays, ReaderRoles
     from .adaptation import AdaptiveTrust
     from .fatigue import FatigueModel
 
@@ -186,22 +187,20 @@ def _decrement_path(
     return key, arrays.bounded("fatigue_decrement_paths", key, compute)
 
 
-def _check_chunk_inputs(
+def _chunk_roles(
     arrays: "CaseArrays",
     cadt_output: CadtBatchOutput | None,
     state: ReaderStateVector,
     u: np.ndarray,
-    total: int,
-) -> None:
+    roles: "ReaderRoles | None",
+) -> "ReaderRoles":
+    """Check a chunk kernel's inputs; where the reader's uniforms sit in ``u``."""
     if len(state) != 1:
         raise SimulationError(
             f"chunk kernels carry single-reader state, got {len(state)} slots"
         )
     check_chunk_outputs(arrays, cadt_output)
-    if u.shape != (total,):
-        raise SimulationError(
-            f"expected a flat array of {total} uniforms, got shape {u.shape!r}"
-        )
+    return draw_roles(arrays, u, roles)
 
 
 def advance_fatigued_chunk(
@@ -211,6 +210,7 @@ def advance_fatigued_chunk(
     cadt_output: CadtBatchOutput | None,
     state: ReaderStateVector,
     u: np.ndarray,
+    roles: "ReaderRoles | None" = None,
 ) -> tuple[np.ndarray, ReaderStateVector]:
     """One chunk of :class:`~repro.reader.fatigue.FatiguedReader` decisions.
 
@@ -230,12 +230,13 @@ def advance_fatigued_chunk(
             ``cases_this_session`` columns are used).
         u: Flat uniforms in the fixed layout (four per cancer case, one
             per healthy case).
+        roles: Where the reader's uniforms sit in a shared ``u``.
 
     Returns:
         ``(recall, next_state)``: boolean decisions per case and the
         state to carry into the next chunk.
     """
-    _check_chunk_inputs(arrays, cadt_output, state, u, arrays.reader_total)
+    roles = _chunk_roles(arrays, cadt_output, state, u, roles)
     key, (d_path, d_final, count_final) = _decrement_path(
         arrays,
         (
@@ -247,7 +248,7 @@ def advance_fatigued_chunk(
         ),
     )
     table = reader.probability_table(arrays, decrement=(key, d_path))
-    recall = reader.decide_chunk(arrays, cadt_output, u, table)
+    recall = reader.decide_chunk(arrays, cadt_output, u, roles, table)
     next_state = state.replace(
         decrement=np.array([d_final]),
         cases_this_session=np.array([count_final], dtype=np.int64),
@@ -262,6 +263,7 @@ def advance_adaptive_chunk(
     cadt_output: CadtBatchOutput | None,
     state: ReaderStateVector,
     u: np.ndarray,
+    roles: "ReaderRoles | None" = None,
 ) -> tuple[np.ndarray, ReaderStateVector]:
     """One chunk of :class:`~repro.reader.adaptation.AdaptiveReader` decisions.
 
@@ -283,18 +285,18 @@ def advance_adaptive_chunk(
         state: Carried state entering the chunk (``trust``,
             ``observed_successes``, ``caught_failures`` columns).
         u: Flat uniforms in the fixed layout.
+        roles: Where the reader's uniforms sit in a shared ``u``.
 
     Returns:
         ``(recall, next_state)``.
     """
-    offsets = arrays.reader_offsets
-    _check_chunk_inputs(arrays, cadt_output, state, u, arrays.reader_total)
+    roles = _chunk_roles(arrays, cadt_output, state, u, roles)
     if cadt_output is None:
         # Unaided reading: the scaled bias is structurally inert and the
         # trust update needs a machine output it never gets, so the
         # decisions are exactly the base reader's and the state carries
         # through unchanged.
-        return reader.decide_batch(arrays, None, u=u), state
+        return reader.decide_batch(arrays, None, u=u, roles=roles), state
 
     skill = reader.skill
     bias = reader._active_bias(aided=True)
@@ -308,6 +310,7 @@ def advance_adaptive_chunk(
     logit_hdd_cancers = arrays.human_detection_difficulty_logit[cancers_all]
     prompted_all = cadt_output.prompted_relevant
     nfp_all = cadt_output.num_false_prompts
+    u_recall, u_lapse, u_prompt, u_detect, u_classify = (u[index] for index in roles)
 
     recall = np.zeros(n, dtype=bool)
     t = float(state.trust[0])
@@ -327,7 +330,7 @@ def advance_adaptive_chunk(
             recall_logit = recall_logit + (
                 (bias.false_prompt_persuasion * t_h) * nfp_all[h]
             )
-            recall_h = u[offsets[h]] < _sigmoid(recall_logit)
+            recall_h = u_recall[h_lo:] < _sigmoid(recall_logit)
         else:
             recall_h = np.zeros(0, dtype=bool)
 
@@ -335,11 +338,6 @@ def advance_adaptive_chunk(
         c = cancers_all[c_lo:]
         if c.size:
             t_c = path[c - pos]
-            start = offsets[c]
-            u_lapse = u[start]
-            u_prompt = u[start + 1]
-            u_detect = u[start + 2]
-            u_classify = u[start + 3]
             prompted = prompted_all[c]
             detection_shift = np.where(
                 prompted, 0.0, bias.complacency_shift * t_c
@@ -347,15 +345,15 @@ def advance_adaptive_chunk(
             attentive_miss = _sigmoid(
                 logit_hdd_cancers[c_lo:] - skill.detection + detection_shift
             )
-            lapsed = u_lapse < skill.lapse_rate
-            registered = prompted & (u_prompt < reader.prompt_effectiveness)
-            noticed = registered | (~lapsed & (u_detect >= attentive_miss))
+            lapsed = u_lapse[c_lo:] < skill.lapse_rate
+            registered = prompted & (u_prompt[c_lo:] < reader.prompt_effectiveness)
+            noticed = registered | (~lapsed & (u_detect[c_lo:] >= attentive_miss))
             p_misclass = _sigmoid(
                 logit_hcd[c]
                 - skill.classification
                 - np.where(prompted, bias.prompt_persuasion * t_c, 0.0)
             )
-            recall_c = noticed & (u_classify >= p_misclass)
+            recall_c = noticed & (u_classify[c_lo:] >= p_misclass)
             # A caught failure: the reader recalled a cancer the machine
             # did not prompt (recall implies the features were noticed).
             caught = recall_c & ~prompted

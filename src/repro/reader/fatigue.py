@@ -27,18 +27,23 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._numeric import PrivateGenerator
+from .._numeric import PrivateGenerator, float_key, read_only
 from ..cadt.algorithm import CadtBatchOutput, CadtOutput
 from ..exceptions import ParameterError
 from ..screening.case import Case
 from .dynamics import advance_fatigued_chunk
 from .reader import ReaderDecision, ReaderModel, ReaderSkill
-from .state import ReaderStateVector
+from .state import STATE_FIELDS, ReaderStateVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from ..engine.arrays import CaseArrays
+    from ..engine.arrays import CaseArrays, ReaderRoles
 
 __all__ = ["FatigueModel", "FatiguedReader"]
+
+#: A rested reader's state, read-only: a value every carry may share.
+_RESTED = ReaderStateVector.fresh(1)
+for _column in STATE_FIELDS:
+    read_only(getattr(_RESTED, _column))
 
 
 class FatigueModel:
@@ -199,13 +204,15 @@ class FatiguedReader:
         return isinstance(self._base_reader, ReaderModel)
 
     def stream_state(self) -> ReaderStateVector:
-        """The current state as a carryable vector (one reader slot)."""
-        state = ReaderStateVector.fresh(1)
-        return state.replace(
-            decrement=np.array([self.fatigue.decrement]),
-            cases_this_session=np.array(
-                [self.fatigue.cases_this_session], dtype=np.int64
-            ),
+        """The current state as a carryable vector (one reader slot); a
+        rested reader's is one shared read-only vector."""
+        decrement = self.fatigue.decrement
+        count = self.fatigue.cases_this_session
+        if count == 0 and float_key(decrement) == float_key(0.0):
+            return _RESTED
+        return _RESTED.replace(
+            decrement=np.array([decrement]),
+            cases_this_session=np.array([count], dtype=np.int64),
         )
 
     def commit_state(self, state: ReaderStateVector) -> None:
@@ -221,6 +228,7 @@ class FatiguedReader:
         state: ReaderStateVector,
         u: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
+        roles: "ReaderRoles | None" = None,
     ) -> tuple[np.ndarray, ReaderStateVector]:
         """Decide one chunk from a carried state; never mutates ``self``.
 
@@ -228,12 +236,13 @@ class FatiguedReader:
         cancer case, one per healthy case).  When ``u`` is omitted they
         are drawn from ``rng`` (or this wrapper's private generator), so
         an unseeded serial stream is bit-identical to calling
-        :meth:`decide` case by case.
+        :meth:`decide` case by case.  ``roles`` says where the reader's
+        uniforms sit in a ``u`` shared with other components.
         """
         if u is None:
             u = (rng if rng is not None else self._rng()).random(arrays.reader_total)
         return advance_fatigued_chunk(
-            self._base_reader, self.fatigue, arrays, cadt_output, state, u
+            self._base_reader, self.fatigue, arrays, cadt_output, state, u, roles
         )
 
     def __repr__(self) -> str:

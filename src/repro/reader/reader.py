@@ -51,7 +51,7 @@ from ..screening.case import Case
 from .bias import NO_BIAS, AutomationBiasProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from ..engine.arrays import CaseArrays
+    from ..engine.arrays import CaseArrays, ReaderRoles
 
 __all__ = ["ReadingProcedure", "ReaderSkill", "ReaderDecision", "ReaderTable", "ReaderModel"]
 
@@ -118,38 +118,15 @@ class ReaderDecision:
     lapsed: bool
 
 
-class ReaderTable:
-    """A reader configuration's seed-independent probabilities on one chunk.
-
-    Built by :meth:`ReaderModel.probability_table` and memoised on the
-    chunk.  Each array is computed on first use and is read-only; the
-    cancer arrays follow the chunk's ``cancer_index`` order, the healthy
-    ones its ``healthy_index`` order.  A fatigued reader's table carries
-    its per-case vigilance ``decrement`` path, which subtracts from the
-    detection and specificity skills per case before the logit
-    subtraction (the float-op order of the scalar snapshot reader); a
-    rested reader's has none.  ``bias`` is the bias in force when
-    reading aided.
-
-    Attributes:
-        attentive_miss: Attentive-miss probability on each cancer, with
-            no complacency shift (unaided, or a prompted case).
-        complacent_miss: The same with the complacency shift (a case the
-            machine failed to prompt).
-        misclassify: Misclassification probability on each cancer, with
-            no prompt persuasion.
-        persuaded_misclassify: The same with prompt persuasion (a
-            prompted case).
-        unaided_recall: Recall probability of each healthy case read
-            unaided.
-    """
+class _SkillTable:
+    """The arrays of a :class:`ReaderTable` no bias enters: every bias at
+    one skill and decrement path shares them on a chunk."""
 
     def __init__(
         self,
         arrays: "CaseArrays",
         skill: ReaderSkill,
-        bias: AutomationBiasProfile,
-        decrement: np.ndarray | None = None,
+        decrement: np.ndarray | None,
     ):
         # Columns and index sets, not the chunk itself: the table lives
         # in the chunk's memo, and must not refer back to it.
@@ -158,15 +135,7 @@ class ReaderTable:
         self._detection_logit = arrays.human_detection_difficulty_logit
         self._classification_logit = arrays.human_classification_difficulty_logit
         self._skill = skill
-        self._bias = bias
         self._decrement = decrement
-
-    def healthy_logit(self) -> np.ndarray:
-        """Each healthy case's recall logit before prompts (computed per call)."""
-        specificity: Any = self._skill.specificity
-        if self._decrement is not None:
-            specificity = specificity - self._decrement[self._healthy]
-        return self._classification_logit[self._healthy] - specificity
 
     def _miss(self, shift: float) -> np.ndarray:
         detection: Any = self._skill.detection
@@ -190,20 +159,66 @@ class ReaderTable:
         return self._miss(0.0)
 
     @cached_property
-    def complacent_miss(self) -> np.ndarray:
-        return self._miss(self._bias.complacency_shift)
-
-    @cached_property
     def misclassify(self) -> np.ndarray:
         return self._misclassify(0.0)
 
     @cached_property
-    def persuaded_misclassify(self) -> np.ndarray:
-        return self._misclassify(self._bias.prompt_persuasion)
+    def healthy_logit(self) -> np.ndarray:
+        specificity: Any = self._skill.specificity
+        if self._decrement is not None:
+            specificity = specificity - self._decrement[self._healthy]
+        return read_only(self._classification_logit[self._healthy] - specificity)
 
     @cached_property
     def unaided_recall(self) -> np.ndarray:
-        return read_only(_sigmoid(self.healthy_logit()))
+        return read_only(_sigmoid(self.healthy_logit))
+
+
+class ReaderTable:
+    """A reader configuration's seed-independent probabilities on one chunk.
+
+    Built by :meth:`ReaderModel.probability_table` and memoised on the
+    chunk.  Each array is computed on first use and is read-only; the
+    cancer arrays follow the chunk's ``cancer_index`` order, the healthy
+    ones its ``healthy_index`` order.  A fatigued reader's table carries
+    its per-case vigilance decrement path, which subtracts from the
+    detection and specificity skills per case before the logit
+    subtraction (the float-op order of the scalar snapshot reader); a
+    rested reader's has none.  ``bias`` is the bias in force when
+    reading aided; the arrays it does not enter are read from the
+    table every bias at the same skill and path shares.
+
+    Attributes:
+        attentive_miss: Attentive-miss probability on each cancer, with
+            no complacency shift (unaided, or a prompted case).
+        complacent_miss: The same with the complacency shift (a case the
+            machine failed to prompt).
+        misclassify: Misclassification probability on each cancer, with
+            no prompt persuasion.
+        persuaded_misclassify: The same with prompt persuasion (a
+            prompted case).
+        unaided_recall: Recall probability of each healthy case read
+            unaided.
+        healthy_logit: Each healthy case's recall logit before prompts.
+    """
+
+    def __init__(self, shared: _SkillTable, bias: AutomationBiasProfile):
+        self._shared = shared
+        self._bias = bias
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # attentive_miss, misclassify, unaided_recall and healthy_logit.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._shared, name)
+
+    @cached_property
+    def complacent_miss(self) -> np.ndarray:
+        return self._shared._miss(self._bias.complacency_shift)
+
+    @cached_property
+    def persuaded_misclassify(self) -> np.ndarray:
+        return self._shared._misclassify(self._bias.prompt_persuasion)
 
 
 def check_chunk_outputs(arrays: "CaseArrays", cadt_output: CadtBatchOutput | None) -> None:
@@ -214,6 +229,21 @@ def check_chunk_outputs(arrays: "CaseArrays", cadt_output: CadtBatchOutput | Non
         and not np.array_equal(cadt_output.case_id, arrays.case_id)
     ):
         raise SimulationError("CADT batch output does not match the case batch")
+
+
+def draw_roles(
+    arrays: "CaseArrays", u: np.ndarray, roles: "ReaderRoles | None"
+) -> "ReaderRoles":
+    """Where a reader's uniforms sit in ``u``: ``roles``, else the reader
+    layout's (``u`` checked to be a flat draw in that layout)."""
+    if roles is not None:
+        return roles
+    total = arrays.reader_total
+    if u.shape != (total,):
+        raise SimulationError(
+            f"expected a flat array of {total} uniforms, got shape {u.shape!r}"
+        )
+    return arrays.reader_roles
 
 
 class ReaderModel:
@@ -445,6 +475,7 @@ class ReaderModel:
         cadt_output: CadtBatchOutput | None = None,
         u: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
+        roles: "ReaderRoles | None" = None,
     ) -> np.ndarray:
         """Vectorized :meth:`decide` over a whole batch of cases.
 
@@ -457,19 +488,18 @@ class ReaderModel:
                 from ``rng`` (or the reader's private generator) when
                 omitted.
             rng: Random generator used when ``u`` is omitted.
+            roles: Where this reader's uniforms sit in ``u``, when ``u``
+                is a draw the reader shares with other components
+                (:attr:`~repro.engine.arrays.SharedLayout.reader_roles`).
 
         Returns:
             Boolean recall decisions, one per case.
         """
         check_chunk_outputs(arrays, cadt_output)
-        total = arrays.reader_total
         if u is None:
-            u = (rng if rng is not None else self._rng()).random(total)
-        if u.shape != (total,):
-            raise SimulationError(
-                f"expected a flat array of {total} uniforms, got shape {u.shape!r}"
-            )
-        return self.decide_chunk(arrays, cadt_output, u, self.probability_table(arrays))
+            u = (rng if rng is not None else self._rng()).random(arrays.reader_total)
+        roles = draw_roles(arrays, u, roles)
+        return self.decide_chunk(arrays, cadt_output, u, roles, self.probability_table(arrays))
 
     def probability_table(
         self,
@@ -481,40 +511,46 @@ class ReaderModel:
         Keyed by the exact bits of the skills and aided-bias strengths
         the table reads; ``decrement`` is a fatigued reader's decrement
         path on this chunk with its memo key, ``(key, path)``, and the
-        key joins the table's.  At most
-        :data:`~repro.engine.arrays.ENTRIES_PER_KIND` tables are kept
+        key joins the table's.  The arrays no bias enters are memoised
+        once per skill and path, for every bias's table.  At most
+        :data:`~repro.engine.arrays.ENTRIES_PER_KIND` of each are kept
         per chunk.
         """
         skill = self.skill
         bias = self._active_bias(aided=True)
-        key = (
+        path_key, path = (None, None) if decrement is None else decrement
+        skill_key = (
             float_key(skill.detection),
             float_key(skill.classification),
             float_key(skill.specificity),
-            float_key(bias.complacency_shift),
-            float_key(bias.prompt_persuasion),
-            None if decrement is None else decrement[0],
+            path_key,
         )
-        path = None if decrement is None else decrement[1]
-        return arrays.bounded(
-            "reader_table", key, lambda: ReaderTable(arrays, skill, bias, path)
-        )
+        key = (*skill_key, float_key(bias.complacency_shift), float_key(bias.prompt_persuasion))
+
+        def table() -> ReaderTable:
+            shared = arrays.bounded(
+                "reader_skill_table", skill_key, lambda: _SkillTable(arrays, skill, path)
+            )
+            return ReaderTable(shared, bias)
+
+        return arrays.bounded("reader_table", key, table)
 
     def decide_chunk(
         self,
         arrays: "CaseArrays",
         cadt_output: CadtBatchOutput | None,
         u: np.ndarray,
+        roles: "ReaderRoles",
         table: ReaderTable,
     ) -> np.ndarray:
         """The decision body of a rested or fatigued reader on one chunk.
 
-        Compares the flat uniforms ``u`` (checked by the caller) against
-        ``table``, picking each cancer's branch by the seeded prompt
-        outcome; only the aided healthy recall probability, which
-        depends on the seeded false-prompt count, is computed here.
+        Gathers each role's uniforms from ``u`` through ``roles`` and
+        compares them against ``table``, picking each cancer's branch
+        by the seeded prompt outcome; only the aided healthy recall
+        probability, which depends on the seeded false-prompt count, is
+        computed here.
         """
-        offsets = arrays.reader_offsets
         recall = np.zeros(len(arrays), dtype=bool)
 
         healthy = arrays.healthy_index
@@ -524,29 +560,28 @@ class ReaderModel:
             else:
                 persuasion = self._active_bias(aided=True).false_prompt_persuasion
                 p_recall = _sigmoid(
-                    table.healthy_logit()
+                    table.healthy_logit
                     + persuasion * cadt_output.num_false_prompts[healthy]
                 )
-            recall[healthy] = u[offsets[healthy]] < p_recall
+            recall[healthy] = u[roles.recall] < p_recall
 
         cancers = arrays.cancer_index
         if cancers.size:
-            start = offsets[cancers]
-            lapsed = u[start] < self.skill.lapse_rate
+            lapsed = u[roles.lapse] < self.skill.lapse_rate
             if cadt_output is None:
-                noticed = ~lapsed & (u[start + 2] >= table.attentive_miss)
+                noticed = ~lapsed & (u[roles.detect] >= table.attentive_miss)
                 p_misclass = table.misclassify
             else:
                 prompted = cadt_output.prompted_relevant[cancers]
                 attentive_miss = np.where(
                     prompted, table.attentive_miss, table.complacent_miss
                 )
-                registered = prompted & (u[start + 1] < self.prompt_effectiveness)
-                noticed = registered | (~lapsed & (u[start + 2] >= attentive_miss))
+                registered = prompted & (u[roles.prompt] < self.prompt_effectiveness)
+                noticed = registered | (~lapsed & (u[roles.detect] >= attentive_miss))
                 p_misclass = np.where(
                     prompted, table.persuaded_misclassify, table.misclassify
                 )
-            recall[cancers] = noticed & (u[start + 3] >= p_misclass)
+            recall[cancers] = noticed & (u[roles.classify] >= p_misclass)
         return recall
 
     # -- variants --------------------------------------------------------------------------

@@ -199,7 +199,7 @@ class SystemSpec:
             unaided systems.  It must be finite, and high enough that a
             case at the top distractor level keeps a false-prompt rate
             the sampler supports (at most
-            :data:`~repro._numeric.MAX_POISSON_RATE`; below about -6.3
+            :data:`~repro._numeric.MAX_POISSON_RATE`; below about -5.96
             it does not).
     """
 
@@ -217,16 +217,16 @@ class SystemSpec:
         )
         # The false-prompt rate build()'s CADT computes for a case at the
         # top distractor level (1.0), which bounds every case's rate.
-        worst_rate = (
-            DetectionAlgorithm.base_false_prompt_rate
-            * (1.0 + DetectionAlgorithm.distractor_gain)
-            * _exp(-self.operating_point)
+        top_rate = DetectionAlgorithm.base_false_prompt_rate * (
+            1.0 + DetectionAlgorithm.distractor_gain
         )
+        worst_rate = top_rate * _exp(-self.operating_point)
         if worst_rate > MAX_POISSON_RATE:
             raise SimulationError(
                 f"operating_point {self.operating_point!r} is too low: its "
                 f"worst-case false-prompt rate {worst_rate:.6g} exceeds the "
-                f"supported maximum {MAX_POISSON_RATE:g}"
+                f"supported maximum {MAX_POISSON_RATE:g} (the lowest "
+                f"operating point is about {-math.log(MAX_POISSON_RATE / top_rate):.2f})"
             )
 
     def label(self) -> str:

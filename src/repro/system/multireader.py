@@ -162,9 +162,9 @@ class _PairedReading:
             member.decide_batch(arrays, output, u=u) for member, u in zip(members, uniforms)
         ]
         return BatchDecisions(
-            case_id=arrays.case_id,
-            recall=_combine(self.policy, *recalls),
-            machine_failed=None if output is None else output.machine_failed(arrays.has_cancer),
+            arrays.case_id,
+            _combine(self.policy, *recalls),
+            None if output is None else (output, arrays.has_cancer),
         )
 
 

@@ -8,9 +8,10 @@ the end-to-end benchmarks compare against it.
 
 The counting machinery lives here so the scalar loop and the vectorized
 engine (:mod:`repro.engine`) accumulate — and can merge — failure counts
-identically: :class:`FailureTally` holds the counts, and
+identically: :class:`FailureTally` holds the counts,
 :func:`count_failures` is the one function that turns per-case failure
-flags into them.
+flags into them, and :func:`count_trials` counts the trials, which
+depend on the cases alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "SystemEvaluation",
     "FailureTally",
     "count_failures",
+    "count_trials",
     "evaluate_system",
     "compare_systems",
 ]
@@ -154,14 +156,17 @@ class FailureTally:
             [index.setdefault(case_class, len(index)) for case_class in case_classes],
             dtype=np.int64,
         )
-        counts = count_failures(np.asarray(failed), positions, codes, len(index))
+        failures = count_failures(np.asarray(failed), positions, codes, len(index))
+        trials = count_trials(len(failed), positions, codes, len(index))
+        # FailureCounts order: each failure count next to its trials.
+        counts = tuple(count for pair in zip(failures, trials) for count in pair)
         self.merge(FailureTally.from_counts(counts, tuple(index)))
 
     @classmethod
     def from_counts(
         cls, counts: "FailureCounts", classes: Sequence[CaseClass]
     ) -> "FailureTally":
-        """A tally from :func:`count_failures` output.
+        """A tally from :func:`count_failures` and :func:`count_trials` output.
 
         ``classes[code]`` is the class of code ``code``; classes without
         cancer trials are left out, as :meth:`record` never creates them.
@@ -225,9 +230,9 @@ class FailureTally:
         )
 
 
-#: :func:`count_failures` output: ``(cancer_failures, cancer_trials,
-#: healthy_failures, healthy_trials, class_failures, class_trials)``,
-#: the last two indexed by class code.
+#: A tally's counts: ``(cancer_failures, cancer_trials, healthy_failures,
+#: healthy_trials, class_failures, class_trials)``, the last two indexed
+#: by class code.
 FailureCounts = tuple[int, int, int, int, np.ndarray, np.ndarray]
 
 
@@ -236,35 +241,37 @@ def count_failures(
     positions: np.ndarray,
     codes: np.ndarray,
     n_classes: int,
-) -> FailureCounts:
-    """Exact integer counts from per-case failure flags.
+) -> tuple[int, int, np.ndarray]:
+    """Exact integer failure counts from per-case failure flags.
 
-    The one tally every vectorized path runs: two ``bincount`` passes
-    over the cancer cases' class codes instead of a per-case loop.
+    The one tally every vectorized path runs: a ``bincount`` over the
+    failed cancer cases' class codes instead of a per-case loop (the
+    trials depend on the cases alone: :func:`count_trials`).
 
     Args:
         failed: System failure per case.
         positions: Indices of the cancer cases into ``failed``, sorted.
         codes: Class code of each cancer case, aligned with ``positions``.
         n_classes: Number of class codes (the length of the per-class
-            count arrays).
+            count array).
+
+    Returns:
+        ``(cancer_failures, healthy_failures, class_failures)``.
     """
-    cancer_failed = failed[positions].astype(bool)
-    cancer_trials = int(positions.size)
+    cancer_failed = failed[positions].astype(bool, copy=False)
     cancer_failures = int(np.count_nonzero(cancer_failed))
-    total_failures = int(np.count_nonzero(failed))
-    healthy_trials = int(failed.shape[0]) - cancer_trials
-    healthy_failures = total_failures - cancer_failures
-    class_trials = np.bincount(codes, minlength=n_classes)
+    healthy_failures = int(np.count_nonzero(failed)) - cancer_failures
     class_failures = np.bincount(codes[cancer_failed], minlength=n_classes)
-    return (
-        cancer_failures,
-        cancer_trials,
-        healthy_failures,
-        healthy_trials,
-        class_failures,
-        class_trials,
-    )
+    return cancer_failures, healthy_failures, class_failures
+
+
+def count_trials(
+    n_cases: int, positions: np.ndarray, codes: np.ndarray, n_classes: int
+) -> tuple[int, int, np.ndarray]:
+    """``(cancer_trials, healthy_trials, class_trials)`` of ``n_cases`` cases
+    whose cancers sit at ``positions`` with class ``codes``."""
+    cancer_trials = int(positions.size)
+    return cancer_trials, n_cases - cancer_trials, np.bincount(codes, minlength=n_classes)
 
 
 def evaluate_system(

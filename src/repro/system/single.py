@@ -14,10 +14,12 @@ model does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
+from ..cadt.algorithm import CadtBatchOutput
 from ..cadt.tool import Cadt
 from ..exceptions import SimulationError
 from ..reader.reader import ReaderModel
@@ -94,16 +96,25 @@ class BatchDecisions:
     Attributes:
         case_id: Case identifiers, ``int64[n]``.
         recall: The system's 1-bit decisions.
-        machine_failed: Per-case machine failure (``None`` for systems
-            without a machine component).
+        machine: The tool's annotations and the cases' ground truth, from
+            which :attr:`machine_failed` is computed on first read
+            (``None`` for systems without a machine component).
     """
 
     case_id: np.ndarray
     recall: np.ndarray
-    machine_failed: np.ndarray | None
+    machine: tuple[CadtBatchOutput, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.case_id)
+
+    @cached_property
+    def machine_failed(self) -> np.ndarray | None:
+        """Per-case machine failure (``None`` for systems without a machine)."""
+        if self.machine is None:
+            return None
+        output, has_cancer = self.machine
+        return output.machine_failed(has_cancer)
 
     def failures(self, has_cancer: np.ndarray) -> np.ndarray:
         """Per-case system failure against ground truth."""
@@ -183,9 +194,7 @@ class UnaidedReading:
                 f"({type(self.reader).__name__}); use the scalar path"
             )
         recall = self.reader.decide_batch(arrays, None, rng=rng)
-        return BatchDecisions(
-            case_id=arrays.case_id, recall=recall, machine_failed=None
-        )
+        return BatchDecisions(case_id=arrays.case_id, recall=recall)
 
     @property
     def supports_stream(self) -> bool:
@@ -223,10 +232,7 @@ class UnaidedReading:
                 f"(reader={type(self.reader).__name__})"
             )
         recall, next_state = self.reader.advance_stream(arrays, None, state, rng=rng)
-        decisions = BatchDecisions(
-            case_id=arrays.case_id, recall=recall, machine_failed=None
-        )
-        return decisions, next_state
+        return BatchDecisions(case_id=arrays.case_id, recall=recall), next_state
 
 
 class AssistedReading:
@@ -300,14 +306,13 @@ class AssistedReading:
             output = self.cadt.process_batch(arrays)
             recall = self.reader.decide_batch(arrays, output)
         else:
-            cadt_u, (reader_u,) = _split_shared_uniforms(arrays, rng)
-            output = self.cadt.process_batch(arrays, u=cadt_u)
-            recall = self.reader.decide_batch(arrays, output, u=reader_u)
-        return BatchDecisions(
-            case_id=arrays.case_id,
-            recall=recall,
-            machine_failed=output.machine_failed(arrays.has_cancer),
-        )
+            layout = arrays.shared_layout(1, True)
+            flat = rng.random(layout.total)
+            output = self.cadt.process_batch(arrays, u=flat[layout.cadt_index])
+            recall = self.reader.decide_batch(
+                arrays, output, u=flat, roles=layout.reader_roles[0]
+            )
+        return BatchDecisions(arrays.case_id, recall, (output, arrays.has_cancer))
 
     @property
     def supports_stream(self) -> bool:
@@ -355,14 +360,11 @@ class AssistedReading:
             output = self.cadt.process_batch(arrays)
             recall, next_state = self.reader.advance_stream(arrays, output, state)
         else:
-            cadt_u, (reader_u,) = _split_shared_uniforms(arrays, rng)
-            output = self.cadt.process_batch(arrays, u=cadt_u)
+            layout = arrays.shared_layout(1, True)
+            flat = rng.random(layout.total)
+            output = self.cadt.process_batch(arrays, u=flat[layout.cadt_index])
             recall, next_state = self.reader.advance_stream(
-                arrays, output, state, u=reader_u
+                arrays, output, state, u=flat, roles=layout.reader_roles[0]
             )
-        decisions = BatchDecisions(
-            case_id=arrays.case_id,
-            recall=recall,
-            machine_failed=output.machine_failed(arrays.has_cancer),
-        )
+        decisions = BatchDecisions(arrays.case_id, recall, (output, arrays.has_cancer))
         return decisions, next_state

@@ -12,7 +12,9 @@ from repro._numeric import (
     exp,
     log,
     logit,
+    poisson_counts,
     poisson_from_uniform,
+    poisson_rates,
     sigmoid,
     sqrt,
 )
@@ -143,6 +145,21 @@ class TestPoissonFromUniform:
         with pytest.raises(ValueError):
             poisson_from_uniform(0.5, MAX_POISSON_RATE * 2)
 
+    @pytest.mark.parametrize("rate", [701.0, 746.0, 1000.0])
+    def test_rejects_rates_whose_zero_probability_is_not_normal(self, rate):
+        # Above 708.4 exp(-rate) is subnormal, from 746 it is 0.0: the
+        # inversion would return wrong quantiles, or the iteration cap.
+        assert MAX_POISSON_RATE == 700.0
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            poisson_from_uniform(np.array([0.01, 0.5, 0.99]), rate)
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            poisson_rates(np.array([0.5, rate]))
+
+    def test_quantiles_at_the_maximum_rate(self):
+        # Poisson(700): the 1%, 50% and 99% quantiles are 639, 700, 762.
+        counts = poisson_from_uniform(np.array([0.01, 0.5, 0.99]), MAX_POISSON_RATE)
+        assert counts.tolist() == [639, 700, 762]
+
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
             poisson_from_uniform(0.5, -1.0)
@@ -200,7 +217,7 @@ class TestPoissonMatchesMaskedLoop:
 
     @pytest.mark.parametrize(
         "rate",
-        [0.0, 5e-324, 1e-12, 0.6, 1.8, 7.5, 50.0, 744.0, 746.0, MAX_POISSON_RATE],
+        [0.0, 5e-324, 1e-12, 0.6, 1.8, 7.5, 50.0, 699.0, MAX_POISSON_RATE],
     )
     def test_rates_up_to_the_maximum(self, rate):
         u = np.random.default_rng(11).random(4000)
@@ -217,14 +234,11 @@ class TestPoissonMatchesMaskedLoop:
             poisson_from_uniform(u, rates), _masked_poisson_reference(u, rates)
         )
 
-    @pytest.mark.parametrize("rate", [0.0, 1.8, 30.0, 746.0, MAX_POISSON_RATE])
+    @pytest.mark.parametrize("rate", [0.0, 1.8, 30.0, 699.0, MAX_POISSON_RATE])
     def test_u_next_below_one_hits_the_iteration_cap(self, rate):
         u = np.array([np.nextafter(1.0, 0.0), 0.5, 0.0])
         ours = poisson_from_uniform(u, rate)
         assert_same_bytes(ours, _masked_poisson_reference(u, rate))
-        cap = int(rate + 64.0 * np.sqrt(rate + 1.0)) + 64
-        if rate >= 746.0:  # exp(-rate) underflows: the cdf never moves
-            assert ours[0] == cap
         top = float(np.nextafter(1.0, 0.0))
         assert poisson_from_uniform(top, rate) == _masked_poisson_reference(
             top, rate
@@ -245,6 +259,82 @@ class TestPoissonMatchesMaskedLoop:
             reference = _masked_poisson_reference(*args)
             assert type(ours) is type(reference)
             assert_same_bytes(ours, reference)
+
+
+class TestPoissonPrefixMatchesMaskedLoop:
+    """A CDF prefix of any depth gives the masked loop's counts exactly."""
+
+    @staticmethod
+    def mixed_rates(size, seed):
+        rng = np.random.default_rng(seed)
+        rates = rng.random(size) * 3.0
+        rates[: size // 4] = rng.random(size // 4) * MAX_POISSON_RATE
+        rates[:6] = (0.0, 5e-324, 1e-12, 699.0, MAX_POISSON_RATE, 50.0)
+        return rng.permutation(rates)
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 9])
+    def test_mixed_rates_and_extreme_uniforms(self, rows):
+        rates = self.mixed_rates(3000, rows)
+        u = np.random.default_rng(rows + 100).random(3000)
+        u[::7] = 0.0
+        u[3::11] = np.nextafter(1.0, 0.0)
+        table = poisson_rates(rates, rows)
+        assert table.cdf.shape == (rows, 3000)
+        assert_same_bytes(poisson_counts(u, table), _masked_poisson_reference(u, rates))
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_strided_uniform_views(self, rows):
+        rates = self.mixed_rates(1000, 7)
+        u = np.random.default_rng(8).random((1000, 2))
+        table = poisson_rates(rates, rows)
+        for view in (u[:, 1], u[:, 0]):
+            assert not view.flags.contiguous
+            assert_same_bytes(poisson_counts(view, table), _masked_poisson_reference(view, rates))
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_empty_arrays(self, rows):
+        table = poisson_rates(np.empty(0), rows)
+        ours = poisson_counts(np.empty(0), table)
+        assert_same_bytes(ours, _masked_poisson_reference(np.empty(0), np.empty(0)))
+
+    def test_prefix_deeper_than_every_count(self):
+        rates = np.random.default_rng(9).random(500) * 2.0
+        u = np.random.default_rng(10).random(500)
+        table = poisson_rates(rates, 60)
+        counts = poisson_counts(u, table)
+        assert counts.max() < 60
+        assert_same_bytes(counts, _masked_poisson_reference(u, rates))
+
+    def test_prefix_is_capped_at_the_iteration_cap(self):
+        # At rate 0 the cap is 128: deeper rows would count past it.
+        table = poisson_rates(np.zeros(3), 500)
+        assert len(table.cdf) == table.iteration_cap == 128
+        u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        assert_same_bytes(poisson_counts(u, table), _masked_poisson_reference(u, 0.0))
+
+    def test_rows_are_the_recurrence_steps(self):
+        rates = self.mixed_rates(400, 11)
+        table = poisson_rates(rates, 6)
+        pmf = np.exp(-rates)
+        cdf = pmf.copy()
+        assert_same_bytes(table.p_zero, cdf)
+        for k in range(1, 6):
+            pmf = pmf * rates
+            pmf = pmf / k
+            cdf = cdf + pmf
+            assert_same_bytes(table.cdf[k], cdf)
+        assert_same_bytes(table.pmf, pmf)
+
+    def test_one_table_reused_across_many_draws(self):
+        rates = self.mixed_rates(2000, 12)
+        table = poisson_rates(rates, 5)
+        snapshot = table.cdf.copy(), table.pmf.copy()
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            u = rng.random(2000)
+            assert_same_bytes(poisson_counts(u, table), _masked_poisson_reference(u, rates))
+        assert_same_bytes(table.cdf, snapshot[0])
+        assert_same_bytes(table.pmf, snapshot[1])
 
 
 class TestSigmoidMatchesTwoBranchForm:

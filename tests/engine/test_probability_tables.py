@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro._numeric import MAX_POISSON_RATE, poisson_from_uniform
 from repro._numeric import exp as _exp
 from repro._numeric import sigmoid as _sigmoid
-from repro.cadt.algorithm import DetectionAlgorithm
+from repro.cadt.algorithm import PROMPT_CDF_ROWS, DetectionAlgorithm
 from repro.engine.arrays import ENTRIES_PER_KIND
 from repro.reader import MILD_BIAS, NO_BIAS, STRONG_BIAS, ReaderModel, ReaderSkill
 from repro.reader.bias import AutomationBiasProfile
@@ -101,6 +101,28 @@ def reference_decide(reader, arrays, cadt_output, u, d_path=None):
         )
         recall[cancers] = noticed & (u_classify >= p_misclass)
     return recall
+
+
+def reference_reader_index(arrays, readers, cadt):
+    """Each reader's gather index into a shared draw, as the layout built it
+    before it kept role indices (listed in the reader layout)."""
+    head = 2 if cadt else 0
+    per_reader = np.where(arrays.has_cancer, 4, 1)
+    counts = head + readers * per_reader
+    offsets = np.cumsum(counts) - counts
+    reader_offsets = np.cumsum(per_reader) - per_reader
+    within = np.arange(int(per_reader.sum())) - np.repeat(reader_offsets, per_reader)
+    first = np.repeat(offsets + head, per_reader) + within
+    step = np.repeat(per_reader, per_reader)
+    return [first + k * step for k in range(readers)]
+
+
+def reference_roles(arrays):
+    """Where each role's uniform sits in a reader's own draw, as the
+    kernels computed it per call (``offsets[...] + k``)."""
+    offsets = arrays.reader_offsets
+    start = offsets[arrays.cancer_index]
+    return (offsets[arrays.healthy_index], start, start + 1, start + 2, start + 3)
 
 
 def reference_tables(reader, arrays, d_path=None):
@@ -238,6 +260,24 @@ class TestCadtTable:
             assert same_bytes(table.miss, reference_miss_probability_batch(algorithm, arrays))
 
 
+    @given(chunks(), algorithms)
+    @settings(max_examples=120, deadline=None)
+    def test_cdf_rows_are_the_recurrences_steps(self, drawn, algorithm):
+        for arrays in drawn:
+            prompts = algorithm.probability_table(arrays).prompts
+            rate = reference_false_prompt_rate_batch(algorithm, arrays)
+            pmf = np.exp(-rate)
+            cdf = pmf.copy()
+            assert prompts.cdf.shape == (PROMPT_CDF_ROWS, len(arrays))
+            for k, row in enumerate(prompts.cdf):
+                if k:
+                    pmf = pmf * rate / k
+                    cdf = cdf + pmf
+                assert same_bytes(row, cdf), k
+            assert same_bytes(prompts.pmf, pmf)
+            for array in (prompts.cdf, prompts.pmf):
+                assert not array.flags.writeable
+
     @pytest.mark.parametrize(
         "field", ["threshold_shift", "base_false_prompt_rate", "distractor_gain"]
     )
@@ -249,6 +289,33 @@ class TestCadtTable:
         assert first is not second
         assert same_bytes(second.prompts.rate, reference_false_prompt_rate_batch(other, arrays))
         assert same_bytes(second.miss, reference_miss_probability_batch(other, arrays))
+
+
+class TestRoleIndices:
+    @given(chunks())
+    @settings(max_examples=150, deadline=None)
+    def test_own_roles_equal_the_per_call_offsets(self, drawn):
+        for arrays in drawn:
+            roles = arrays.reader_roles
+            assert arrays.reader_roles is roles
+            for got, want in zip(roles, reference_roles(arrays), strict=True):
+                assert same_bytes(got, want)
+                assert not got.flags.writeable
+
+    @given(chunks(), st.integers(1, 3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_roles_equal_the_offsets_through_each_readers_index(
+        self, drawn, readers, cadt
+    ):
+        for arrays in drawn:
+            layout = arrays.shared_layout(readers, cadt)
+            want_index = reference_reader_index(arrays, readers, cadt)
+            assert len(layout.reader_roles) == len(layout.reader_index) == readers
+            for roles, index, want in zip(layout.reader_roles, layout.reader_index, want_index):
+                assert same_bytes(index, want)
+                for got, positions in zip(roles, reference_roles(arrays), strict=True):
+                    assert same_bytes(got, want[positions])
+                    assert not got.flags.writeable
 
 
 class TestReaderTable:
@@ -348,6 +415,18 @@ class TestReaderTable:
         assert first is not second
         for name, want in reference_tables(other, arrays).items():
             assert same_bytes(getattr(second, name), want), name
+
+    def test_bias_free_arrays_are_shared_across_biases(self):
+        arrays = make_arrays("mixed", 40, 15)
+        mild = ReaderModel(bias=MILD_BIAS).probability_table(arrays)
+        strong = ReaderModel(bias=STRONG_BIAS).probability_table(arrays)
+        assert mild is not strong
+        for name in ("attentive_miss", "misclassify", "unaided_recall", "healthy_logit"):
+            assert getattr(mild, name) is getattr(strong, name), name
+        assert mild.complacent_miss is not strong.complacent_miss
+        key, (path, _, _) = _decrement_path(arrays, (0.5, 0, 0.05, 0.8, None))
+        tired = ReaderModel(bias=MILD_BIAS).probability_table(arrays, decrement=(key, path))
+        assert tired.attentive_miss is not mild.attentive_miss
 
     def test_tables_are_shared_across_reader_instances(self):
         arrays = make_arrays("mixed", 40, 12)

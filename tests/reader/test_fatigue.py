@@ -167,3 +167,17 @@ class TestFatiguedReader:
 
     def test_repr(self, reader):
         assert "session=0" in repr(reader)
+
+    def test_rested_readers_carry_one_shared_read_only_state(self, reader):
+        state = reader.stream_state()
+        other = FatiguedReader(ReaderModel(name="other"), FatigueModel(rate=0.3))
+        assert other.stream_state() is state
+        assert state.decrement.tolist() == [0.0] and state.cases_this_session.tolist() == [0]
+        with pytest.raises(ValueError):
+            state.decrement[0] = 1.0
+        reader.decide(make_healthy_case(), None)
+        tired = reader.stream_state()
+        assert tired is not state and tired.cases_this_session.tolist() == [1]
+        assert tired.decrement[0] == reader.fatigue.decrement
+        reader.take_break()
+        assert reader.stream_state() is state

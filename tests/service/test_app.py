@@ -362,7 +362,7 @@ class TestHttpLayer:
 
         async def scenario(port):
             waves = []
-            for bad in (-10.0, float("nan")):
+            for bad in (-10.0, -6.2, float("nan")):
                 waves.append(
                     await asyncio.gather(
                         *(
@@ -374,7 +374,8 @@ class TestHttpLayer:
             return waves
 
         config = ServiceConfig(workers=1, chunk_size=128)
-        for wave, reason in zip(self.run_with_server(config, scenario), ("too low", "finite")):
+        waves = self.run_with_server(config, scenario)
+        for wave, reason in zip(waves, ("too low", "too low", "finite"), strict=True):
             assert [status for status, _, _ in wave] == [400, 200, 200]
             assert reason in wave[0][2]["error"]
             assert wave[1][2]["evaluation"]["false_negative"]["trials"] == 50

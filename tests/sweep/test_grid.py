@@ -98,14 +98,16 @@ class TestSystemSpec:
             (float("inf"), "must be finite"),
             (float("-inf"), "must be finite"),
             (-6.33, "too low"),
+            (-6.2, "too low"),
             (-10.0, "too low"),
         ],
     )
     def test_out_of_range_operating_point_rejected_at_construction(
         self, operating_point, reason
     ):
-        # Below about -6.32 a case at the top distractor level would ask
-        # the false-prompt sampler for a Poisson rate above its maximum.
+        # Below about -5.96 a case at the top distractor level would ask
+        # the false-prompt sampler for a Poisson rate above its maximum
+        # (700, where exp(-rate) is still a normal float).
         with pytest.raises(SimulationError, match=reason):
             SystemSpec(operating_point=operating_point)
         with pytest.raises(SimulationError, match=reason):
@@ -114,6 +116,12 @@ class TestSystemSpec:
                 systems=("unaided", "assisted"),
                 operating_points=(0.0, operating_point),
             )
+
+
+    def test_lowest_supported_operating_point_is_accepted(self):
+        SystemSpec(operating_point=-5.96)
+        with pytest.raises(SimulationError, match="lowest operating point is about -5.96"):
+            SystemSpec(operating_point=-5.97)
 
 
 class TestScenarioGrid:
