@@ -133,7 +133,7 @@ def test_disabled_instrumentation_keeps_98_percent_throughput(workload):
 
     with EngineRuntime(workers=1) as runtime:
         assert not runtime.obs.enabled  # the default really is the null path
-        # One untimed comparison warms the workload and label caches so
+        # One untimed comparison warms the workload's class-code memo so
         # the timed loop is kernels + null call sites, nothing else.
         runtime.compare(
             systems, workload, classifier, seed=SEED, chunk_size=CHUNK_SIZE

@@ -142,8 +142,9 @@ def test_runtime_is_3x_faster_than_per_call_pools(workload):
 
     with EngineRuntime(workers=WORKERS) as runtime:
         # One untimed comparison warms the persistent state the runtime
-        # exists to reuse — the pool, the published workload, and the
-        # label cache; steady-state reuse is what is being measured.
+        # exists to reuse — the pool and the published workload — and
+        # the workload's class-code memo; steady-state reuse is what is
+        # being measured.
         compare_systems_batch(
             systems, workload, classifier,
             seed=SEED, chunk_size=CHUNK_SIZE, runtime=runtime,

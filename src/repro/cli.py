@@ -40,7 +40,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator
 
 from .analysis import build_figure4, build_table1, build_table2, build_table3, render_table
@@ -577,7 +577,7 @@ def _command_simulate(args: argparse.Namespace) -> None:
     import time
 
     from .cadt import Cadt, DetectionAlgorithm
-    from .engine import DEFAULT_CHUNK_SIZE, EngineRuntime, evaluate_system_batch
+    from .engine import DEFAULT_CHUNK_SIZE, EngineRuntime
     from .reader import (
         MILD_BIAS,
         NO_BIAS,
@@ -635,34 +635,19 @@ def _command_simulate(args: argparse.Namespace) -> None:
         )
 
     classifier = SubtletyClassifier()
+    chunk_size = args.chunk_size if args.chunk_size is not None else DEFAULT_CHUNK_SIZE
     with _observability(args, "simulate"):
-        # One persistent runtime serves every system: the pool, the
-        # published workload, and the label cache are shared across the
-        # loop.  The seeded results are identical to the per-call path
-        # (same chunking, same chunk generators) — and identical with
-        # instrumentation on or off.
-        runtime = (
-            EngineRuntime(workers=args.workers)
-            if args.engine == "batch" and args.workers > 1
-            else None
-        )
+        # One runtime serves every system of a batch run, at any
+        # --workers: the seeded results depend only on the seed and the
+        # chunk size, and are identical with instrumentation on or off.
         rows = []
-        try:
+        engine = EngineRuntime(workers=args.workers) if args.engine == "batch" else nullcontext()
+        with engine as runtime:
             for system in systems:
                 start = time.perf_counter()
-                if args.engine == "batch":
-                    evaluation = evaluate_system_batch(
-                        system,
-                        workload,
-                        classifier,
-                        seed=args.seed + 3,
-                        workers=args.workers,
-                        chunk_size=(
-                            args.chunk_size
-                            if args.chunk_size is not None
-                            else DEFAULT_CHUNK_SIZE
-                        ),
-                        runtime=runtime,
+                if runtime is not None:
+                    evaluation = runtime.evaluate(
+                        system, workload, classifier, seed=args.seed + 3, chunk_size=chunk_size
                     )
                 else:
                     evaluation = evaluate_system(
@@ -679,9 +664,6 @@ def _command_simulate(args: argparse.Namespace) -> None:
                         f"{len(workload) / elapsed:,.0f}",
                     ]
                 )
-        finally:
-            if runtime is not None:
-                runtime.close()
         print(
             f"workload: {args.population}, {len(workload)} cases "
             f"({workload.cancer_fraction:.1%} cancers); engine: {args.engine}"

@@ -32,7 +32,7 @@ from .posterior import (
     sample_parameter_table,
     scenario_win_probability,
 )
-from .runtime import EngineRuntime, plan_chunk_size, shared_memory_available
+from .runtime import EngineRuntime, shared_memory_available
 
 __all__ = [
     "CaseArrays",
@@ -40,7 +40,6 @@ __all__ = [
     "LESION_CODES",
     "DEFAULT_CHUNK_SIZE",
     "plan_chunks",
-    "plan_chunk_size",
     "supports_batch",
     "supports_stream",
     "cancer_class_labels",

@@ -95,26 +95,11 @@ class SharedLayout:
             ``None`` without a tool.
         reader_roles: Per reader, in reading order, where its uniforms
             sit in the flat draw, by role (:class:`ReaderRoles`).
-        own_roles: The same roles in a reader's own draw
-            (:attr:`CaseArrays.reader_roles`).
     """
 
     total: int
     cadt_index: np.ndarray | None
     reader_roles: tuple[ReaderRoles, ...]
-    own_roles: ReaderRoles
-
-    @cached_property
-    def reader_index(self) -> tuple[np.ndarray, ...]:
-        """Per reader, where its uniforms sit in the flat draw, listed in
-        the reader layout; built on first read from the roles."""
-        indexes = []
-        for roles in self.reader_roles:
-            index = np.empty(sum(map(len, roles)), dtype=np.int64)
-            for own, shared in zip(self.own_roles, roles):
-                index[own] = shared
-            indexes.append(_read_only(index))
-        return tuple(indexes)
 
 
 @dataclass(frozen=True)
@@ -143,9 +128,10 @@ class CaseArrays:
     healthy index sets, the difficulty logits, memoised chunk views —
     is derived on first use, read-only, and kept for the object's
     lifetime; what also depends on a component's configuration (its
-    probability table, a fatigue decrement path) is kept in a bounded
-    memo (:meth:`bounded`).  Pickling carries the columns only, so
-    nothing derived crosses a process boundary.
+    probability table, a fatigue decrement path, a classifier's
+    cancer-class codes) is kept in a bounded memo (:meth:`bounded`).
+    Pickling carries the columns only, so nothing derived crosses a
+    process boundary.
     """
 
     case_id: np.ndarray
@@ -173,22 +159,12 @@ class CaseArrays:
     def __reduce__(self) -> tuple[type, tuple[np.ndarray, ...]]:
         return CaseArrays, tuple(getattr(self, name) for name in ARRAY_FIELDS)
 
-    @property
-    def bytes_per_case(self) -> int:
-        """Bytes one case occupies across all columns (chunk budgeting)."""
-        return int(sum(getattr(self, name).dtype.itemsize for name in ARRAY_FIELDS))
-
-    @property
-    def nbytes(self) -> int:
-        """Total payload bytes of the batch (shared-memory sizing)."""
-        return len(self) * self.bytes_per_case
-
     def digest(self) -> str:
         """Content digest: sha1 over the length and every column's bytes.
 
         The one content key of a workload (its
-        :meth:`~repro.screening.workload.Workload.fingerprint`, which the
-        runtime's workload cache is keyed by).
+        :meth:`~repro.screening.workload.Workload.fingerprint`, behind
+        workload ``==`` and ``hash``).
         """
         digest = hashlib.sha1()
         digest.update(str(len(self)).encode())
@@ -291,7 +267,8 @@ class CaseArrays:
         :data:`ENTRIES_PER_KIND` entries of ``kind``, oldest out.
 
         For per-configuration values (probability tables, decrement
-        paths): the same rules as :meth:`derived`, with a bound.
+        paths, class codes): the same rules as :meth:`derived`, with a
+        bound.
         """
         entries: dict = self.derived(kind, dict)
         try:
@@ -354,7 +331,6 @@ class CaseArrays:
             reader_roles=tuple(
                 self._roles(offsets + head + k * per_reader) for k in range(readers)
             ),
-            own_roles=self.reader_roles,
         )
 
     @cached_property

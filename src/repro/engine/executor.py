@@ -55,8 +55,6 @@ __all__ = [
 
 #: Default cases per chunk.  Large enough that per-chunk Python overhead
 #: is negligible, small enough that chunk buffers stay cache-friendly.
-#: Pass ``chunk_size=None`` for adaptive planning
-#: (:func:`repro.engine.runtime.plan_chunk_size`).
 DEFAULT_CHUNK_SIZE = 16384
 
 
@@ -211,7 +209,7 @@ def evaluate_system_batch(
     level: float = 0.95,
     seed: int | None = None,
     workers: int = 1,
-    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     runtime: "EngineRuntime | None" = None,
 ) -> SystemEvaluation:
     """Vectorized counterpart of :func:`~repro.system.simulate.evaluate_system`.
@@ -240,21 +238,17 @@ def evaluate_system_batch(
             cannot be advanced coherently across processes.  Note that
             component state (e.g. a tool's processed-case counter) then
             advances in the worker copies, not the caller's objects.
-        chunk_size: Cases per chunk.  Seeded results depend only on
-            ``(seed, chunk_size)``; unseeded serial results are
-            chunk-size-invariant.  ``None`` plans the size adaptively
-            from the workload, worker count, and a bytes-per-chunk
-            budget (:func:`repro.engine.runtime.plan_chunk_size`) — note
-            the planned size, and therefore seeded multi-chunk results,
-            then varies with ``workers``.
+        chunk_size: Cases per chunk, an integer >= 1.  Seeded results
+            depend only on ``(seed, chunk_size)``; unseeded serial
+            results are chunk-size-invariant.
         runtime: A :class:`~repro.engine.runtime.EngineRuntime` to
             execute on.  Supersedes ``workers`` (the runtime owns the
-            pool) and keeps the pool, the shared-memory workload plane
-            and the columnisation/classification across calls.
+            pool) and keeps the pool and the shared-memory workload
+            plane across calls.
 
     Raises:
-        SimulationError: on an empty workload, or ``workers > 1`` without
-            a seed.
+        SimulationError: on an empty workload, a ``chunk_size`` that is
+            not an integer >= 1, or ``workers > 1`` without a seed.
     """
     if runtime is not None:
         return runtime.evaluate(
@@ -283,7 +277,7 @@ def compare_systems_batch(
     level: float = 0.95,
     seed: int | None = None,
     workers: int = 1,
-    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     runtime: "EngineRuntime | None" = None,
 ) -> dict[str, SystemEvaluation]:
     """Vectorized counterpart of :func:`~repro.system.simulate.compare_systems`.

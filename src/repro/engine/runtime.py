@@ -3,28 +3,26 @@
 :class:`EngineRuntime` places every engine evaluation: it runs the
 systems of an ``evaluate``/``compare`` call, a service dispatch or a
 sweep shard as fused batches through the engine's one kernel,
-:func:`~repro.engine.fused.run_fused_batch`, in-process or on its pool,
-and amortises everything around the kernel for programs that evaluate
+:func:`~repro.engine.fused.run_fused_batch`, in-process or on its pool.
+It keeps two things across calls, both for programs that evaluate
 repeatedly (comparisons, extrapolation grids, setting sweeps):
 
 * **Persistent pool.**  One :class:`~concurrent.futures.ProcessPoolExecutor`
   is created lazily, by the first call that needs it, and reused across
   every ``evaluate``/``compare``/``run_fused``/``map`` call until
   :meth:`EngineRuntime.close` (or the context manager exit).
-* **Zero-copy workload plane.**  Each distinct workload's
+* **Zero-copy workload plane.**  On the pool path, each workload's
   :class:`~repro.engine.arrays.CaseArrays` is published *once* into a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment; tasks
+  :class:`multiprocessing.shared_memory.SharedMemory` segment, kept
+  until ``max_cached_workloads`` or ``shm_byte_budget`` trims it; tasks
   carry only a :class:`~repro.engine.fused._SegmentSpec` (segment name +
   column offsets), a chunk range and the items, and workers attach and
   slice views — no array travels through a pickle after publication.
-* **Fingerprint-keyed caches.**  Workloads are cached by their content
-  :meth:`~repro.screening.workload.Workload.fingerprint` (computed once
-  per workload; two equal workloads share one entry), and per-classifier
-  cancer-class codes are cached alongside, so repeated evaluations skip
-  publication and classification entirely.
-* **Adaptive chunk planning.**  :func:`plan_chunk_size` sizes chunks
-  from the case count, worker count, and a bytes-per-chunk budget
-  instead of the fixed :data:`~repro.engine.executor.DEFAULT_CHUNK_SIZE`.
+
+Everything else a call needs is derived from the workload: a
+classifier's cancer-class codes are a bounded memo on the workload's
+arrays (:meth:`~repro.engine.arrays.CaseArrays.bounded`), shared by
+every runtime that reads them.
 
 Seeded results depend only on ``(seed, chunk_size)`` — never on worker
 count, pool reuse, shared memory, or scheduling — because a chunk's
@@ -44,13 +42,13 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from itertools import groupby
 from multiprocessing import shared_memory
 from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from .._numeric import read_only as _read_only
 from ..core.case_class import CaseClass
 from ..exceptions import RuntimeDegradationWarning, SimulationError
 from ..obs import Instrumentation, SpanPayload, get_instrumentation
@@ -58,7 +56,7 @@ from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
 from ..system.simulate import FailureTally, SystemEvaluation, evaluate_system
 from ..system.single import ScreeningSystem
-from .arrays import ARRAY_FIELDS, ENTRIES_PER_KIND, CaseArrays
+from .arrays import ARRAY_FIELDS, CaseArrays
 from .executor import (
     DEFAULT_CHUNK_SIZE,
     cancer_class_codes,
@@ -76,64 +74,10 @@ from .fused import (
     run_fused_batch,
 )
 
-__all__ = [
-    "EngineRuntime",
-    "plan_chunk_size",
-    "shared_memory_available",
-    "TARGET_CHUNK_BYTES",
-    "MIN_CHUNK_SIZE",
-    "CHUNKS_PER_WORKER",
-]
+__all__ = ["EngineRuntime", "shared_memory_available"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Soft per-chunk payload budget for adaptive planning (1 MiB): big
-#: enough that per-chunk Python overhead is negligible, small enough
-#: that chunk working sets stay cache-resident.
-TARGET_CHUNK_BYTES = 1 << 20
-
-#: Floor on adaptively planned chunk sizes; below this the per-chunk
-#: overhead dominates the kernels.
-MIN_CHUNK_SIZE = 1024
-
-#: Chunks the planner aims to hand each worker, so stragglers can be
-#: balanced without making chunks tiny.
-CHUNKS_PER_WORKER = 4
-
-
-def plan_chunk_size(
-    num_cases: int,
-    workers: int,
-    *,
-    bytes_per_case: int = 64,
-    target_chunk_bytes: int = TARGET_CHUNK_BYTES,
-    min_chunk_size: int = MIN_CHUNK_SIZE,
-    chunks_per_worker: int = CHUNKS_PER_WORKER,
-) -> int:
-    """Plan a chunk size from the workload shape and worker count.
-
-    The planned size is the byte-budget cap (``target_chunk_bytes /
-    bytes_per_case``) or the fair share (enough chunks for every worker
-    to receive ``chunks_per_worker``), whichever is smaller, floored at
-    ``min_chunk_size`` and capped at the workload itself.  A pure
-    function of its arguments — but note it *does* depend on
-    ``workers``, so callers who need seeded results independent of
-    worker count must pass an explicit ``chunk_size`` instead of
-    ``None`` (the documented contract ties results to
-    ``(seed, chunk_size)``).
-
-    Raises:
-        SimulationError: if ``workers`` is not positive.
-    """
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers!r}")
-    if num_cases <= 0:
-        return max(1, min_chunk_size)
-    budget = max(1, target_chunk_bytes // max(1, bytes_per_case))
-    fair = -(-num_cases // max(1, workers * chunks_per_worker))
-    size = max(min_chunk_size, min(budget, fair))
-    return max(1, min(size, num_cases))
 
 
 _SHM_AVAILABLE: bool | None = None
@@ -219,45 +163,37 @@ def _tally_from_row(row: np.ndarray, classes: Sequence[CaseClass]) -> FailureTal
     return FailureTally.from_counts((*row[:4].tolist(), class_failures, class_trials), classes)
 
 
-class _Columns(NamedTuple):
-    """A columnised workload and its cancer cases' classes under one
-    classifier: made once per (workload, classifier), shared by every
-    system evaluated on them."""
+class _Plane(NamedTuple):
+    """One published workload plane: the arrays it was copied from,
+    pinned so that their identity (its key) is not reused while it
+    lives, its segment and the spec tasks attach with."""
 
     arrays: CaseArrays
-    positions: np.ndarray
-    codes: np.ndarray
-    classes: tuple[CaseClass, ...]
-
-
-@dataclass
-class _CachedWorkload:
-    """One workload's runtime residency: arrays, segment, class-code caches."""
-
-    arrays: CaseArrays
-    segment: shared_memory.SharedMemory | None = None
-    spec: _SegmentSpec | None = None
-    #: Per-classifier cache: ``id(classifier)`` -> (classifier — a strong
-    #: reference keeping the id stable — the workload's columns under it),
-    #: at most ``ENTRIES_PER_KIND``, oldest out.
-    columns: dict[int, tuple[CaseClassifier, _Columns]] = field(default_factory=dict)
+    segment: shared_memory.SharedMemory
+    spec: _SegmentSpec
 
 
 class _Batch(NamedTuple):
     """One batch of a :meth:`EngineRuntime.run_fused` call, ready to place."""
 
-    entry: _CachedWorkload
-    columns: _Columns
+    arrays: CaseArrays
+    codes: np.ndarray
     items: tuple[FusedItem, ...]
-    chunk_size: int
     n_chunks: int
 
 
-def _release_segment(entry: _CachedWorkload) -> None:
-    """Close and unlink a cached workload's segment, if it has one."""
-    segment, entry.segment, entry.spec = entry.segment, None, None
-    if segment is None:
-        return
+def _check_chunk_size(chunk_size: object) -> None:
+    """Refuse a chunk size that is not an integer >= 1."""
+    if (
+        isinstance(chunk_size, bool)
+        or not isinstance(chunk_size, (int, np.integer))
+        or chunk_size < 1
+    ):
+        raise SimulationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
+
+
+def _release_segment(segment: shared_memory.SharedMemory) -> None:
+    """Close and unlink a published segment."""
     segment.close()
     try:
         segment.unlink()
@@ -267,15 +203,15 @@ def _release_segment(entry: _CachedWorkload) -> None:
 
 def _release_runtime(
     pool_box: list[ProcessPoolExecutor | None],
-    cache: OrderedDict[str, _CachedWorkload],
+    planes: OrderedDict[int, _Plane],
 ) -> None:
     """Tear down a runtime's pool and segments (close() and GC finalizer)."""
     pool, pool_box[0] = pool_box[0], None
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
-    for entry in cache.values():
-        _release_segment(entry)
-    cache.clear()
+    for plane in planes.values():
+        _release_segment(plane.segment)
+    planes.clear()
 
 
 class EngineRuntime:
@@ -287,11 +223,11 @@ class EngineRuntime:
             for system in systems:
                 evaluate_system_batch(system, workload, seed=7, runtime=runtime)
 
-    Everything expensive is created once and reused: the process pool,
-    the shared-memory publication of each workload, the columnisation,
-    and the per-classifier cancer-class codes.  Results do not depend
-    on the runtime — same chunking, same chunk generators, the same
-    kernel — so it is a pure performance substrate.
+    What is expensive to set up is made once and reused: the process
+    pool, and on the pool path the shared-memory publication of each
+    workload.  A serial runtime holds nothing across calls.  Results do
+    not depend on the runtime — same chunking, same chunk generators,
+    the same kernel — so it is a pure performance substrate.
 
     Args:
         workers: Worker processes for seeded parallel execution.  ``1``
@@ -299,16 +235,16 @@ class EngineRuntime:
             Shared memory is used where :func:`shared_memory_available`
             finds it; elsewhere, and after a segment cannot be created,
             arrays are pickled into tasks.
-        max_cached_workloads: Distinct workloads kept resident (LRU).
+        max_cached_workloads: Workload planes kept published (LRU),
+            each keyed by the identity of the arrays it pins.
         shm_byte_budget: Soft cap on the total bytes of live shared
             segments.  When a fresh publication pushes the total over
-            the budget, least-recently-used segments are unlinked (the
-            arrays and class-code caches stay resident — only the shared
-            plane is dropped, and it re-publishes on next parallel use).
-            ``None`` (the default) keeps every cached workload's segment
-            alive; set it for many-workload sweeps so the runtime cannot
-            exhaust ``/dev/shm``.  Evictions are counted under
-            ``runtime.shm.evicted``.
+            the budget, least-recently-used segments are unlinked (a
+            plane re-publishes on its workload's next parallel use).
+            ``None`` (the default) keeps up to ``max_cached_workloads``
+            segments alive; set it for many-workload sweeps so the
+            runtime cannot exhaust ``/dev/shm``.  Evictions are counted
+            under ``runtime.shm.evicted``.
         obs: Instrumentation to record into.  ``None`` (the default)
             resolves the ambient instrumentation at construction — the
             null singleton unless :func:`repro.obs.use_instrumentation`
@@ -351,14 +287,12 @@ class EngineRuntime:
             )
         self._pool_box: list[ProcessPoolExecutor | None] = [None]
         self._pool_launches = 0
-        self._cache: OrderedDict[str, _CachedWorkload] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
+        self._planes: OrderedDict[int, _Plane] = OrderedDict()
         self._closed = False
         # Belt-and-braces: segments must never outlive the runtime, even
         # if close() is skipped — unlink on garbage collection too.
         self._finalizer = weakref.finalize(
-            self, _release_runtime, self._pool_box, self._cache
+            self, _release_runtime, self._pool_box, self._planes
         )
 
     # -- lifecycle ----------------------------------------------------
@@ -409,51 +343,33 @@ class EngineRuntime:
     @property
     def active_segments(self) -> tuple[str, ...]:
         """Names of the shared segments currently published."""
-        return tuple(
-            entry.segment.name
-            for entry in self._cache.values()
-            if entry.segment is not None
-        )
+        return tuple(plane.segment.name for plane in self._planes.values())
 
     @property
     def shm_bytes_live(self) -> int:
         """Total bytes of currently published shared segments."""
-        return sum(
-            entry.segment.size
-            for entry in self._cache.values()
-            if entry.segment is not None
-        )
+        return sum(plane.segment.size for plane in self._planes.values())
 
-    def cache_info(self) -> dict[str, int]:
-        """Cache counters: resident workloads, hits, misses, segments."""
-        return {
-            "workloads": len(self._cache),
-            "hits": self._hits,
-            "misses": self._misses,
-            "segments": len(self.active_segments),
-        }
-
-    # -- workload plane (shared with the sweep runner) -----------------
+    # -- workload plane --------------------------------------------------
 
     def publish_workload(
         self, workload: Workload
     ) -> tuple[CaseArrays, _SegmentSpec | None]:
-        """Cache and (if parallel) publish one workload's columns.
+        """Publish (if parallel) one workload's columns.
 
-        Returns the cached :class:`CaseArrays` plus, on a parallel
+        Returns the workload's :class:`CaseArrays` plus, on a parallel
         shared-memory runtime, the :class:`_SegmentSpec` pooled tasks
-        attach with (``None`` on serial/no-shm runtimes).  Repeated calls
-        for equal workloads hit the fingerprint-keyed cache, so each
-        distinct workload is published once per runtime, however many
-        callers share it; :meth:`run_fused` publishes through the same
-        cache.
+        attach with (``None`` on serial/no-shm runtimes).  The plane is
+        keyed by the arrays' identity, so repeated calls with one
+        workload publish it once while it stays resident; pooled
+        :meth:`run_fused` calls publish through the same map.
         """
         if self._closed:
             raise SimulationError("cannot publish on a closed EngineRuntime")
-        entry = self._workload_entry(workload)
-        spec = self._publish(entry) if self._workers > 1 else None
+        arrays = workload.to_arrays()
+        spec = self._publish(arrays) if self._workers > 1 else None
         self._trim()
-        return entry.arrays, spec
+        return arrays, spec
 
     # -- evaluation ----------------------------------------------------
 
@@ -465,16 +381,15 @@ class EngineRuntime:
         level: float = 0.95,
         *,
         seed: int | None = None,
-        chunk_size: int | None = DEFAULT_CHUNK_SIZE,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> SystemEvaluation:
         """Evaluate one system; the runtime analogue of
         :func:`~repro.engine.executor.evaluate_system_batch`.
 
         Unseeded calls run serially in-process (bit-identical to the
         scalar loop); seeded calls fan out over the persistent pool when
-        it helps.  ``chunk_size=None`` plans adaptively via
-        :func:`plan_chunk_size` — pass an explicit size for results
-        independent of this runtime's worker count.
+        it helps.  ``chunk_size`` is an integer >= 1 (results depend
+        only on ``(seed, chunk_size)``).
 
         Stateful-but-vectorizable systems (temporal reader wrappers
         exposing the stream-carry protocol) advance chunk by chunk in
@@ -497,12 +412,12 @@ class EngineRuntime:
         level: float = 0.95,
         *,
         seed: int | None = None,
-        chunk_size: int | None = DEFAULT_CHUNK_SIZE,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> dict[str, SystemEvaluation]:
         """Evaluate several systems over one workload, sharing everything.
 
-        The pool, the published workload, one columnisation and one
-        classification are shared across all systems — this is the call
+        The pool, the published workload and one classification are
+        shared across all systems — this is the call
         :func:`~repro.engine.executor.compare_systems_batch` delegates
         to, and the common-random-numbers property holds exactly as
         there (every system's chunk generators derive from the same
@@ -514,6 +429,7 @@ class EngineRuntime:
         """
         if self._closed:
             raise SimulationError("cannot evaluate on a closed EngineRuntime")
+        _check_chunk_size(chunk_size)
         names = [system.name for system in systems]
         if len(set(names)) != len(names):
             raise SimulationError(f"system names must be unique, got {names!r}")
@@ -553,7 +469,7 @@ class EngineRuntime:
         batches: Sequence[tuple[Workload, Sequence[tuple[ScreeningSystem, int | None]]]],
         *,
         classifier: CaseClassifier,
-        chunk_size: int | None,
+        chunk_size: int,
     ) -> list[np.ndarray]:
         """Run ``(workload, [(system, seed), ...])`` batches as fused tasks.
 
@@ -574,6 +490,11 @@ class EngineRuntime:
         committed into the caller's system either way.  Every system must
         support batch or stream execution.
 
+        Raises:
+            SimulationError: before any work, on a closed runtime or a
+                ``chunk_size`` that is not an integer >= 1; before any
+                decision, on an empty workload.
+
         Returns:
             One int64 count matrix per batch, in batch order, with one
             row per item in item order (columns:
@@ -582,6 +503,7 @@ class EngineRuntime:
         """
         if self._closed:
             raise SimulationError("cannot evaluate on a closed EngineRuntime")
+        _check_chunk_size(chunk_size)
         work: list[_Batch] = []
         for workload, pairs in batches:
             if len(workload) == 0:
@@ -590,24 +512,18 @@ class EngineRuntime:
                 build_fused_item(index, system, seed)
                 for index, (system, seed) in enumerate(pairs)
             )
-            entry = self._workload_entry(workload)
-            columns = self._columns(entry, workload, classifier)
-            size = chunk_size
-            if size is None:
-                size = plan_chunk_size(
-                    len(columns.arrays), self._workers,
-                    bytes_per_case=columns.arrays.bytes_per_case,
-                )
-            n_chunks = len(plan_chunks(len(columns.arrays), size))
-            work.append(_Batch(entry, columns, items, size, n_chunks))
+            arrays = workload.to_arrays()
+            codes = self._class_codes(workload, arrays, classifier)
+            n_chunks = len(plan_chunks(len(arrays), chunk_size))
+            work.append(_Batch(arrays, codes, items, n_chunks))
         n_classes, traced = len(classifier.classes), self._obs.enabled
         with self._obs.span(
             "runtime.evaluate",
             batches=len(work),
             systems=sum(len(batch.items) for batch in work),
-            cases=sum(len(batch.columns.arrays) for batch in work),
+            cases=sum(len(batch.arrays) for batch in work),
             chunks=sum(batch.n_chunks for batch in work),
-            chunk_size=max((batch.chunk_size for batch in work), default=chunk_size),
+            chunk_size=chunk_size,
         ):
             parallel = (
                 self._workers > 1
@@ -631,18 +547,18 @@ class EngineRuntime:
 
             def tasks(planes: Sequence[_SegmentSpec | CaseArrays]) -> list[FusedTask]:
                 return [
-                    (planes[number], work[number].chunk_size, work[number].columns.positions,
-                     work[number].columns.codes, n_classes, items, chunk_range, traced)
+                    (planes[number], chunk_size, work[number].arrays.cancer_index,
+                     work[number].codes, n_classes, items, chunk_range, traced)
                     for number, items, chunk_range in parts
                 ]
 
             outputs: list[FusedOutput] | None = None
             if pool is not None:
-                planes = [self._publish(batch.entry) or batch.columns.arrays for batch in work]
+                planes = [self._publish(batch.arrays) or batch.arrays for batch in work]
                 outputs = self._on_pool(pool, run_fused_batch, tasks(planes), "unpicklable_system")
             pooled = outputs is not None
             if outputs is None:  # serial, or the pool could not run the parts
-                outputs = [run_fused_batch(task) for task in tasks([b.columns.arrays for b in work])]
+                outputs = [run_fused_batch(task) for task in tasks([b.arrays for b in work])]
             results = [
                 np.zeros((len(batch.items), len(ROW_COLUMNS) + 2 * n_classes), dtype=np.int64)
                 for batch in work
@@ -766,101 +682,75 @@ class EngineRuntime:
         if pool is not None:  # pragma: no cover - only after a broken pool
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _workload_entry(self, workload: Workload) -> _CachedWorkload:
-        """The cache entry for a workload, keyed by its content fingerprint."""
-        digest = workload.fingerprint()
-        entry = self._cache.get(digest)
-        if entry is not None:
-            self._hits += 1
-            self._obs.count("runtime.workload_cache.hit")
-            self._cache.move_to_end(digest)
-            return entry
-        self._misses += 1
-        self._obs.count("runtime.workload_cache.miss")
-        entry = _CachedWorkload(arrays=workload.to_arrays())
-        self._cache[digest] = entry
-        return entry
+    def _class_codes(
+        self, workload: Workload, arrays: CaseArrays, classifier: CaseClassifier
+    ) -> np.ndarray:
+        """The class codes of ``workload``'s cancer cases under ``classifier``.
 
-    def _columns(
-        self,
-        entry: _CachedWorkload,
-        workload: Workload,
-        classifier: CaseClassifier,
-    ) -> _Columns:
-        """Cached cancer positions/class codes for (workload, classifier).
-
-        Keyed by classifier identity (classifiers are deterministic by
-        protocol, but only *this object's* determinism is known — two
-        distinct instances are never conflated).  The entry keeps a
-        strong reference to the classifier so the id cannot be reused,
-        and at most ``ENTRIES_PER_KIND`` of them, as :meth:`compare`
-        brings a fresh one per call when given none.
+        A bounded memo on the workload's arrays, keyed by classifier
+        identity (classifiers are deterministic by protocol, but only
+        *this object's* determinism is known — two distinct instances
+        are never conflated).  Each entry pins its classifier, so the
+        id cannot be reused while the entry lives, and the memo keeps
+        at most ``ENTRIES_PER_KIND`` of them, as :meth:`compare` brings
+        a fresh one per call when given none.  Every runtime reading the
+        same arrays shares the entries.
         """
-        cached = entry.columns.get(id(classifier))
-        if cached is not None and cached[0] is classifier:
-            self._obs.count("runtime.label_cache.hit")
-            return cached[1]
-        self._obs.count("runtime.label_cache.miss")
-        positions = entry.arrays.cancer_index
-        codes = cancer_class_codes(
-            workload, classifier, entry.arrays, positions,
-            on_scalar_fallback=lambda: self._note_degradation(
-                "scalar_classify",
-                f"classifier {type(classifier).__name__} has no usable "
-                "classify_batch; cancer labels come from the per-case loop "
-                "(labels are identical, classification is slower)",
-            ),
-        )
-        columns = _Columns(entry.arrays, positions, codes, tuple(classifier.classes))
-        entry.columns[id(classifier)] = (classifier, columns)
-        if len(entry.columns) > ENTRIES_PER_KIND:
-            del entry.columns[next(iter(entry.columns))]
-        return columns
 
-    def _publish(self, entry: _CachedWorkload) -> _SegmentSpec | None:
-        """Publish an entry's arrays to shared memory (once; may fall back)."""
+        def classify() -> tuple[CaseClassifier, np.ndarray]:
+            codes = cancer_class_codes(
+                workload, classifier, arrays, arrays.cancer_index,
+                on_scalar_fallback=lambda: self._note_degradation(
+                    "scalar_classify",
+                    f"classifier {type(classifier).__name__} has no usable "
+                    "classify_batch; cancer labels come from the per-case loop "
+                    "(labels are identical, classification is slower)",
+                ),
+            )
+            return classifier, _read_only(codes)
+
+        return arrays.bounded("class_codes", id(classifier), classify)[1]
+
+    def _publish(self, arrays: CaseArrays) -> _SegmentSpec | None:
+        """The spec of ``arrays``' shared plane, published on first use
+        (``None`` without shared memory, or when publishing fails)."""
         if not self._use_shm:
             return None
-        if entry.spec is None:
-            try:
-                entry.segment, entry.spec = _publish_arrays(entry.arrays)
-            except OSError:  # pragma: no cover - e.g. /dev/shm filled up
-                self._use_shm = False
-                self._note_degradation(
-                    "no_shm",
-                    "publishing a workload to shared memory failed; falling "
-                    "back to pickling arrays into tasks",
-                )
-                return None
-            self._obs.count("runtime.shm.bytes_published", entry.segment.size)
-            self._obs.gauge("runtime.shm.segments", len(self.active_segments))
-        return entry.spec
+        plane = self._planes.get(id(arrays))
+        if plane is not None:
+            self._planes.move_to_end(id(arrays))
+            return plane.spec
+        try:
+            segment, spec = _publish_arrays(arrays)
+        except OSError:  # pragma: no cover - e.g. /dev/shm filled up
+            self._use_shm = False
+            self._note_degradation(
+                "no_shm",
+                "publishing a workload to shared memory failed; falling "
+                "back to pickling arrays into tasks",
+            )
+            return None
+        self._planes[id(arrays)] = _Plane(arrays, segment, spec)
+        self._obs.count("runtime.shm.bytes_published", segment.size)
+        self._obs.gauge("runtime.shm.segments", len(self._planes))
+        return spec
 
     def _trim(self) -> None:
-        """Evict least-recently-used workloads past ``max_cached_workloads``,
-        then unlink least-recently-used segments until live shm bytes fit
-        the budget.
+        """Unlink least-recently-used planes past ``max_cached_workloads``,
+        then until live shm bytes fit the budget.
 
         Runs once a call is done with its workloads, so every plane its
         tasks read stays published until they finish, and the most
-        recently used workload always keeps its segment.  Under the
-        budget only the shared plane is dropped — the entry's arrays and
-        class-code caches stay, so an evicted workload re-publishes
-        cheaply on its next parallel use.  Workers still holding an
+        recently used plane always stays.  Workers still holding an
         attached view keep the memory alive until their own LRU cache
         closes it (POSIX unlink semantics).
         """
-        while len(self._cache) > self._max_cached:
-            _, evicted = self._cache.popitem(last=False)
-            _release_segment(evicted)
-        if self._shm_byte_budget is None or self.shm_bytes_live <= self._shm_byte_budget:
-            return
-        *older, _ = self._cache.values()
-        for entry in older:  # OrderedDict: LRU first
-            if entry.segment is None:
-                continue
-            _release_segment(entry)
+        published = len(self._planes)
+        while len(self._planes) > self._max_cached:
+            _release_segment(self._planes.popitem(last=False)[1].segment)
+        budget = self._shm_byte_budget
+        while budget is not None and len(self._planes) > 1 and self.shm_bytes_live > budget:
+            _release_segment(self._planes.popitem(last=False)[1].segment)
             self._obs.count("runtime.shm.evicted")
-            if self.shm_bytes_live <= self._shm_byte_budget:
-                break
-        self._obs.gauge("runtime.shm.segments", len(self.active_segments))
+        if len(self._planes) < published:
+            self._obs.gauge("runtime.shm.segments", len(self._planes))

@@ -3,7 +3,7 @@
 The registry is deliberately small: named instruments created on demand,
 a thread-safe snapshot, and a merge operation for counters that arrive
 from worker processes.  There are no labels — a metric's identity is its
-dotted name (``"runtime.workload_cache.hit"``), and "by reason"
+dotted name (``"runtime.pool.launches"``), and "by reason"
 breakdowns are separate names under a common prefix
 (``"runtime.degraded.no_shm"``), which keeps the snapshot a flat,
 JSON-ready mapping.

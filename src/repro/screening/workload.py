@@ -134,7 +134,7 @@ class Workload:
         :meth:`~repro.engine.arrays.CaseArrays.digest` (sha1 over the
         length and every column): equal contents give equal
         fingerprints, and the read-only columns cannot change under it.
-        The runtime's workload cache is keyed by it.
+        Workload ``==`` and ``hash`` compare it.
         """
         if self._fingerprint is None:
             self._fingerprint = self._arrays.digest()

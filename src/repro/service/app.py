@@ -137,8 +137,9 @@ class ServiceConfig:
             (other groups dispatch as soon as the engine is idle).
         chunk_size: Engine chunk size — fixed per service because it is
             half of the determinism contract ``(seed, chunk_size)``.
-        max_cached_workloads: Capacity of both the service's workload
-            cache and the runtime's columnised-arrays cache.
+        max_cached_workloads: Capacity of the service's workload cache,
+            and the most workload planes the runtime keeps published in
+            shared memory.
         shm_byte_budget: Shared-memory LRU budget handed to the runtime
             (``None`` = unbounded).
         quota_rps: Per-tenant sustained requests/second (``None``

@@ -8,9 +8,9 @@ cross-tenant leakage (a key fully determines its workload).
 
 The cache maps a spec to its generated
 :class:`~repro.screening.workload.Workload`, the expensive part to
-rebuild.  Everything derived from the workload — its cancer positions,
-the per-class codes, the shared-memory publication — lives in the
-engine runtime's own fingerprint-keyed cache, so the runtime's
+rebuild.  Everything derived from the workload — its cancer positions
+and per-class codes — is memoised on the workload's own arrays, and the
+engine runtime keeps the shared-memory publication, so the runtime's
 ``shm_byte_budget`` LRU can evict segments freely without the service
 holding stale state.
 """

@@ -6,9 +6,9 @@ serial).  Each distinct workload (not each cell) is materialised once per
 run.  A shard's fused dispatches — each many ``(system, seed)`` pairs
 against one workload — go to the runtime as the batches of one
 :meth:`~repro.engine.runtime.EngineRuntime.run_fused` call, which
-columnises, classifies and (when pooled) publishes each workload once,
-through its fingerprint-keyed caches, and places the batches by the rule
-every evaluation shares.
+classifies each workload once (a memo on its arrays), publishes it once
+when pooled, and places the batches by the rule every evaluation
+shares.
 
 **One count matrix.**  A run's result is one int64 matrix with a row per
 planned cell (eq. (8)'s per-class failure counts, in the column layout
@@ -598,11 +598,7 @@ def run_sweep(
     instrumentation = obs if obs is not None else get_instrumentation()
     own_runtime = runtime is None
     if own_runtime:
-        runtime = EngineRuntime(
-            workers=workers,
-            max_cached_workloads=max(4, len(plan.workloads)),
-            obs=instrumentation,
-        )
+        runtime = EngineRuntime(workers=workers, obs=instrumentation)
     try:
         return _execute_plan(
             plan,

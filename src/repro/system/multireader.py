@@ -33,7 +33,7 @@ from ..cadt.tool import Cadt
 from ..exceptions import SimulationError
 from ..reader.reader import ReaderModel
 from ..screening.case import Case
-from .single import BatchDecisions, SystemDecision, _split_shared_uniforms
+from .single import BatchDecisions, SystemDecision
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from ..engine.arrays import CaseArrays
@@ -141,26 +141,31 @@ class _PairedReading:
         """Vectorized :meth:`decide` over a batch of cases.
 
         With ``rng`` omitted, the CADT and every member draw from their
-        private generators; with a shared ``rng``, one flat draw is split
-        per case into the tool's ``[u_miss, u_prompts]`` and the members'
-        segments in reading order.  Either way the results are
-        bit-identical to calling :meth:`decide` case by case.
+        private generators; with a shared ``rng``, one flat draw holds
+        per case the tool's ``[u_miss, u_prompts]`` and the members'
+        segments in reading order, and each component gathers its own
+        uniforms from it through the chunk's
+        :meth:`~repro.engine.arrays.CaseArrays.shared_layout`.  Either
+        way the results are bit-identical to calling :meth:`decide` case
+        by case.
         """
         if not self.supports_batch:
             raise SimulationError(
                 f"system {self.name!r} has stateful or repeated members or a "
                 "drifting tool; use the scalar path"
             )
-        members = self._members
-        cadt_u, uniforms = None, [None] * len(members)
-        if rng is not None:
-            cadt_u, uniforms = _split_shared_uniforms(
-                arrays, rng, readers=len(members), cadt=self.cadt is not None
-            )
-        output = None if self.cadt is None else self.cadt.process_batch(arrays, u=cadt_u)
-        recalls = [
-            member.decide_batch(arrays, output, u=u) for member, u in zip(members, uniforms)
-        ]
+        members, cadt = self._members, self.cadt
+        if rng is None:
+            output = None if cadt is None else cadt.process_batch(arrays)
+            recalls = [member.decide_batch(arrays, output) for member in members]
+        else:
+            layout = arrays.shared_layout(len(members), cadt is not None)
+            flat = rng.random(layout.total)
+            output = None if cadt is None else cadt.process_batch(arrays, u=flat[layout.cadt_index])
+            recalls = [
+                member.decide_batch(arrays, output, u=flat, roles=roles)
+                for member, roles in zip(members, layout.reader_roles)
+            ]
         return BatchDecisions(
             arrays.case_id,
             _combine(self.policy, *recalls),

@@ -38,29 +38,6 @@ __all__ = [
 ]
 
 
-def _split_shared_uniforms(
-    arrays: "CaseArrays",
-    rng: np.random.Generator,
-    readers: int = 1,
-    cadt: bool = True,
-) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """Split one flat draw into the CADT's and each reader's uniforms.
-
-    Per case: ``[u_miss, u_prompts]`` for the tool (when ``cadt``)
-    followed by ``readers`` reader segments in reading order, each four
-    uniforms on cancers and one on healthy cases — the same interleaving
-    the scalar loop consumes from a shared generator.  Returns the
-    tool's ``(n, 2)`` uniforms (``None`` without a tool) and one flat
-    array per reader, in the layout :meth:`ReaderModel.decide_batch`
-    takes; the gathers come from the chunk's memoised
-    :meth:`~repro.engine.arrays.CaseArrays.shared_layout`.
-    """
-    layout = arrays.shared_layout(readers, cadt)
-    flat = rng.random(layout.total)
-    cadt_u = None if layout.cadt_index is None else flat[layout.cadt_index]
-    return cadt_u, [flat[index] for index in layout.reader_index]
-
-
 @dataclass(frozen=True)
 class SystemDecision:
     """A screening system's output on one case.

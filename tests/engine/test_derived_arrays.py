@@ -20,7 +20,6 @@ from repro._numeric import logit as _logit
 from repro.engine.arrays import ARRAY_FIELDS, CaseArrays
 from repro.exceptions import SimulationError
 from repro.reader.dynamics import chunk_decrement_path
-from repro.system.single import _split_shared_uniforms
 
 
 def reference_reader_layout(arrays):
@@ -172,20 +171,22 @@ class TestDerivedArraysMatchKernelExpressions:
     )
     @settings(max_examples=150, deadline=None)
     def test_shared_split_equals_reference(self, drawn, readers, cadt, seed):
+        # Each component gathers its uniforms from the one shared draw
+        # through the layout: the tool's pairs, and every reader's roles
+        # at its own-draw positions of the reference split.
         for arrays in drawn:
-            cadt_u, reader_u = _split_shared_uniforms(
-                arrays, np.random.default_rng(seed), readers=readers, cadt=cadt
-            )
+            layout = arrays.shared_layout(readers, cadt)
+            flat = np.random.default_rng(seed).random(layout.total)
             want_cadt, want_readers = reference_split_shared_uniforms(
                 arrays, np.random.default_rng(seed), readers=readers, cadt=cadt
             )
-            assert (cadt_u is None) == (want_cadt is None)
+            assert (layout.cadt_index is None) == (want_cadt is None)
             if cadt:
-                assert same_bytes(cadt_u, want_cadt)
-            assert len(reader_u) == len(want_readers) == readers
-            for got, want in zip(reader_u, want_readers):
-                assert same_bytes(got, want)
-            layout = arrays.shared_layout(readers, cadt)
+                assert same_bytes(flat[layout.cadt_index], want_cadt)
+            assert len(layout.reader_roles) == len(want_readers) == readers
+            for roles, want in zip(layout.reader_roles, want_readers):
+                for role, own in zip(roles, arrays.reader_roles, strict=True):
+                    assert same_bytes(flat[role], want[own])
             assert layout.total == reference_reader_layout(arrays)[1] * readers + (
                 2 * len(arrays) if cadt else 0
             )
@@ -199,7 +200,7 @@ class TestDerivedArraysMatchKernelExpressions:
             for readers in (1, 2, 3):
                 for cadt in (False, True):
                     layout = arrays.shared_layout(readers, cadt)
-                    derived.extend(layout.reader_index)
+                    derived.extend(index for roles in layout.reader_roles for index in roles)
                     if layout.cadt_index is not None:
                         derived.append(layout.cadt_index)
             derived.append(chunk_decrement_path(arrays, 0.0, 0, 0.01, 0.8, None)[0])

@@ -123,19 +123,6 @@ class TestWorkerSpanMerging:
         assert "runtime.tally" in by_name
         assert "runtime.pool_launch" in by_name
 
-    def test_cache_counters_record_hits_and_misses(self):
-        obs = Instrumentation()
-        workload = make_workload()
-        classifier = SubtletyClassifier()
-        with EngineRuntime(workers=1, obs=obs) as runtime:
-            runtime.evaluate(make_system(), workload, classifier, seed=SEED)
-            runtime.evaluate(make_system(), workload, classifier, seed=SEED)
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["runtime.workload_cache.miss"] == 1.0
-        assert counters["runtime.workload_cache.hit"] == 1.0
-        assert counters["runtime.label_cache.miss"] == 1.0
-        assert counters["runtime.label_cache.hit"] == 1.0
-
 
 class TestAmbientResolution:
     def test_runtime_defaults_to_null_instrumentation(self):

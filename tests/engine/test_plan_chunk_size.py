@@ -1,65 +1,15 @@
-"""Edge cases for adaptive chunk planning and degenerate chunk shapes.
-
-Complements ``tests/engine/test_runtime.py::TestPlanChunkSize`` (the
-budget/fair-share interplay) with the boundary shapes: empty and
-single-case workloads, a requested chunk bigger than the workload, and
-more workers than chunks.
-"""
+"""Degenerate chunk shapes: a requested chunk bigger than the workload,
+and more workers than chunks."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine import EngineRuntime, evaluate_system_batch, plan_chunk_size
+from repro.engine import EngineRuntime, evaluate_system_batch
 from repro.engine.executor import plan_chunks
-from repro.engine.runtime import MIN_CHUNK_SIZE, _chunk_ranges
-from repro.exceptions import SimulationError
+from repro.engine.runtime import _chunk_ranges
 from tests.engine.test_equivalence import failure_counts
 from tests.engine.test_executor import make_system, make_workload
-
-
-class TestPlanChunkSizeEdges:
-    def test_zero_cases_returns_the_floor(self):
-        assert plan_chunk_size(0, 1) == MIN_CHUNK_SIZE
-        assert plan_chunk_size(0, 16) == MIN_CHUNK_SIZE
-
-    def test_negative_cases_treated_as_empty(self):
-        assert plan_chunk_size(-5, 2) == MIN_CHUNK_SIZE
-
-    def test_zero_cases_with_tiny_floor_still_positive(self):
-        assert plan_chunk_size(0, 2, min_chunk_size=0) == 1
-
-    def test_single_case_workload_plans_one_case_chunks(self):
-        assert plan_chunk_size(1, 1) == 1
-        assert plan_chunk_size(1, 64) == 1
-
-    def test_workers_far_exceeding_cases_cap_at_workload(self):
-        # Fair share would be sub-1-case chunks; the plan caps at n.
-        assert plan_chunk_size(10, 64) == 10
-
-    def test_plan_never_exceeds_workload(self):
-        for n in (1, 2, 1023, 1024, 1025, 10_000):
-            for workers in (1, 2, 7, 64):
-                size = plan_chunk_size(n, workers)
-                assert 1 <= size <= n
-
-    def test_custom_floor_and_chunks_per_worker(self):
-        # 8 workers x 2 chunks each over 1600 cases -> 100-case fair
-        # share, kept (floor lowered below it).
-        assert (
-            plan_chunk_size(
-                1600, 8, min_chunk_size=10, chunks_per_worker=2,
-                bytes_per_case=1, target_chunk_bytes=1 << 20,
-            )
-            == 100
-        )
-
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(SimulationError):
-            plan_chunk_size(100, 0)
-        with pytest.raises(SimulationError):
-            plan_chunk_size(100, -2)
 
 
 class TestDegenerateChunkShapes:

@@ -1,4 +1,4 @@
-"""EngineRuntime: pooled workers, shared-memory plane, caches, planning."""
+"""EngineRuntime: pooled workers, the shared-memory plane, class-code memos."""
 
 import threading
 import warnings
@@ -12,7 +12,6 @@ from repro.engine import (
     EngineRuntime,
     compare_systems_batch,
     evaluate_system_batch,
-    plan_chunk_size,
     shared_memory_available,
 )
 from repro.engine import runtime as runtime_module
@@ -49,33 +48,42 @@ class FailingBatchSystem:
         raise ValueError("injected decide_batch failure")
 
 
-class TestPlanChunkSize:
-    def test_byte_budget_caps_the_chunk(self):
-        # 1 MiB budget / 64 B per case = 16384 cases; plenty of cases
-        # and one worker, so the budget is the binding constraint.
-        assert plan_chunk_size(10_000_000, 1, bytes_per_case=64) == 16384
+class CountingClassifier(SubtletyClassifier):
+    """The subtlety criterion, counting its per-batch classification passes."""
 
-    def test_fair_share_splits_small_workloads(self):
-        # 100k cases over 4 workers x 4 chunks each -> 6250 per chunk.
-        assert plan_chunk_size(100_000, 4, bytes_per_case=58) == 6250
+    def __init__(self):
+        super().__init__()
+        self.passes = 0
 
-    def test_floor_at_min_chunk_size(self):
-        assert plan_chunk_size(5000, 4, bytes_per_case=58) == 1024
+    def classify_batch(self, arrays):
+        self.passes += 1
+        return super().classify_batch(arrays)
 
-    def test_capped_at_workload(self):
-        assert plan_chunk_size(10, 1, bytes_per_case=58) == 10
 
-    def test_empty_workload_gets_the_floor(self):
-        assert plan_chunk_size(0, 2) == 1024
+class TestChunkSizeContract:
+    """``chunk_size`` is an integer >= 1 on every entry point, checked
+    before any classification, publication or decision."""
 
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(SimulationError):
-            plan_chunk_size(100, 0)
-
-    def test_pure_function_of_arguments(self):
-        a = plan_chunk_size(123_457, 3, bytes_per_case=58)
-        b = plan_chunk_size(123_457, 3, bytes_per_case=58)
-        assert a == b
+    @pytest.mark.parametrize("chunk_size", [None, 0, -1, 2.5, True])
+    def test_refused_before_any_work(self, chunk_size):
+        workload, classifier = make_workload(300), CountingClassifier()
+        with EngineRuntime(workers=2) as runtime:
+            with pytest.raises(SimulationError, match="chunk_size"):
+                runtime.run_fused(
+                    [(workload, [(FailingBatchSystem(), 1)])],
+                    classifier=classifier, chunk_size=chunk_size,
+                )
+            with pytest.raises(SimulationError, match="chunk_size"):
+                runtime.compare(
+                    [FailingBatchSystem()], workload, classifier, seed=1, chunk_size=chunk_size
+                )
+            assert runtime.pool_launches == 0
+            assert runtime.active_segments == ()
+        with pytest.raises(SimulationError, match="chunk_size"):
+            evaluate_system_batch(
+                FailingBatchSystem(), workload, classifier, seed=1, chunk_size=chunk_size
+            )
+        assert classifier.passes == 0
 
 
 class TestDeterminism:
@@ -168,36 +176,53 @@ class TestPoolReuse:
         assert set(results) == {"a", "b", "c"}
         assert len(launches) == 1
 
-    def test_workload_cached_across_calls(self):
+    def test_pooled_runtime_publishes_a_workload_once_across_calls(self):
         workload = make_workload(1200)
         with EngineRuntime(workers=2) as runtime:
+            if not runtime.uses_shared_memory:
+                pytest.skip("shared memory unavailable")
             runtime.evaluate(make_system(), workload, seed=1, chunk_size=400)
+            published = runtime.active_segments
             runtime.evaluate(make_system(), workload, seed=2, chunk_size=400)
-            info = runtime.cache_info()
-        assert info["misses"] == 1
-        assert info["hits"] >= 1
+            assert len(published) == 1
+            assert runtime.active_segments == published
 
-    def test_equal_workloads_share_one_cache_entry(self):
-        # Two distinct Workload instances with identical cases digest to
-        # the same key, so the second columnisation is a cache hit.
-        first = make_workload(600, seed=21)
-        second = make_workload(600, seed=21)
-        with EngineRuntime(workers=2) as runtime:
-            runtime.evaluate(make_system(), first, seed=1, chunk_size=200)
-            runtime.evaluate(make_system(), second, seed=1, chunk_size=200)
-            assert runtime.cache_info()["workloads"] == 1
+    def test_serial_runtime_holds_no_plane(self):
+        workload = make_workload(1200)
+        with EngineRuntime(workers=1) as runtime:
+            runtime.evaluate(make_system(), workload, seed=1, chunk_size=400)
+            runtime.compare([make_system()], workload, seed=2, chunk_size=400)
+            assert runtime.active_segments == ()
+            assert runtime.shm_bytes_live == 0
 
-    def test_classifier_cache_is_bounded(self):
-        # Each call without a classifier brings a fresh one; the workload's
-        # entry keeps at most ENTRIES_PER_KIND of them, oldest out.
+
+class TestClassCodeMemo:
+    """A classifier's cancer-class codes are a bounded memo on the
+    workload's arrays, shared by every runtime that reads them."""
+
+    def test_fresh_runtimes_classify_a_workload_once(self):
+        workload, classifier = make_workload(1500), CountingClassifier()
+        counts = []
+        for _ in range(2):
+            with EngineRuntime(workers=1) as runtime:
+                evaluation = runtime.evaluate(
+                    make_system(), workload, classifier, seed=3, chunk_size=300
+                )
+            counts.append(failure_counts(evaluation))
+        assert classifier.passes == 1
+        assert counts[0] == counts[1]
+
+    def test_classifier_less_calls_keep_a_bounded_memo(self):
+        # Each call without a classifier brings a fresh one; the arrays
+        # keep at most ENTRIES_PER_KIND of their entries, oldest out.
         workload = make_workload(2000)
         with EngineRuntime(workers=1) as runtime:
             counts = [
-                failure_counts(runtime.evaluate(make_system(), workload, seed=5))
+                [failure_counts(e) for e in runtime.compare([make_system()], workload, seed=5).values()]
                 for _ in range(50)
             ]
-            (entry,) = runtime._cache.values()
-            assert len(entry.columns) <= ENTRIES_PER_KIND == 8
+        entries = workload.to_arrays().derived("class_codes", dict)
+        assert 1 <= len(entries) <= ENTRIES_PER_KIND == 8
         assert counts == [counts[0]] * 50
 
 
@@ -259,7 +284,7 @@ class TestRuntimeApi:
                 chunk_size=500,
             )
             assert runtime.pool_launches == 1
-            assert runtime.cache_info()["workloads"] == 1
+            assert len(runtime.active_segments) == 1
         serial = compare_systems_batch(
             [named_system(1, "a"), named_system(2, "b")],
             workload,
@@ -328,17 +353,6 @@ class TestRuntimeApi:
         with EngineRuntime(workers=2) as runtime:
             assert runtime.map(abs, []) == []
 
-    def test_adaptive_chunking_is_deterministic_per_runtime(self):
-        workload = make_workload(3000)
-        with EngineRuntime(workers=2) as runtime:
-            first = runtime.evaluate(
-                make_system(), workload, seed=11, chunk_size=None
-            )
-            second = runtime.evaluate(
-                make_system(), workload, seed=11, chunk_size=None
-            )
-        assert failure_counts(first) == failure_counts(second)
-
     def test_temporal_reader_runs_on_stream_path(self):
         # A fatigued reader now takes the ordered stream-carry path
         # through the runtime — no degradation — and counts every case.
@@ -395,7 +409,8 @@ class TestRuntimeApi:
             runtime.evaluate(make_system(), first, seed=5, chunk_size=300)
             evicted = runtime.active_segments
             runtime.evaluate(make_system(), second, seed=5, chunk_size=300)
-            assert runtime.cache_info()["workloads"] == 1
+            assert len(runtime.active_segments) == int(runtime.uses_shared_memory)
+            assert not set(evicted) & set(runtime.active_segments)
             if shared_memory_available():
                 for name in evicted:
                     with pytest.raises(FileNotFoundError):
@@ -443,9 +458,16 @@ class TestShmByteBudget:
             assert runtime.active_segments != first
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=first[0])
-            # The evicted workload's arrays stay cached: only the
-            # shared plane was dropped.
-            assert runtime.cache_info()["workloads"] == 2
+
+    def test_segments_gauge_counts_the_planes_left_after_a_trim(self):
+        obs = Instrumentation(name="test")
+        with EngineRuntime(workers=2, max_cached_workloads=1, obs=obs) as runtime:
+            if not runtime.uses_shared_memory:
+                pytest.skip("shared memory unavailable")
+            runtime.publish_workload(make_workload(800, seed=1))
+            runtime.publish_workload(make_workload(800, seed=2))
+            assert len(runtime.active_segments) == 1
+            assert obs.metrics.snapshot()["gauges"]["runtime.shm.segments"] == 1.0
 
     def test_evicted_workload_republishes_on_next_use(self):
         from repro.obs import Instrumentation
@@ -532,9 +554,9 @@ class TestRunFusedBatches:
             assert runtime.pool_launches == 1
 
     def test_every_plane_of_a_call_outlives_its_tasks(self, monkeypatch):
-        # One entry and one byte of shared memory: each batch's plane must
+        # One plane and one byte of shared memory: each batch's plane must
         # stay published until the call's tasks finish, and be released
-        # (not leaked) once the call trims the caches.
+        # (not leaked) once the call trims the planes.
         created = []
         publish = runtime_module._publish_arrays
 
@@ -551,7 +573,7 @@ class TestRunFusedBatches:
             if not runtime.uses_shared_memory:
                 pytest.skip("shared memory unavailable")
             rows = runtime.run_fused(self.batches(), classifier=classifier, chunk_size=128)
-            assert runtime.cache_info()["workloads"] == 1
+            assert len(runtime.active_segments) == 1
             live = set(runtime.active_segments)
         assert all(np.array_equal(got, want) for got, want in zip(rows, expected))
         assert len(created) == 2 and len(live) == 1

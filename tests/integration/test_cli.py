@@ -392,7 +392,7 @@ class TestObservabilityFlags:
         assert code == 0
         assert "run report: simulate" in out
         assert "where the time went (spans):" in out
-        assert "executor.evaluate" in out
+        assert "runtime.evaluate" in out
         assert "degraded paths fired" in out
 
     def test_simulate_trace_out_writes_schema_stamped_json(self, capsys, tmp_path):
