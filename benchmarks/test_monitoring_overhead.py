@@ -29,6 +29,9 @@ CI artifact; the headline speedup is gate 1).  Run with::
 from __future__ import annotations
 
 import time
+from collections import Counter
+from itertools import compress
+from operator import and_
 
 import numpy as np
 import pytest
@@ -46,7 +49,7 @@ from repro.analysis.streaming import (
 from repro.core import PAPER_FIELD_PROFILE, CaseClass
 from repro.core.parameters import paper_example_parameters
 from repro.obs import Instrumentation
-from repro.trial import CaseRecord
+from repro.trial import CaseRecord, RecordBatch
 
 NUM_RECORDS = 100_000
 NUM_POLLS = 100
@@ -166,28 +169,25 @@ def test_streaming_replay_beats_batch_rescan(replay):
 
 
 def bare_plane_ingest(parameters, records):
-    """The monitoring plane's ingest loop with every obs call removed.
+    """The monitoring plane's ingest fold with every obs call removed.
 
-    Reconstructs exactly what :meth:`StreamMonitor.ingest` does —
-    estimator counts, false-prompt moments, windowed CUSUM/SPRT alarms
-    at every ``CHECK_EVERY`` used records — minus the gauge/counter/mark
-    call sites.  The difference to a null-instrumentation
-    :class:`StreamMonitor` is therefore exactly the cost under test.
+    Reconstructs exactly what :meth:`StreamMonitor.ingest` does — the
+    record batch, false-prompt moments in record order, the estimator's
+    per-class counts folded one checkpoint segment at a time, windowed
+    CUSUM/SPRT alarms at every ``CHECK_EVERY`` used records — minus the
+    gauge/counter/mark call sites.  The difference to a
+    null-instrumentation :class:`StreamMonitor` is therefore exactly the
+    cost under test.
     """
     estimator = StreamingEstimator()
     false_prompts = WelfordAccumulator()
     cusum: dict[str, CusumAlarm] = {}
     sprt: dict[str, SprtAlarm] = {}
     last_cells: dict[str, ClassCell] = {}
-    last_used = 0
     checkpoints = 0
-    for record in records:
-        if record.aided and record.machine_false_prompts is not None:
-            false_prompts.add(record.machine_false_prompts)
-        if not estimator.ingest(record):
-            continue
-        if estimator.records_used - last_used < CHECK_EVERY:
-            continue
+
+    def checkpoint():
+        nonlocal last_cells, checkpoints
         checkpoints += 1
         for name in estimator.class_names:
             window = estimator.cell(name).minus(last_cells.get(name, ClassCell()))
@@ -225,7 +225,33 @@ def bare_plane_ingest(parameters, records):
         last_cells = {
             name: estimator.cell(name).copy() for name in estimator.class_names
         }
-        last_used = estimator.records_used
+
+    batch = RecordBatch.from_records(records)
+    aided = batch.aided
+    false_prompts.add_many(
+        prompts for prompts in compress(batch.machine_false_prompts, aided)
+        if prompts is not None
+    )
+    used_mask = list(map(and_, aided, batch.has_cancer))
+    names = list(compress(batch.case_class, used_mask))
+    failed = list(compress(batch.machine_failed, used_mask))
+    recalled = list(compress(batch.recalled, used_mask))
+    positions = list(compress(range(len(batch)), used_mask))
+    cut = CHECK_EVERY
+    start = seen_from = 0
+    while cut <= len(names):
+        seen_to = positions[cut - 1] + 1
+        estimator.ingest_counts(
+            seen_to - seen_from,
+            Counter(zip(names[start:cut], failed[start:cut], recalled[start:cut])),
+        )
+        checkpoint()
+        start, seen_from = cut, seen_to
+        cut += CHECK_EVERY
+    estimator.ingest_counts(
+        len(batch) - seen_from,
+        Counter(zip(names[start:], failed[start:], recalled[start:])),
+    )
     return estimator, cusum, sprt, checkpoints
 
 

@@ -40,15 +40,18 @@ tracks locally).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 from typing import Iterable, Mapping
 
-from ..core.parameters import ModelParameters
+from ..core.parameters import ClassParameters, ModelParameters
 from ..core.profile import DemandProfile
 from ..core.sequential import CovarianceDecomposition
 from ..exceptions import EstimationError
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
-from ..trial.records import CaseRecord
+from ..trial.records import CaseRecord, RecordBatch
 from .monitoring import MonitoringReport, profile_drift_test, rate_drift_test
 
 __all__ = [
@@ -247,6 +250,36 @@ class StreamingEstimator:
         for record in records:
             if self.ingest(record):
                 used += 1
+        return used
+
+    def ingest_counts(self, seen: int, counts: Mapping[tuple[str, bool, bool], int]) -> int:
+        """Fold ``seen`` records in, given the aided cancer ones as counts.
+
+        ``counts`` maps ``(class name, machine_failed, recalled)`` to how
+        many aided cancer records among the ``seen`` carry those values;
+        the state that results is the one :meth:`ingest` reaches over
+        the same records.  Returns how many records entered the estimate.
+
+        Raises:
+            EstimationError: if the counts add up to more than ``seen``.
+        """
+        used = sum(counts.values())
+        if used > seen:
+            raise EstimationError(f"{used} records counted among {seen} seen")
+        cells = self._cells
+        for (name, machine_failed, recalled), n in counts.items():
+            cell = cells.get(name)
+            if cell is None:
+                cell = cells[name] = ClassCell()
+            cell.records += n
+            if machine_failed:
+                cell.machine_failures += n
+                if not recalled:
+                    cell.human_failures_given_mf += n
+            elif not recalled:
+                cell.human_failures_given_ms += n
+        self._records_seen += seen
+        self._records_used += used
         return used
 
     # -- merging -------------------------------------------------------------
@@ -510,6 +543,16 @@ class WelfordAccumulator:
         delta = value - self._mean
         self._mean += delta / self._count
         self._m2 += delta * (value - self._mean)
+
+    def add_many(self, values: Iterable[float]) -> None:
+        """Fold observations in, in order (the floats :meth:`add` gives)."""
+        count, mean, m2 = self._count, self._mean, self._m2
+        for value in map(float, values):
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self._count, self._mean, self._m2 = count, mean, m2
 
     def merge(self, other: "WelfordAccumulator") -> "WelfordAccumulator":
         """Fold another accumulator in (Chan et al. parallel update)."""
@@ -794,28 +837,50 @@ class StreamMonitor:
         """The underlying mergeable estimator."""
         return self._estimator
 
-    def ingest(self, records: Iterable[CaseRecord]) -> int:
-        """Feed records through the plane; returns how many were used."""
-        # Hot loop: hoist the per-record attribute chains into locals so
-        # the plane stays within the BENCH_monitor overhead budget.
+    def ingest(self, records: RecordBatch | Iterable[CaseRecord]) -> int:
+        """Feed records through the plane; returns how many were used.
+
+        ``records`` is a :class:`~repro.trial.records.RecordBatch` or any
+        :class:`~repro.trial.records.CaseRecord` iterable (turned into
+        one first).  The batch is folded in one pass: the aided records'
+        false-prompt counts go to the moments in record order, then the
+        aided cancer records' per-class counts go to the estimator one
+        segment per checkpoint, each segment ending on the used record
+        that fills the window, so every checkpoint sees the counts that
+        :meth:`StreamingEstimator.ingest`, record by record, would have
+        given it.
+        """
+        batch = records if isinstance(records, RecordBatch) else RecordBatch.from_records(records)
+        aided = batch.aided
+        self._false_prompts.add_many(
+            prompts for prompts in compress(batch.machine_false_prompts, aided)
+            if prompts is not None
+        )
+        used_mask = list(map(and_, aided, batch.has_cancer))
+        names = list(compress(batch.case_class, used_mask))
+        failed = list(compress(batch.machine_failed, used_mask))
+        recalled = list(compress(batch.recalled, used_mask))
         estimator = self._estimator
-        ingest_one = estimator.ingest
-        prompts_add = self._false_prompts.add
-        check_every = self.check_every
-        total = estimator.records_used
-        last_used = self._last_checkpoint_used
-        used = 0
-        for record in records:
-            if record.aided and record.machine_false_prompts is not None:
-                prompts_add(record.machine_false_prompts)
-            if ingest_one(record):
-                used += 1
-                total += 1
-                if total - last_used >= check_every:
-                    self._checkpoint()
-                    last_used = self._last_checkpoint_used
+        # The used record that fills the open window, counted from 1.
+        cut = max(1, self._last_checkpoint_used + self.check_every - estimator.records_used)
+        start = seen_from = 0
+        if cut <= len(names):
+            positions = list(compress(range(len(batch)), used_mask))
+            while cut <= len(names):
+                seen_to = positions[cut - 1] + 1
+                estimator.ingest_counts(
+                    seen_to - seen_from,
+                    Counter(zip(names[start:cut], failed[start:cut], recalled[start:cut])),
+                )
+                self._checkpoint()
+                start, seen_from = cut, seen_to
+                cut += self.check_every
+        estimator.ingest_counts(
+            len(batch) - seen_from,
+            Counter(zip(names[start:], failed[start:], recalled[start:])),
+        )
         self._publish_volume()
-        return used
+        return len(names)
 
     def merge_estimator_state(self, state: Mapping[str, object]) -> None:
         """Fold a shard's :meth:`StreamingEstimator.state` payload in.
@@ -837,8 +902,8 @@ class StreamMonitor:
         self._obs.gauge("monitor.records_seen", self._estimator.records_seen)
         self._obs.gauge("monitor.records_used", self._estimator.records_used)
 
-    def _window_tests(self, name: str, window: ClassCell):
-        reference = self.reference_parameters[name]
+    @staticmethod
+    def _window_tests(reference: ClassParameters, window: ClassCell):
         yield "PMf", window.machine_failures, window.records, reference.p_machine_failure
         yield (
             "PHf|Mf",
@@ -865,7 +930,8 @@ class StreamMonitor:
                     self._unknown_classes.add(name)
                     self._obs.count("monitor.unknown_class")
                 continue
-            for suffix, failures, trials, rate in self._window_tests(name, window):
+            reference = self.reference_parameters[name]
+            for suffix, failures, trials, rate in self._window_tests(reference, window):
                 if trials <= 0:
                     continue
                 key = f"{name}/{suffix}"
@@ -876,7 +942,7 @@ class StreamMonitor:
                 if alarm.update(statistic):
                     fired += 1
                     self._obs.mark(f"monitor.alarm.{key}", alarm.fires)
-            rate = self.reference_parameters[name].p_machine_failure
+            rate = reference.p_machine_failure
             drifted_rate = min(SPRT_DRIFT_FACTOR * rate, 1.0 - 1e-12)
             if 0.0 < rate < 1.0 and 0.0 < drifted_rate < 1.0 and drifted_rate != rate:
                 key = f"{name}/PMf"

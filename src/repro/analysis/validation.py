@@ -25,7 +25,7 @@ from ..core.case_class import CaseClass
 from ..exceptions import SimulationError
 from ..reader.reader import ReaderModel
 from ..screening.case import Case
-from ..screening.classifier import CaseClassifier, SingleClassClassifier
+from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 from ..system.analytic import derive_class_parameters
 
 __all__ = ["CellCalibration", "CalibrationReport", "calibrate_against_simulation"]
@@ -137,7 +137,7 @@ def calibrate_against_simulation(
         raise SimulationError("calibration expects cancer cases only")
     if repeats <= 0:
         raise SimulationError(f"repeats must be positive, got {repeats!r}")
-    classifier = classifier if classifier is not None else SingleClassClassifier()
+    classifier = classifier if classifier is not None else DEFAULT_CLASSIFIER
     rng = rng if rng is not None else np.random.default_rng(seed)
 
     by_class: dict[CaseClass, list[Case]] = {}

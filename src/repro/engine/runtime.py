@@ -52,7 +52,7 @@ from .._numeric import read_only as _read_only
 from ..core.case_class import CaseClass
 from ..exceptions import RuntimeDegradationWarning, SimulationError
 from ..obs import Instrumentation, SpanPayload, get_instrumentation
-from ..screening.classifier import CaseClassifier, SingleClassClassifier
+from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 from ..screening.workload import Workload
 from ..system.simulate import FailureTally, SystemEvaluation, evaluate_system
 from ..system.single import ScreeningSystem
@@ -434,7 +434,7 @@ class EngineRuntime:
         if len(set(names)) != len(names):
             raise SimulationError(f"system names must be unique, got {names!r}")
         classifier = (
-            classifier if classifier is not None else SingleClassClassifier()
+            classifier if classifier is not None else DEFAULT_CLASSIFIER
         )
         classes = tuple(classifier.classes)
         evaluations: dict[str, SystemEvaluation] = {}
@@ -692,9 +692,10 @@ class EngineRuntime:
         *this object's* determinism is known — two distinct instances
         are never conflated).  Each entry pins its classifier, so the
         id cannot be reused while the entry lives, and the memo keeps
-        at most ``ENTRIES_PER_KIND`` of them, as :meth:`compare` brings
-        a fresh one per call when given none.  Every runtime reading the
-        same arrays shares the entries.
+        at most ``ENTRIES_PER_KIND`` of them.  Calls given no classifier
+        share :data:`~repro.screening.classifier.DEFAULT_CLASSIFIER`, so
+        they hold one entry.  Every runtime reading the same arrays
+        shares the entries.
         """
 
         def classify() -> tuple[CaseClassifier, np.ndarray]:

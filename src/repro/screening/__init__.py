@@ -9,6 +9,7 @@ substitution rationale.
 
 from .case import Case, LesionType
 from .classifier import (
+    DEFAULT_CLASSIFIER,
     CaseClassifier,
     CompositeClassifier,
     DensityBandClassifier,
@@ -34,6 +35,7 @@ __all__ = [
     "PopulationModel",
     "DEFAULT_LESION_PROFILES",
     "CaseClassifier",
+    "DEFAULT_CLASSIFIER",
     "SingleClassClassifier",
     "SubtletyClassifier",
     "DensityBandClassifier",

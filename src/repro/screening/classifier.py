@@ -13,6 +13,7 @@ could.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 __all__ = [
     "CaseClassifier",
+    "DEFAULT_CLASSIFIER",
     "SingleClassClassifier",
     "SubtletyClassifier",
     "DensityBandClassifier",
@@ -65,6 +67,7 @@ class CaseClassifier(Protocol):
 # that only implement ``classify`` keep working everywhere.
 
 
+@dataclass(frozen=True)
 class SingleClassClassifier:
     """The trivial classification: every case in one class.
 
@@ -72,11 +75,10 @@ class SingleClassClassifier:
     the conditional model into the marginal model the paper warns about.
     """
 
-    def __init__(self, case_class: CaseClass = CaseClass("all")):
-        self._class = case_class
+    case_class: CaseClass = CaseClass("all")
 
     def classify(self, case: Case) -> CaseClass:
-        return self._class
+        return self.case_class
 
     def classify_batch(self, arrays: "CaseArrays") -> np.ndarray:
         """Class indices of a whole batch (all zero: the single class)."""
@@ -84,7 +86,13 @@ class SingleClassClassifier:
 
     @property
     def classes(self) -> tuple[CaseClass, ...]:
-        return (self._class,)
+        return (self.case_class,)
+
+
+#: The classifier every call given none uses: one shared instance, so the
+#: class codes memoised per classifier object on a workload's arrays are
+#: computed once for all such calls.
+DEFAULT_CLASSIFIER = SingleClassClassifier()
 
 
 class SubtletyClassifier:

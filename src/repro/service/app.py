@@ -46,7 +46,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 from urllib.parse import parse_qs
 
 from ..analysis.streaming import StreamMonitor
@@ -67,10 +67,10 @@ from ..obs import (
     build_run_report,
     prometheus_text,
 )
-from ..screening.classifier import CaseClassifier, SingleClassClassifier
+from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 from ..sweep.grid import SystemSpec, WorkloadSpec
 from ..system.simulate import SystemEvaluation
-from ..trial.records import TrialRecords
+from ..trial.records import CaseRecord, RecordBatch
 from .batcher import MicroBatcher
 from .cache import WorkloadCache
 from .protocol import (
@@ -213,7 +213,7 @@ class ScreeningService:
             capacity=self._config.max_cached_workloads, obs=self._obs
         )
         self._classifier = (
-            classifier if classifier is not None else SingleClassClassifier()
+            classifier if classifier is not None else DEFAULT_CLASSIFIER
         )
         self._class_names = tuple(
             case_class.name for case_class in self._classifier.classes
@@ -417,15 +417,18 @@ class ScreeningService:
 
     async def ingest(
         self,
-        records: TrialRecords,
+        records: RecordBatch | Collection[CaseRecord],
         *,
         tenant: str = "default",
     ) -> int:
         """Feed field records into the monitoring plane; returns records used.
 
-        Counts flow into the streaming estimator (aided cancer records),
-        checkpoints fire the sequential alarms, and alarm state lands in
-        this service's metrics registry — all constant-memory, so the
+        ``records`` is a decoded ``/v1/ingest`` body (a
+        :class:`~repro.trial.records.RecordBatch`) or a collection of
+        :class:`~repro.trial.records.CaseRecord` objects.  Counts flow
+        into the streaming estimator (aided cancer records), checkpoints
+        fire the sequential alarms, and alarm state lands in this
+        service's metrics registry — all constant-memory, so the
         endpoint stays cheap no matter how long the stream runs.
         """
         self._admit(tenant)

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..analysis.monitoring import DriftTest, MonitoringReport
-from ..core.case_class import CaseClass
 from ..exceptions import EstimationError, SimulationError
 from ..sweep.grid import PROFILES, SystemSpec, WorkloadSpec
 from ..system.simulate import RateEstimate, SystemEvaluation
-from ..trial.records import TrialRecords
-from ..trial.storage import record_from_entry
+from ..trial.records import RecordBatch
+from ..trial.storage import records_from_entries
 
 __all__ = [
     "ProtocolError",
@@ -85,7 +84,7 @@ class CompareRequest:
 class IngestRequest:
     """A batch of field case records for the monitoring plane."""
 
-    records: TrialRecords
+    records: RecordBatch
 
 
 @dataclass(frozen=True)
@@ -241,23 +240,22 @@ def parse_ingest_request(payload: Any) -> IngestRequest:
     """Parse a ``/v1/ingest`` body: a non-empty list of record objects.
 
     Each record uses the JSON codec of
-    :func:`repro.trial.storage.record_to_entry`; a single malformed
+    :func:`repro.trial.storage.record_to_entry`, decoded straight into
+    one :class:`~repro.trial.records.RecordBatch` by
+    :func:`~repro.trial.storage.records_from_entries`; a single malformed
     record rejects the whole batch (partial ingestion would leave the
-    monitoring counts in a state no client sent).
+    monitoring counts in a state no client sent), named as
+    ``records[i]: <reason>``.
     """
     body = _require_mapping(payload, "ingest request")
     _reject_unknown(body, {"records"}, "ingest request")
     entries = body.get("records")
     if not isinstance(entries, (list, tuple)) or not entries:
         raise ProtocolError("ingest request must list at least one record")
-    records = TrialRecords()
-    classes: dict[str, CaseClass] = {}
-    for index, entry in enumerate(entries):
-        try:
-            records.append(record_from_entry(entry, classes))
-        except EstimationError as exc:
-            raise ProtocolError(f"records[{index}]: {exc}") from exc
-    return IngestRequest(records=records)
+    try:
+        return IngestRequest(records=records_from_entries(entries))
+    except EstimationError as exc:
+        raise ProtocolError(str(exc)) from exc
 
 
 def _rate_payload(rate: RateEstimate | None) -> dict[str, Any] | None:

@@ -56,7 +56,7 @@ from ..engine.fused import ROW_COLUMNS, FusedCounts
 from ..engine.runtime import EngineRuntime
 from ..exceptions import SimulationError
 from ..obs import Instrumentation, get_instrumentation
-from ..screening.classifier import CaseClassifier, SingleClassClassifier
+from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 from ..screening.workload import Workload
 from ..system.simulate import SystemEvaluation
 from ..trial.storage import append_journal_entries, load_journal_entries
@@ -644,7 +644,7 @@ def _execute_plan(
     obs: Instrumentation,
 ) -> SweepResult:
     """Walk the plan's shards; the shared body of run/resume."""
-    classifier = classifier if classifier is not None else SingleClassClassifier()
+    classifier = classifier if classifier is not None else DEFAULT_CLASSIFIER
     class_names = tuple(case_class.name for case_class in classifier.classes)
     restored: dict[int, np.ndarray] | None = None
     if journal is not None:
@@ -657,7 +657,12 @@ def _execute_plan(
             restored = _load_journal(journal, plan, class_names)
 
     counts = np.zeros((len(plan), len(ROW_COLUMNS) + 2 * len(class_names)), dtype=np.int64)
+    # Each workload is built on first use and dropped, with its memos,
+    # once the shard holding its last batch is done.
     workloads: dict[str, Workload] = {}
+    last_shard = {
+        batch.workload_key: shard.index for shard in plan.shards for batch in shard.batches
+    }
     completed: list[int] = []
     executed = 0
     skipped = 0
@@ -692,6 +697,9 @@ def _execute_plan(
                 obs.count("sweep.cells.completed", len(shard))
                 obs.count("sweep.shards.completed")
                 obs.mark("sweep.shard.completed", shard.index)
+            for batch in shard.batches:
+                if last_shard[batch.workload_key] == shard.index:
+                    workloads.pop(batch.workload_key, None)
             completed.append(shard.index)
             obs.gauge("sweep.progress", (executed + skipped) / len(plan))
         obs.gauge("sweep.cells.done", executed + skipped)

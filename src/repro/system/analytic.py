@@ -36,7 +36,7 @@ from ..core.tradeoff import SystemOperatingPoint, TwoSidedModel
 from ..exceptions import SimulationError
 from ..reader.reader import ReaderModel
 from ..screening.case import Case
-from ..screening.classifier import CaseClassifier, SingleClassClassifier
+from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 
 __all__ = [
     "derive_class_parameters",
@@ -113,7 +113,7 @@ def derive_model(
         cases: Cancer cases (healthy cases are rejected).
         classifier: Classification criterion; single-class when omitted.
     """
-    classifier = classifier if classifier is not None else SingleClassClassifier()
+    classifier = classifier if classifier is not None else DEFAULT_CLASSIFIER
     by_class: dict[CaseClass, list[Case]] = {}
     for case in cases:
         if not case.has_cancer:
@@ -203,7 +203,7 @@ def derive_two_sided_model(
     the false-positive ones; each side gets its own empirical profile over
     the classifier's classes.
     """
-    classifier = classifier if classifier is not None else SingleClassClassifier()
+    classifier = classifier if classifier is not None else DEFAULT_CLASSIFIER
     fn_model, cancer_profile = derive_model(
         reader, algorithm, cancer_cases, classifier
     )

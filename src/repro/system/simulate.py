@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core.case_class import CaseClass
 from ..exceptions import SimulationError
-from ..screening.classifier import CaseClassifier, SingleClassClassifier
+from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 from ..screening.workload import Workload
 from ..trial.intervals import ConfidenceInterval, wilson_interval
 from .single import ScreeningSystem
@@ -299,7 +299,7 @@ def evaluate_system(
     """
     if len(workload) == 0:
         raise SimulationError("cannot evaluate a system on an empty workload")
-    classifier = classifier if classifier is not None else SingleClassClassifier()
+    classifier = classifier if classifier is not None else DEFAULT_CLASSIFIER
     rng = np.random.default_rng(seed) if seed is not None else None
 
     tally = FailureTally()

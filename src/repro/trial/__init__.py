@@ -31,12 +31,14 @@ from .storage import (
     load_records_csv,
     record_from_entry,
     record_to_entry,
+    records_from_entries,
 )
-from .records import CaseRecord, TrialRecords
+from .records import CaseRecord, RecordBatch, TrialRecords
 from .run import ControlledTrial, TrialOutcome, run_reading_session
 
 __all__ = [
     "CaseRecord",
+    "RecordBatch",
     "TrialRecords",
     "ConfidenceInterval",
     "wilson_interval",
@@ -66,4 +68,5 @@ __all__ = [
     "load_journal_entries",
     "record_to_entry",
     "record_from_entry",
+    "records_from_entries",
 ]

@@ -4,18 +4,21 @@ A :class:`CaseRecord` is one (case, reader) reading event with everything
 an analyst is allowed to see: the case's observable class, ground truth
 (known in a trial's case set), the machine's behaviour on the case, and
 the reader's decision.  :class:`TrialRecords` is the queryable collection
-the estimators consume.
+the estimators consume; :class:`RecordBatch` holds the same events field
+by field, the shape the streaming monitor folds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from ..core.case_class import CaseClass
 from ..exceptions import EstimationError
 
-__all__ = ["CaseRecord", "TrialRecords"]
+__all__ = ["CaseRecord", "RecordBatch", "TrialRecords"]
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,67 @@ class CaseRecord:
     def system_failed(self) -> bool:
         """Alias of :attr:`human_failed`, in the paper's system terms."""
         return self.human_failed
+
+
+#: Each :class:`RecordBatch` column's getter on a record, in column
+#: order (the class read by name).
+_COLUMN_GETTERS = tuple(
+    attrgetter(name)
+    for name in (
+        "case_id",
+        "reader_name",
+        "case_class.name",
+        "has_cancer",
+        "aided",
+        "machine_failed",
+        "machine_false_prompts",
+        "recalled",
+    )
+)
+
+
+@dataclass(frozen=True)
+class RecordBatch:
+    """Reading events held field by field: one tuple per field, one
+    position per record.
+
+    The columns carry :class:`CaseRecord`'s fields, the class by name;
+    every position holds what a valid :class:`CaseRecord` would: build
+    one with :meth:`from_records`, from records, or with
+    :func:`repro.trial.storage.records_from_entries`, which checks the
+    entries once per batch.  ``len()`` is the record count.
+    """
+
+    case_id: tuple[int, ...]
+    reader_name: tuple[str, ...]
+    case_class: tuple[str, ...]
+    has_cancer: tuple[bool, ...]
+    aided: tuple[bool, ...]
+    machine_failed: tuple[bool | None, ...]
+    machine_false_prompts: tuple[int | None, ...]
+    recalled: tuple[bool, ...]
+
+    def __post_init__(self) -> None:
+        lengths = {len(getattr(self, field.name)) for field in fields(self)}
+        if len(lengths) > 1:
+            raise EstimationError(f"record batch columns differ in length: {sorted(lengths)}")
+
+    @classmethod
+    def from_records(cls, records: Iterable[CaseRecord]) -> "RecordBatch":
+        """The batch of ``records``, in order.
+
+        Raises:
+            EstimationError: if any item is not a :class:`CaseRecord`.
+        """
+        records = records if isinstance(records, (list, tuple)) else list(records)
+        if not all(map(isinstance, records, repeat(CaseRecord))):
+            stray = next(r for r in records if not isinstance(r, CaseRecord))
+            raise EstimationError(f"expected CaseRecord, got {type(stray).__name__}")
+        # Column by column: no per-record tuple to allocate (and collect).
+        return cls(*(tuple(map(getter, records)) for getter in _COLUMN_GETTERS))
+
+    def __len__(self) -> int:
+        return len(self.case_id)
 
 
 class TrialRecords:

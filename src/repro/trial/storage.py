@@ -20,12 +20,15 @@ import json
 import os
 import time
 from collections.abc import Mapping
+from functools import partial
+from itertools import repeat
+from operator import is_not, itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from ..core.case_class import CaseClass
 from ..exceptions import EstimationError
-from .records import CaseRecord, TrialRecords
+from .records import CaseRecord, RecordBatch, TrialRecords
 
 __all__ = [
     "dump_records_csv",
@@ -37,6 +40,7 @@ __all__ = [
     "load_journal_entries",
     "record_to_entry",
     "record_from_entry",
+    "records_from_entries",
 ]
 
 PathLike = str | Path
@@ -269,6 +273,72 @@ def record_from_entry(
         false_prompts,
         _entry_bool(entry, "recalled"),
     )
+
+
+#: One entry's values in :class:`RecordBatch` column order (a missing key
+#: is a ``KeyError``).
+_ENTRY_VALUES = itemgetter(*CSV_COLUMNS)
+_INT, _STR, _BOOL = {int}, {str}, {bool}
+_OPTIONAL_BOOL, _OPTIONAL_INT = {bool, type(None)}, {int, type(None)}
+_not_none = partial(is_not, None)
+
+
+def records_from_entries(entries: Sequence[Any]) -> RecordBatch:
+    """Decode a list of :func:`record_to_entry` objects into one batch.
+
+    Accepts exactly the lists whose every entry :func:`record_from_entry`
+    accepts.  One screen over whole columns covers the shape decoded JSON
+    takes: every entry a ``dict`` with the eight keys, every field of its
+    exact type, non-empty class names, ``machine_failed`` set on exactly
+    the aided records and no negative prompt count.  A list the screen
+    does not pass, bad or merely uncommon (an omitted null field, an
+    ``int`` subclass), goes through :func:`record_from_entry` entry by
+    entry, so the first bad entry is named as that path names it.
+
+    Raises:
+        EstimationError: ``records[i]: <reason>`` for the first entry
+            :func:`record_from_entry` rejects.
+    """
+    batch = _screen_entries(entries)
+    if batch is not None:
+        return batch
+    classes: dict[str, CaseClass] = {}
+    records = []
+    for index, entry in enumerate(entries):
+        try:
+            records.append(record_from_entry(entry, classes))
+        except EstimationError as exc:
+            raise EstimationError(f"records[{index}]: {exc}") from exc
+    return RecordBatch.from_records(records)
+
+
+def _screen_entries(entries: Sequence[Any]) -> RecordBatch | None:
+    """The batch of ``entries`` if every one has the common exact shape,
+    else ``None``."""
+    if set(map(type, entries)) != {dict} or set(map(len, entries)) != {len(CSV_COLUMNS)}:
+        return None
+    try:
+        columns = tuple(zip(*map(_ENTRY_VALUES, entries)))
+    except KeyError:
+        return None
+    case_id, reader_name, case_class, has_cancer, aided, machine_failed, prompts, recalled = (
+        columns
+    )
+    if not (
+        _INT.issuperset(map(type, case_id))
+        and _STR.issuperset(map(type, reader_name))
+        and _STR.issuperset(map(type, case_class))
+        and all(case_class)
+        and _BOOL.issuperset(map(type, has_cancer))
+        and _BOOL.issuperset(map(type, aided))
+        and _BOOL.issuperset(map(type, recalled))
+        and _OPTIONAL_BOOL.issuperset(map(type, machine_failed))
+        and _OPTIONAL_INT.issuperset(map(type, prompts))
+        and aided == tuple(map(is_not, machine_failed, repeat(None)))
+        and min(filter(_not_none, prompts), default=0) >= 0
+    ):
+        return None
+    return RecordBatch(*columns)
 
 
 def _bool_cell(value: bool) -> str:

@@ -19,7 +19,7 @@ from repro.engine.arrays import ENTRIES_PER_KIND
 from repro.exceptions import RuntimeDegradationWarning, SimulationError
 from repro.obs import Instrumentation
 from repro.reader import MILD_BIAS, ReaderModel, ReaderSkill
-from repro.screening import SubtletyClassifier
+from repro.screening import SingleClassClassifier, SubtletyClassifier
 
 from tests.engine.test_equivalence import failure_counts
 from tests.engine.test_executor import make_system, make_workload
@@ -213,8 +213,8 @@ class TestClassCodeMemo:
         assert counts[0] == counts[1]
 
     def test_classifier_less_calls_keep_a_bounded_memo(self):
-        # Each call without a classifier brings a fresh one; the arrays
-        # keep at most ENTRIES_PER_KIND of their entries, oldest out.
+        # Every call without a classifier shares DEFAULT_CLASSIFIER, so
+        # the arrays hold its one entry (of at most ENTRIES_PER_KIND).
         workload = make_workload(2000)
         with EngineRuntime(workers=1) as runtime:
             counts = [
@@ -222,8 +222,26 @@ class TestClassCodeMemo:
                 for _ in range(50)
             ]
         entries = workload.to_arrays().derived("class_codes", dict)
-        assert 1 <= len(entries) <= ENTRIES_PER_KIND == 8
+        assert len(entries) == 1 < ENTRIES_PER_KIND == 8
         assert counts == [counts[0]] * 50
+
+    def test_classifier_less_calls_share_one_pass(self, monkeypatch):
+        # A classifier-less call used to bring a fresh classifier: eight
+        # of them classified eight times and evicted the subtlety entry.
+        passes = {SingleClassClassifier: 0, SubtletyClassifier: 0}
+        for kind in passes:
+            def counting(self, arrays, _kind=kind, _original=kind.classify_batch):
+                passes[_kind] += 1
+                return _original(self, arrays)
+
+            monkeypatch.setattr(kind, "classify_batch", counting)
+        workload, subtlety = make_workload(1500), SubtletyClassifier()
+        evaluate_system_batch(make_system(), workload, subtlety, seed=1)
+        for seed in range(8):
+            evaluate_system_batch(make_system(), workload, seed=seed)
+        evaluate_system_batch(make_system(), workload, subtlety, seed=1)
+        assert passes == {SingleClassClassifier: 1, SubtletyClassifier: 1}
+        assert len(workload.to_arrays().derived("class_codes", dict)) == 2
 
 
 @pytest.mark.skipif(

@@ -5,7 +5,9 @@ recorded ``(seed, chunk_size)`` — never on fusion geometry, worker
 count, journalling, or which other cells ran alongside it.
 """
 
+import gc
 import os
+import weakref
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from repro.analysis.streaming import WelfordAccumulator
 from repro.engine.fused import FusedCounts
-from repro.engine.runtime import shared_memory_available
+from repro.engine.runtime import EngineRuntime, shared_memory_available
 from repro.exceptions import SimulationError
 from repro.obs import Instrumentation
 from repro.screening import SubtletyClassifier
@@ -66,6 +68,34 @@ class TestRunSweep:
         wide = run_sweep(grid, seed=5, shard_size=64, fuse_limit=32)
         narrow = run_sweep(grid, seed=5, shard_size=2, fuse_limit=1)
         assert wide.evaluations() == narrow.evaluations()
+
+    def test_each_workload_is_released_after_its_last_shard(self):
+        # The runner drops a workload, with its memos, once the shard
+        # holding its last batch has run: no later shard sees it alive.
+        tracked = []  # [weak reference, index of the last call using it]
+        alive_at_call = []
+
+        class TrackingRuntime(EngineRuntime):
+            def run_fused(self, batches, **kwargs):
+                gc.collect()
+                alive_at_call.append([ref() is not None for ref, _ in tracked])
+                for workload, _ in batches:
+                    entry = next((e for e in tracked if e[0]() is workload), None)
+                    if entry is None:
+                        tracked.append(entry := [weakref.ref(workload), 0])
+                    entry[1] = len(alive_at_call) - 1
+                return super().run_fused(batches, **kwargs)
+
+        grid = small_grid(profiles=("trial", "field"))
+        with TrackingRuntime(workers=1) as runtime:
+            result = run_sweep(grid, seed=5, shard_size=4, runtime=runtime)
+        assert len(tracked) == len(result.plan.workloads) == 4
+        released = [last_call < len(alive_at_call) - 1 for _, last_call in tracked]
+        assert released.count(True) >= 3
+        for position, (_, last_call) in enumerate(tracked):
+            for alive in alive_at_call[last_call + 1 :]:
+                assert not alive[position]
+        assert result.evaluations() == run_sweep(grid, seed=5).evaluations()
 
     def test_serial_matches_parallel_workers(self):
         grid = small_grid()
