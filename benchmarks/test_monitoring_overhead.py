@@ -258,22 +258,33 @@ def bare_plane_ingest(parameters, records):
 def _disabled_path_ratio(parameters, records):
     """Gate 2: bare reconstructed loop vs null-instrumentation monitor."""
     # Interleave the repeats so slow machine drift hits both sides alike;
-    # min-of-N then discards the noise floor.
+    # min-of-N then discards the noise floor.  The side timed first reads
+    # faster on identical work, so each side goes first on every other
+    # repeat.
     bare_times = []
     monitored_times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        bare_estimator, bare_cusum, bare_sprt, bare_checkpoints = bare_plane_ingest(
-            parameters, records
-        )
-        bare_times.append(time.perf_counter() - start)
 
+    def time_bare():
+        start = time.perf_counter()
+        result = bare_plane_ingest(parameters, records)
+        bare_times.append(time.perf_counter() - start)
+        return result
+
+    def time_monitored():
         monitor = StreamMonitor(
             parameters, PAPER_FIELD_PROFILE, alpha=ALPHA, check_every=CHECK_EVERY
         )
         start = time.perf_counter()
         monitor.ingest(records)
         monitored_times.append(time.perf_counter() - start)
+        return monitor
+
+    for repeat in range(REPEATS):
+        if repeat % 2 == 0:
+            bare, monitor = time_bare(), time_monitored()
+        else:
+            monitor, bare = time_monitored(), time_bare()
+    bare_estimator, bare_cusum, bare_sprt, bare_checkpoints = bare
     bare_elapsed = min(bare_times)
     monitored_elapsed = min(monitored_times)
 

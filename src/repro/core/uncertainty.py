@@ -94,16 +94,99 @@ class CredibleInterval:
     def from_samples(cls, samples: np.ndarray, level: float) -> "CredibleInterval":
         """The equal-tailed interval of Monte Carlo ``samples``, with their mean.
 
-        Both tail quantiles come from one ``np.quantile`` call: one
-        partition of the samples instead of two.
+        The bounds are ``np.quantile(samples, tail)`` and
+        ``np.quantile(samples, 1 - tail)`` to the bit, read from each
+        tail's candidates rather than from a partition of every sample
+        (:func:`_tail_quantiles`).  Samples holding a NaN have NaN
+        quantiles, which no interval holds.
         """
         if not 0.0 < level < 1.0:
             raise EstimationError(f"credibility level must be in (0, 1), got {level!r}")
+        values = np.ravel(samples)
+        if values.size == 0:
+            raise EstimationError("a credible interval needs at least one sample")
         tail = (1.0 - level) / 2.0
-        lower, upper = np.quantile(samples, (tail, 1.0 - tail))
-        return cls(
-            lower=float(lower), upper=float(upper), level=level, mean=float(samples.mean())
-        )
+        mean = float(samples.mean())
+        # A NaN sample makes the mean NaN: only then can there be one.
+        if math.isnan(mean) and np.isnan(values).any():
+            lower = upper = math.nan
+        else:
+            lower, upper = _tail_quantiles(values, tail)
+        return cls(lower=lower, upper=upper, level=level, mean=mean)
+
+
+#: Samples in the strided subsample that places each tail's threshold;
+#: below four times as many samples, both tails read all of them.
+TAIL_SUBSAMPLE = 512
+
+
+def _tail_quantiles(samples: np.ndarray, tail: float) -> tuple[float, float]:
+    """``np.quantile(samples, q)`` at ``q = tail`` and ``1 - tail``, exactly.
+
+    For NaN-free samples.  ``np.quantile`` partitions every sample to
+    read four order statistics.  Here one partition of a strided
+    subsample (every ``n // TAIL_SUBSAMPLE``-th sample, no RNG) places a
+    threshold past each tail, a few standard deviations beyond the
+    ranks the tail needs, and only the samples at or beyond it, the
+    tail's candidates, are partitioned.  Every sample left out lies
+    strictly inside every candidate, so the lower candidates hold the
+    samples' first ranks and the upper ones their last.  When a side
+    has fewer candidates than its ranks need (small ``n``, ties, an
+    order the stride misjudges), all the samples are its candidates.
+    """
+    n = samples.size
+    lower = _linear_point(n, tail)
+    upper = _linear_point(n, 1.0 - tail)
+    low = high = samples
+    if n >= 4 * TAIL_SUBSAMPLE:
+        stride = n // TAIL_SUBSAMPLE
+        sub = samples[::stride]
+        below = min(sub.size - 1, _spare_rank(lower[1] + 1, stride))
+        above = max(0, sub.size - 1 - _spare_rank(n - upper[0], stride))
+        sub = np.partition(sub, (below, above))
+        low = np.extract(samples <= sub[below], samples)
+        high = np.extract(samples >= sub[above], samples)
+        if low.size <= lower[1]:
+            low = samples
+        if high.size < n - upper[0]:
+            high = samples
+    return _select(low, lower, 0), _select(high, upper, n - high.size)
+
+
+def _spare_rank(count: int, stride: int) -> int:
+    """A subsample rank with ``count`` samples expected at or before it,
+    plus four standard deviations and four ranks to spare."""
+    expected = count / stride
+    return math.ceil(expected + 4.0 * math.sqrt(expected) + 4.0)
+
+
+def _linear_point(n: int, q: float) -> tuple[int, int, float]:
+    """Where ``np.quantile``'s default (linear) method reads quantile
+    ``q`` of ``n`` sorted values: the two ranks it interpolates between
+    and the weight of the second.
+
+    The virtual index is ``(n - 1) * q``; at or past the last rank
+    numpy reads the last value twice, with the weight it takes against
+    index ``-1``.
+    """
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return n - 1, n - 1, virtual + 1
+    below = math.floor(virtual)
+    return below, below + 1, virtual - below
+
+
+def _select(candidates: np.ndarray, point: tuple[int, int, float], offset: int) -> float:
+    """The quantile at ``point`` from ``candidates``, the samples whose
+    ranks start at ``offset``: one partition, then numpy's two-branch
+    linear interpolation, bit for bit."""
+    first, second, weight = point
+    ranks = [first - offset, second - offset]
+    a, b = np.partition(candidates, ranks)[ranks]
+    diff = b - a
+    if weight >= 0.5:
+        return float(b - diff * (1 - weight))
+    return float(a + diff * weight)
 
 
 @dataclass(frozen=True)

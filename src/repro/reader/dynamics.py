@@ -11,23 +11,24 @@ boundaries.  Two observations make exact vectorization possible:
   reset on session breaks), so the whole per-case decrement path of a
   chunk is computable up front — :func:`fatigue_decrement_path` — and
   the decisions then vectorize with per-case effective skills.
-* **Trust is deterministic between caught failures.**  Between the rare
-  cases where the reader catches a machine miss, trust follows the pure
-  success recurrence — :func:`trust_growth_path`.
-  :func:`advance_adaptive_chunk` therefore *speculates*: it decides the
-  remaining chunk assuming successes, finds the first caught failure
-  (itself a function of those very decisions), accepts the prefix —
-  every accepted decision used exactly the trust the scalar loop would
-  have used — applies the penalty, and restarts after it.
+* **Trust is deterministic between caught failures, and few cases can
+  be one.**  Between the cases where the reader catches a machine miss,
+  trust follows the pure success recurrence — :func:`trust_growth_path`.
+  A catch needs an unprompted cancer, unlapsed, whose classification
+  draw passes a probability no trust enters, so those candidates are
+  known up front; trust decides only their detection tests.
+  :func:`advance_adaptive_chunk` therefore walks the chunk once,
+  stepping the recurrence and testing each candidate at the trust then
+  in force, and then decides every case from the per-case trust.
 
 Both recurrences are evaluated with the scalar classes' Python-float
-arithmetic, so the state values match them to the last bit.  The
-decrement path steps one case at a time only until the float
-recurrence reaches its fixed point (``d + rate * (max - d) == d``,
-after 3,233 cases at the default rate) and fills the rest of the
-session with that value; :func:`chunk_decrement_path` memoises each
-path on its chunk, so every system deciding a chunk from one state
-steps it once.  A fatigued reader then decides through the rested
+arithmetic, so the state values match them to the last bit.  Each
+path steps one case at a time only until the float recurrence reaches
+its fixed point (``d + rate * (max - d) == d``, after 3,233 cases at
+the default fatigue rate) and fills the rest of the run with that
+value; :func:`chunk_decrement_path` memoises each decrement path on its
+chunk, so every system deciding a chunk from one state steps it once.
+A fatigued reader then decides through the rested
 reader's own body (:meth:`~repro.reader.reader.ReaderModel.decide_chunk`)
 over the probability table of its path, memoised on the chunk as well;
 the adaptive kernel vectorizes its per-case decision work (sigmoids,
@@ -79,7 +80,9 @@ def trust_growth_path(
     ``num_cases`` — is the trust after all successes.  Computed with the
     exact Python-float recurrence of
     :meth:`~repro.reader.adaptation.AdaptiveTrust.observe_success`:
-    ``t = min(t + growth_rate * (max_trust - t), max_trust)``.
+    ``t = min(t + growth_rate * (max_trust - t), max_trust)``, stepped
+    only until it reaches its float fixed point, as
+    :func:`fatigue_decrement_path` does.
     """
     if num_cases < 0:
         raise SimulationError(f"num_cases must be >= 0, got {num_cases!r}")
@@ -87,7 +90,13 @@ def trust_growth_path(
     t = float(trust)
     for i in range(num_cases):
         path[i] = t
-        t = min(t + growth_rate * (max_trust - t), max_trust)
+        nxt = min(t + growth_rate * (max_trust - t), max_trust)
+        if nxt == t:
+            # A fixed point: one step from an equal value is bitwise
+            # idempotent (even from -0.0, which steps to +0.0).
+            path[i + 1 :] = nxt
+            return path
+        t = nxt
     path[num_cases] = t
     return path
 
@@ -267,12 +276,18 @@ def advance_adaptive_chunk(
 ) -> tuple[np.ndarray, ReaderStateVector]:
     """One chunk of :class:`~repro.reader.adaptation.AdaptiveReader` decisions.
 
-    Speculative segment vectorization: decide the remaining cases
-    assuming the success recurrence, accept up to (and including) the
-    first caught machine failure, apply the penalty, restart after it.
-    Every accepted decision used exactly the trust the scalar loop
-    would have used, because the speculation was correct up to the
-    first catch by construction.
+    Linear in the chunk.  Trust falls only on a caught machine failure,
+    a recalled unprompted cancer, and follows the success recurrence on
+    every other case.  Without a prompt no trust enters the
+    misclassification probability, so only the unlapsed unprompted
+    cancers whose classification draw passes it can be caught, whatever
+    the trust: the *candidates*.  The kernel steps the success
+    recurrence case by case (:func:`trust_growth_path`, which stops at
+    its fixed point), tests each candidate's detection draw against its
+    attentive miss at the trust then in force, and applies the failure
+    penalty on a catch.  Then every case is decided once from the
+    per-case trust, with the expressions the walk's tests used, so the
+    decisions are the scalar loop's.
 
     Args:
         reader: The base reader model (bias at trust 1.0).
@@ -301,82 +316,67 @@ def advance_adaptive_chunk(
     skill = reader.skill
     bias = reader._active_bias(aided=True)
     growth = trust.growth_rate
-    penalty = trust.failure_penalty
     max_trust = trust.max_trust
     n = len(arrays)
-    healthy_all = arrays.healthy_index
-    cancers_all = arrays.cancer_index
+    healthy = arrays.healthy_index
+    cancers = arrays.cancer_index
     logit_hcd = arrays.human_classification_difficulty_logit
-    logit_hdd_cancers = arrays.human_detection_difficulty_logit[cancers_all]
-    prompted_all = cadt_output.prompted_relevant
-    nfp_all = cadt_output.num_false_prompts
+    prompted = cadt_output.prompted_relevant[cancers]
     u_recall, u_lapse, u_prompt, u_detect, u_classify = (u[index] for index in roles)
 
-    recall = np.zeros(n, dtype=bool)
+    # The terms no trust enters, once per chunk.
+    detection_logit = arrays.human_detection_difficulty_logit[cancers] - skill.detection
+    classification_logit = logit_hcd[cancers] - skill.classification
+    lapsed = u_lapse < skill.lapse_rate
+    registered = prompted & (u_prompt < reader.prompt_effectiveness)
+    # An unprompted cancer's misclassification probability (no
+    # persuasion: ``x - 0.0`` is ``x``) decides whether it can be caught.
+    candidates = np.flatnonzero(
+        ~prompted & ~lapsed & (u_classify >= _sigmoid(classification_logit))
+    )
+
+    # The trust in force for every case: successes between candidates,
+    # a test at each.  A candidate that is not caught is the first
+    # success of the next stretch.
+    trust_path = np.empty(n)
     t = float(state.trust[0])
-    successes = int(state.observed_successes[0])
-    caught_total = int(state.caught_failures[0])
-
-    pos = 0
-    while pos < n:
-        seg_len = n - pos
-        path = trust_growth_path(t, growth, max_trust, seg_len)
-
-        h_lo = int(np.searchsorted(healthy_all, pos))
-        h = healthy_all[h_lo:]
-        if h.size:
-            t_h = path[h - pos]
-            recall_logit = logit_hcd[h] - skill.specificity
-            recall_logit = recall_logit + (
-                (bias.false_prompt_persuasion * t_h) * nfp_all[h]
-            )
-            recall_h = u_recall[h_lo:] < _sigmoid(recall_logit)
+    pos = caught = 0
+    for case, logit, draw in zip(
+        cancers[candidates].tolist(),
+        detection_logit[candidates].tolist(),
+        u_detect[candidates].tolist(),
+    ):
+        stretch = trust_growth_path(t, growth, max_trust, case - pos)
+        trust_path[pos : case + 1] = stretch
+        t = float(stretch[-1])
+        if draw >= _sigmoid(logit + bias.complacency_shift * t):
+            caught += 1
+            t *= trust.failure_penalty
+            pos = case + 1
         else:
-            recall_h = np.zeros(0, dtype=bool)
+            pos = case
+    stretch = trust_growth_path(t, growth, max_trust, n - pos)
+    trust_path[pos:] = stretch[:-1]
+    t = float(stretch[-1])
 
-        c_lo = int(np.searchsorted(cancers_all, pos))
-        c = cancers_all[c_lo:]
-        if c.size:
-            t_c = path[c - pos]
-            prompted = prompted_all[c]
-            detection_shift = np.where(
-                prompted, 0.0, bias.complacency_shift * t_c
-            )
-            attentive_miss = _sigmoid(
-                logit_hdd_cancers[c_lo:] - skill.detection + detection_shift
-            )
-            lapsed = u_lapse[c_lo:] < skill.lapse_rate
-            registered = prompted & (u_prompt[c_lo:] < reader.prompt_effectiveness)
-            noticed = registered | (~lapsed & (u_detect[c_lo:] >= attentive_miss))
-            p_misclass = _sigmoid(
-                logit_hcd[c]
-                - skill.classification
-                - np.where(prompted, bias.prompt_persuasion * t_c, 0.0)
-            )
-            recall_c = noticed & (u_classify[c_lo:] >= p_misclass)
-            # A caught failure: the reader recalled a cancer the machine
-            # did not prompt (recall implies the features were noticed).
-            caught = recall_c & ~prompted
-        else:
-            recall_c = np.zeros(0, dtype=bool)
-            caught = recall_c
-
-        hits = np.flatnonzero(caught)
-        if hits.size == 0:
-            recall[h] = recall_h
-            recall[c] = recall_c
-            successes += seg_len
-            t = float(path[seg_len])
-            break
-        first = int(c[hits[0]])
-        keep_h = h <= first
-        recall[h[keep_h]] = recall_h[keep_h]
-        keep_c = c <= first
-        recall[c[keep_c]] = recall_c[keep_c]
-        successes += first - pos  # the cases before the catch
-        caught_total += 1
-        t = float(path[first - pos]) * penalty
-        pos = first + 1
+    t_h = trust_path[healthy]
+    recall_logit = logit_hcd[healthy] - skill.specificity
+    recall_logit = recall_logit + (
+        (bias.false_prompt_persuasion * t_h) * cadt_output.num_false_prompts[healthy]
+    )
+    t_c = trust_path[cancers]
+    attentive_miss = _sigmoid(
+        detection_logit + np.where(prompted, 0.0, bias.complacency_shift * t_c)
+    )
+    noticed = registered | (~lapsed & (u_detect >= attentive_miss))
+    p_misclass = _sigmoid(
+        classification_logit - np.where(prompted, bias.prompt_persuasion * t_c, 0.0)
+    )
+    recall = np.empty(n, dtype=bool)
+    recall[healthy] = u_recall < _sigmoid(recall_logit)
+    recall[cancers] = noticed & (u_classify >= p_misclass)
+    successes = int(state.observed_successes[0]) + n - caught
+    caught_total = int(state.caught_failures[0]) + caught
 
     next_state = state.replace(
         trust=np.array([t]),

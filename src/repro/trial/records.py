@@ -20,6 +20,11 @@ from ..exceptions import EstimationError
 
 __all__ = ["CaseRecord", "RecordBatch", "TrialRecords"]
 
+#: The largest false-prompt count a record may carry: the streaming
+#: monitor folds the counts into float moments, which hold every integer
+#: up to ``2**53`` exactly and overflow on one past the float range.
+MAX_FALSE_PROMPTS = 2**53
+
 
 @dataclass(frozen=True)
 class CaseRecord:
@@ -59,12 +64,12 @@ class CaseRecord:
             raise EstimationError(
                 f"unaided record for case {self.case_id} must not report machine_failed"
             )
-        if (
-            self.machine_false_prompts is not None
-            and self.machine_false_prompts < 0
-        ):
+        prompts = self.machine_false_prompts
+        if prompts is not None and prompts < 0:
+            raise EstimationError(f"machine_false_prompts must be >= 0, got {prompts!r}")
+        if prompts is not None and prompts > MAX_FALSE_PROMPTS:
             raise EstimationError(
-                f"machine_false_prompts must be >= 0, got {self.machine_false_prompts!r}"
+                f"machine_false_prompts must be at most 2**53, got {prompts!r}"
             )
 
     @property

@@ -28,7 +28,7 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from ..core.case_class import CaseClass
 from ..exceptions import EstimationError
-from .records import CaseRecord, RecordBatch, TrialRecords
+from .records import MAX_FALSE_PROMPTS, CaseRecord, RecordBatch, TrialRecords
 
 __all__ = [
     "dump_records_csv",
@@ -290,7 +290,7 @@ def records_from_entries(entries: Sequence[Any]) -> RecordBatch:
     accepts.  One screen over whole columns covers the shape decoded JSON
     takes: every entry a ``dict`` with the eight keys, every field of its
     exact type, non-empty class names, ``machine_failed`` set on exactly
-    the aided records and no negative prompt count.  A list the screen
+    the aided records and prompt counts in ``[0, 2**53]``.  A list the screen
     does not pass, bad or merely uncommon (an omitted null field, an
     ``int`` subclass), goes through :func:`record_from_entry` entry by
     entry, so the first bad entry is named as that path names it.
@@ -336,6 +336,7 @@ def _screen_entries(entries: Sequence[Any]) -> RecordBatch | None:
         and _OPTIONAL_INT.issuperset(map(type, prompts))
         and aided == tuple(map(is_not, machine_failed, repeat(None)))
         and min(filter(_not_none, prompts), default=0) >= 0
+        and max(filter(_not_none, prompts), default=0) <= MAX_FALSE_PROMPTS
     ):
         return None
     return RecordBatch(*columns)
@@ -433,6 +434,11 @@ def _parse_row(row: list[str], row_number: int) -> CaseRecord:
             f"row {row_number}: machine_false_prompts must be an integer "
             f"or empty, got {false_prompts!r}"
         ) from None
+    if parsed_prompts is not None and not 0 <= parsed_prompts <= MAX_FALSE_PROMPTS:
+        raise EstimationError(
+            f"row {row_number}: machine_false_prompts must be in [0, 2**53], "
+            f"got {false_prompts!r}"
+        )
     return CaseRecord(
         case_id=parsed_id,
         reader_name=reader_name,

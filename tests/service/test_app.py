@@ -620,6 +620,28 @@ class TestMonitoringPlane(TestHttpLayer):
         assert "records[0]" in bad["error"]
         assert empty_status == 400
 
+    def test_false_prompt_count_no_float_holds_is_400(self):
+        """A count past 2**53 (here past the float range, which overflowed
+        the monitor's moments into a 500) is refused whole: the body's
+        valid first record is not counted either."""
+        entries = [field_entry(0), {**field_entry(1), "machine_false_prompts": 10**400}]
+
+        async def scenario_huge_count(port):
+            before = await http_request(port, "GET", "/v1/monitor")
+            ingest = await http_request(
+                port, "POST", "/v1/ingest", body={"records": entries}
+            )
+            after = await http_request(port, "GET", "/v1/monitor")
+            return before, ingest, after
+
+        (_, _, before), (status, _, refused), (_, _, after) = self.run_with_server(
+            CONFIG, scenario_huge_count
+        )
+        assert status == 400
+        assert refused["error"].startswith("records[1]: machine_false_prompts must be")
+        assert after == before
+        assert after["monitor"]["records"] == {"seen": 0, "used": 0}
+
     def test_prometheus_exposition_format(self):
         from repro.obs import Instrumentation as Obs
 

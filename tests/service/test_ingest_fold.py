@@ -51,7 +51,7 @@ def valid_entries(draw):
         "has_cancer": draw(st.booleans()),
         "aided": aided,
         "machine_failed": draw(st.booleans()) if aided else None,
-        "machine_false_prompts": draw(st.none() | st.integers(0, 10**20)),
+        "machine_false_prompts": draw(st.none() | st.integers(0, 2**53)),
         "recalled": draw(st.booleans()),
     }
 
@@ -89,6 +89,9 @@ MUTATIONS = {
     "null entry": lambda entry: None,
     "string entry": lambda entry: "record",
     "negative prompts": _replace("machine_false_prompts", -1),
+    "prompts at 2**53": _replace("machine_false_prompts", 2**53),
+    "prompts past 2**53": _replace("machine_false_prompts", 2**53 + 1),
+    "prompts past the float range": _replace("machine_false_prompts", 10**400),
     "aided without machine_failed": _replace("machine_failed", None),
     "aided, failed unknown": lambda entry: {**entry, "aided": True, "machine_failed": None},
     "unaided with machine_failed": lambda entry: {

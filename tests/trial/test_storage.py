@@ -300,6 +300,28 @@ class TestValidation:
         with pytest.raises(EstimationError):
             load_records_csv(path)
 
+    @pytest.mark.parametrize("count", ["-1", str(2**53 + 1), "1" + "0" * 400])
+    def test_false_prompt_count_out_of_range(self, tmp_path, count):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "case_id,reader_name,case_class,has_cancer,aided,machine_failed,"
+            "machine_false_prompts,recalled\n"
+            "1,r,easy,1,1,0,0,1\n"
+            f"2,r,easy,1,1,0,{count},1\n"
+        )
+        with pytest.raises(EstimationError, match="row 3: machine_false_prompts"):
+            load_records_csv(path)
+
+    def test_false_prompt_count_at_2_53_loads(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text(
+            "case_id,reader_name,case_class,has_cancer,aided,machine_failed,"
+            "machine_false_prompts,recalled\n"
+            f"1,r,easy,1,1,0,{2**53},1\n"
+        )
+        (record,) = load_records_csv(path)
+        assert record.machine_false_prompts == 2**53
+
     def test_short_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
