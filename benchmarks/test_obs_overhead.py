@@ -102,12 +102,9 @@ def bare_compare(systems, workload, positions, codes, classes):
     )
     task = (arrays, CHUNK_SIZE, positions, codes, len(classes), items, None, False)
     rows = run_fused_batch(task).rows
-    n_classes = len(classes)
     results = {}
     for system, row in zip(systems, rows):
-        tally = FailureTally.from_counts(
-            (*row[:4].tolist(), row[4 : 4 + n_classes], row[4 + n_classes :]), classes
-        )
+        tally = FailureTally(classes, row)
         results[system.name] = tally.to_evaluation(system.name, workload.name, LEVEL)
     return results
 

@@ -104,7 +104,7 @@ def per_call_pool_compare(systems, workload, classifier):
         labels = [  # per-case classification, as before classify_batch
             classifier.classify(case) for case in workload.cases if case.has_cancer
         ]
-        tally = FailureTally()
+        tally = FailureTally(classifier.classes)
         for (start, stop), failed in zip(chunks, chunk_failures):
             low, high = np.searchsorted(positions, (start, stop))
             tally.record_batch(

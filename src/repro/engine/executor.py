@@ -145,8 +145,10 @@ def cancer_class_codes(
         positions: The sorted indices of the cancer cases.
 
     Raises:
-        SimulationError: if ``classify_batch`` returns the wrong shape, or
-            ``classify`` returns a class the classifier does not declare.
+        SimulationError: if ``classify_batch`` returns the wrong shape or
+            a cancer code that is not an integer in
+            ``[0, len(classifier.classes))``, or ``classify`` returns a
+            class the classifier does not declare.
     """
     batch = getattr(classifier, "classify_batch", None)
     if batch is not None:
@@ -160,7 +162,13 @@ def cancer_class_codes(
                     f"classify_batch returned shape {codes.shape}, expected "
                     f"({len(arrays)},)"
                 )
-            return codes[positions].astype(np.int64)
+            codes, n_classes = codes[positions], len(classifier.classes)
+            if not np.issubdtype(codes.dtype, np.integer) or np.any((codes < 0) | (codes >= n_classes)):
+                raise SimulationError(
+                    f"classifier {type(classifier).__name__}'s classify_batch returned "
+                    f"{codes.dtype} cancer codes that are not all integers in [0, {n_classes})"
+                )
+            return codes.astype(np.int64)
     if on_scalar_fallback is not None:
         on_scalar_fallback()
     index = {case_class: code for code, case_class in enumerate(classifier.classes)}

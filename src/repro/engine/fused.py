@@ -30,15 +30,14 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from ..core.case_class import CaseClass
 from ..exceptions import SimulationError
 from ..obs import SpanPayload
 from ..reader.state import ReaderStateVector
-from ..system.simulate import FailureTally, SystemEvaluation, count_failures, count_trials
+from ..system.simulate import ROW_COLUMNS, count_failures, count_trials
 from ..system.single import ScreeningSystem
 from .arrays import CaseArrays
 from .executor import (
@@ -50,11 +49,9 @@ from .executor import (
 )
 
 __all__ = [
-    "ROW_COLUMNS",
     "FusedItem",
     "FusedTask",
     "FusedOutput",
-    "FusedCounts",
     "build_fused_item",
     "count_failures",
     "run_fused_batch",
@@ -152,11 +149,6 @@ FusedTask = tuple[
     tuple[int, int] | None, bool,
 ]
 
-#: The leading columns of a count-matrix row; the per-class failures and
-#: then the per-class trials follow, one column per class code, so a row
-#: has ``4 + 2 * n_classes`` columns.
-ROW_COLUMNS = ("cancer_failures", "cancer_trials", "healthy_failures", "healthy_trials")
-
 
 class FusedOutput(NamedTuple):
     """What a :data:`FusedTask` returns: the count matrix over its chunk
@@ -202,7 +194,8 @@ def run_fused_batch(task: FusedTask) -> FusedOutput:
 
     Returns:
         A :class:`FusedOutput` whose int64 count matrix has one row per
-        item, in item order (columns: :data:`ROW_COLUMNS`, then the
+        item, in item order (columns:
+        :data:`~repro.system.simulate.ROW_COLUMNS`, then the
         per-class failures and trials), counting the range's cases only.
     """
     plane, chunk_size, positions, codes, n_classes, items, chunk_range, traced = task
@@ -256,65 +249,3 @@ def run_fused_batch(task: FusedTask) -> FusedOutput:
             failed, positions, codes, n_classes
         )
     return FusedOutput(out, tuple(states), spans)
-
-
-@dataclass(frozen=True)
-class FusedCounts:
-    """One fused item's exact integer failure counts, demultiplexed.
-
-    Classes with zero cancer trials are dropped (exactly as
-    :meth:`FailureTally.from_counts` leaves them out), so
-    :meth:`evaluation` rebuilds the same
-    :class:`~repro.system.simulate.SystemEvaluation` — identical Wilson
-    intervals — as a standalone run of the same ``(seed, chunk_size)``.
-    """
-
-    cancer_failures: int
-    cancer_trials: int
-    healthy_failures: int
-    healthy_trials: int
-    class_names: tuple[str, ...]
-    class_failures: tuple[int, ...]
-    class_trials: tuple[int, ...]
-
-    @classmethod
-    def from_row(cls, row: np.ndarray, class_names: Sequence[str]) -> "FusedCounts":
-        """Demultiplex one count-matrix row against the classifier's classes."""
-        values = row.tolist()
-        n_classes = len(class_names)
-        kept = [
-            (name, failures, trials)
-            for name, failures, trials in zip(
-                class_names, values[4 : 4 + n_classes], values[4 + n_classes :]
-            )
-            if trials
-        ]
-        return cls(
-            *values[:4],
-            class_names=tuple(name for name, _, _ in kept),
-            class_failures=tuple(failures for _, failures, _ in kept),
-            class_trials=tuple(trials for _, _, trials in kept),
-        )
-
-    def tally(self) -> FailureTally:
-        """The counts as a :class:`FailureTally` (classes reattached)."""
-        return FailureTally(
-            cancer_failures=self.cancer_failures,
-            cancer_trials=self.cancer_trials,
-            healthy_failures=self.healthy_failures,
-            healthy_trials=self.healthy_trials,
-            class_failures={
-                CaseClass(name): failures
-                for name, failures in zip(self.class_names, self.class_failures)
-            },
-            class_trials={
-                CaseClass(name): trials
-                for name, trials in zip(self.class_names, self.class_trials)
-            },
-        )
-
-    def evaluation(
-        self, system_name: str, workload_name: str, level: float = 0.95
-    ) -> SystemEvaluation:
-        """The counts as a :class:`SystemEvaluation` (same floats as live)."""
-        return self.tally().to_evaluation(system_name, workload_name, level)

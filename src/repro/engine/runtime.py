@@ -49,12 +49,11 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .._numeric import read_only as _read_only
-from ..core.case_class import CaseClass
 from ..exceptions import RuntimeDegradationWarning, SimulationError
 from ..obs import Instrumentation, SpanPayload, get_instrumentation
 from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 from ..screening.workload import Workload
-from ..system.simulate import FailureTally, SystemEvaluation, evaluate_system
+from ..system.simulate import ROW_COLUMNS, FailureTally, SystemEvaluation, evaluate_system
 from ..system.single import ScreeningSystem
 from .arrays import ARRAY_FIELDS, CaseArrays
 from .executor import (
@@ -65,7 +64,6 @@ from .executor import (
     supports_stream,
 )
 from .fused import (
-    ROW_COLUMNS,
     FusedItem,
     FusedOutput,
     FusedTask,
@@ -155,12 +153,6 @@ def _picklable(*objects: Any) -> bool:
     except Exception:
         return False
     return True
-
-
-def _tally_from_row(row: np.ndarray, classes: Sequence[CaseClass]) -> FailureTally:
-    """A count-matrix row as a tally over the classifier's own classes."""
-    class_failures, class_trials = row[4:].reshape(2, len(classes))
-    return FailureTally.from_counts((*row[:4].tolist(), class_failures, class_trials), classes)
 
 
 class _Plane(NamedTuple):
@@ -436,7 +428,6 @@ class EngineRuntime:
         classifier = (
             classifier if classifier is not None else DEFAULT_CLASSIFIER
         )
-        classes = tuple(classifier.classes)
         evaluations: dict[str, SystemEvaluation] = {}
         for fusable, group in groupby(
             systems, key=lambda system: supports_batch(system) or supports_stream(system)
@@ -459,9 +450,8 @@ class EngineRuntime:
             )
             with self._obs.span("runtime.tally", systems=len(fused)):
                 for system, row in zip(fused, rows):
-                    evaluations[system.name] = _tally_from_row(row, classes).to_evaluation(
-                        system.name, workload.name, level
-                    )
+                    tally = FailureTally(classifier.classes, row)
+                    evaluations[system.name] = tally.to_evaluation(system.name, workload.name, level)
         return evaluations
 
     def run_fused(
@@ -498,7 +488,7 @@ class EngineRuntime:
         Returns:
             One int64 count matrix per batch, in batch order, with one
             row per item in item order (columns:
-            :data:`~repro.engine.fused.ROW_COLUMNS`, then the failures
+            :data:`~repro.system.simulate.ROW_COLUMNS`, then the failures
             and trials of each of ``classifier.classes``).
         """
         if self._closed:

@@ -11,7 +11,7 @@ Architecture::
                                  single engine thread ──▶ EngineRuntime
                                            │          (in-process, or pool
                                            ▼           + shm when multi-chunk)
-                                   FusedCounts per request
+                          FailureTally(classes, row) per request
 
 Every engine interaction — workload build, fused dispatch — runs on one
 dedicated thread (``EngineRuntime`` is not thread-safe), fed by the
@@ -49,6 +49,8 @@ from dataclasses import dataclass
 from typing import Any, Collection, Sequence
 from urllib.parse import parse_qs
 
+import numpy as np
+
 from ..analysis.streaming import StreamMonitor
 from ..core import (
     PAPER_FIELD_PROFILE,
@@ -58,7 +60,6 @@ from ..core import (
     paper_example_parameters,
 )
 from ..engine.executor import DEFAULT_CHUNK_SIZE
-from ..engine.fused import FusedCounts
 from ..engine.runtime import EngineRuntime
 from ..exceptions import EstimationError, SimulationError
 from ..obs import (
@@ -69,7 +70,7 @@ from ..obs import (
 )
 from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 from ..sweep.grid import SystemSpec, WorkloadSpec
-from ..system.simulate import SystemEvaluation
+from ..system.simulate import FailureTally, SystemEvaluation
 from ..trial.records import CaseRecord, RecordBatch
 from .batcher import MicroBatcher
 from .cache import WorkloadCache
@@ -215,9 +216,6 @@ class ScreeningService:
         self._classifier = (
             classifier if classifier is not None else DEFAULT_CLASSIFIER
         )
-        self._class_names = tuple(
-            case_class.name for case_class in self._classifier.classes
-        )
         self._quotas = QuotaManager(
             self._config.quota_rps, self._config.quota_burst
         )
@@ -313,14 +311,15 @@ class ScreeningService:
             with request_obs.span(
                 "service.evaluate", workload=workload.key(), seed=seed
             ):
-                counts, batch_size = await self._batcher.submit(
+                row, batch_size = await self._batcher.submit(
                     workload.key(), (workload, system, seed)
                 )
         finally:
             self._inflight_requests -= 1
         elapsed = time.perf_counter() - start
         self._observe_request(batch_size, elapsed, request_obs)
-        return counts.evaluation(system.label(), workload.key(), level)
+        tally = FailureTally(self._classifier.classes, row)
+        return tally.to_evaluation(system.label(), workload.key(), level)
 
     async def compare(
         self,
@@ -369,8 +368,10 @@ class ScreeningService:
         batch_size = max(size for _, size in resolved)
         self._observe_request(batch_size, elapsed, request_obs)
         return [
-            counts.evaluation(system.label(), workload.key(), level)
-            for system, (counts, _) in zip(systems, resolved)
+            FailureTally(self._classifier.classes, row).to_evaluation(
+                system.label(), workload.key(), level
+            )
+            for system, (row, _) in zip(systems, resolved)
         ]
 
     async def uncertainty(
@@ -468,14 +469,15 @@ class ScreeningService:
 
     async def _dispatch_batch(
         self, key: Any, items: Sequence[_BatchItem]
-    ) -> list[FusedCounts]:
+    ) -> np.ndarray:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._engine, self._dispatch_sync, list(items)
         )
 
-    def _dispatch_sync(self, items: list[_BatchItem]) -> list[FusedCounts]:
-        """One fused dispatch for one batch (engine thread only).
+    def _dispatch_sync(self, items: list[_BatchItem]) -> np.ndarray:
+        """One fused dispatch for one batch (engine thread only): its count
+        matrix, a row per item.
 
         The runtime places it as it places a ``compare``: in-process when
         the workload fits one chunk, split into chunk ranges over the
@@ -489,7 +491,7 @@ class ScreeningService:
                 chunk_size=self._config.chunk_size,
             )
             self._obs.count("service.dispatches")
-            return [FusedCounts.from_row(row, self._class_names) for row in rows]
+            return rows
 
     def _uncertainty_sync(
         self, profile_name: str, trials: int, draws: int, seed: int, level: float

@@ -23,7 +23,7 @@ runtime's one placement rule and the engine's one kernel (the path the
 service's micro-batcher and
 :func:`~repro.engine.executor.evaluate_system_batch` take), whose chunk
 generators derive from the item's seed and the chunk's index alone and
-whose tally is an exact integer-count reformulation of
+whose rows are the scalar loop's count layout,
 :class:`~repro.system.simulate.FailureTally`.  Fused, sharded, serial,
 parallel, interrupted-and-resumed — all bit-identical to evaluating the
 cell standalone (:func:`reproduce_cell`), and, for a single-chunk plan,
@@ -51,14 +51,14 @@ from typing import Any
 import numpy as np
 
 from ..analysis.streaming import WelfordAccumulator
+from ..core.case_class import CaseClass
 from ..engine.executor import DEFAULT_CHUNK_SIZE
-from ..engine.fused import ROW_COLUMNS, FusedCounts
 from ..engine.runtime import EngineRuntime
 from ..exceptions import SimulationError
 from ..obs import Instrumentation, get_instrumentation
 from ..screening.classifier import DEFAULT_CLASSIFIER, CaseClassifier
 from ..screening.workload import Workload
-from ..system.simulate import SystemEvaluation
+from ..system.simulate import ROW_COLUMNS, FailureTally, SystemEvaluation
 from ..trial.storage import append_journal_entries, load_journal_entries
 from .grid import ScenarioGrid
 from .plan import (
@@ -103,8 +103,8 @@ class CellResult:
         seed: The recorded evaluation seed.
         system_name: Name of the evaluated system.
         workload_name: Name of the workload it ran on.
-        counts: The cell's failure counts (classes with at least one
-            cancer trial).
+        counts: The cell's failure counts, a tally over its read-only
+            row of :attr:`SweepResult.counts`.
     """
 
     index: int
@@ -112,11 +112,11 @@ class CellResult:
     seed: int
     system_name: str
     workload_name: str
-    counts: FusedCounts
+    counts: FailureTally
 
     def evaluation(self, level: float = 0.95) -> SystemEvaluation:
         """The counts as a :class:`SystemEvaluation` (same floats as live)."""
-        return self.counts.evaluation(self.system_name, self.workload_name, level)
+        return self.counts.to_evaluation(self.system_name, self.workload_name, level)
 
 
 @dataclass
@@ -215,7 +215,7 @@ class SweepResult:
         counts: One int64 row per planned cell, in index order, in the
             :meth:`~repro.engine.runtime.EngineRuntime.run_fused` column layout
             (rows of shards not completed are zero).
-        class_names: The classifier's classes, in per-class column order.
+        classes: The classifier's classes, in per-class column order.
         completed_shards: Indices of the shards whose rows are filled,
             ascending (all of them unless interrupted by ``max_shards``).
         executed: Cells computed by this run.
@@ -225,7 +225,7 @@ class SweepResult:
 
     plan: SweepPlan
     counts: np.ndarray
-    class_names: tuple[str, ...]
+    classes: tuple[CaseClass, ...]
     completed_shards: tuple[int, ...]
     executed: int
     skipped: int
@@ -266,7 +266,7 @@ class SweepResult:
             seed=plan.seeds[index],
             system_name=plan.systems[plan.cell_system[index]].label(),
             workload_name=plan.workload_keys[plan.cell_workload[index]],
-            counts=FusedCounts.from_row(self.counts[index], self.class_names),
+            counts=FailureTally(self.classes, self.counts[index]),
         )
 
     def evaluations(self) -> Mapping[str, SystemEvaluation]:
@@ -707,7 +707,7 @@ def _execute_plan(
     return SweepResult(
         plan=plan,
         counts=counts,
-        class_names=class_names,
+        classes=tuple(classifier.classes),
         completed_shards=tuple(completed),
         executed=executed,
         skipped=skipped,

@@ -7,16 +7,17 @@ counterpart of the sequential model's analytic predictions, and the thing
 the end-to-end benchmarks compare against it.
 
 The counting machinery lives here so the scalar loop and the vectorized
-engine (:mod:`repro.engine`) accumulate — and can merge — failure counts
-identically: :class:`FailureTally` holds the counts,
-:func:`count_failures` is the one function that turns per-case failure
-flags into them, and :func:`count_trials` counts the trials, which
-depend on the cases alone.
+engine (:mod:`repro.engine`) hold failure counts in one layout:
+:class:`FailureTally` is the classifier's classes plus one int64 count
+row (:data:`ROW_COLUMNS`, then the per-class failures and trials), the
+row the engine's kernel fills; :func:`count_failures` is the one
+function that turns per-case failure flags into counts, and
+:func:`count_trials` counts the trials, which depend on the cases alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "RateEstimate",
     "SystemEvaluation",
     "FailureTally",
+    "ROW_COLUMNS",
     "count_failures",
     "count_trials",
     "evaluate_system",
@@ -95,37 +97,61 @@ class SystemEvaluation:
         )
 
 
-@dataclass
-class FailureTally:
-    """Mutable accumulator of a system's failures over (part of) a workload.
+#: The leading columns of a count row; the per-class failures and then
+#: the per-class trials follow, one column per class code, so a row has
+#: ``4 + 2 * n_classes`` columns.
+ROW_COLUMNS = ("cancer_failures", "cancer_trials", "healthy_failures", "healthy_trials")
 
-    Both evaluation paths fill one of these — the scalar loop case by
-    case, the batch engine once per system from :func:`count_failures`
-    (:meth:`from_counts`) — and tallies merge associatively, so counts
-    split over parts of a workload sum to exactly the counts a single
-    pass would produce.
+
+@dataclass(eq=False)
+class FailureTally:
+    """A system's failure counts over (part of) a workload: one count row.
+
+    ``row`` is int64 in the engine kernel's layout (:data:`ROW_COLUMNS`,
+    then the failures and trials of each of the classifier's
+    ``classes``), zeros when not given; the scalar loop fills it case by
+    case (:meth:`record`).  Tallies compare by classes and counts.
     """
 
-    cancer_failures: int = 0
-    cancer_trials: int = 0
-    healthy_failures: int = 0
-    healthy_trials: int = 0
-    class_failures: dict[CaseClass, int] = field(default_factory=dict)
-    class_trials: dict[CaseClass, int] = field(default_factory=dict)
+    classes: Sequence[CaseClass]
+    row: np.ndarray = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        self.classes = tuple(self.classes)
+        width = len(ROW_COLUMNS) + 2 * len(self.classes)
+        if self.row is None:
+            self.row = np.zeros(width, dtype=np.int64)
+        elif self.row.shape != (width,):
+            raise SimulationError(
+                f"a row over {len(self.classes)} classes has {width} columns, got {self.row.shape}"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FailureTally):
+            return NotImplemented
+        return self.classes == other.classes and np.array_equal(self.row, other.row)
+
+    def _code(self, case_class: CaseClass) -> int:
+        """The code of a declared class."""
+        if case_class not in self.classes:
+            raise SimulationError(
+                f"case class {str(case_class)!r} is not one of {[str(c) for c in self.classes]}"
+            )
+        return self.classes.index(case_class)
 
     def record(self, case: "Case", failed: bool, classifier: CaseClassifier) -> None:
-        """Count one decided case."""
+        """Count one decided case, refusing a class outside :attr:`classes`;
+        independent of :func:`count_failures`, as the scalar loop is the oracle."""
+        row = self.row
         if case.has_cancer:
-            self.cancer_trials += 1
-            self.cancer_failures += int(failed)
-            case_class = classifier.classify(case)
-            self.class_trials[case_class] = self.class_trials.get(case_class, 0) + 1
-            self.class_failures[case_class] = (
-                self.class_failures.get(case_class, 0) + int(failed)
-            )
+            code = 4 + self._code(classifier.classify(case))
+            row[0] += failed
+            row[1] += 1
+            row[code] += failed
+            row[code + len(self.classes)] += 1
         else:
-            self.healthy_trials += 1
-            self.healthy_failures += int(failed)
+            row[2] += failed
+            row[3] += 1
 
     def record_batch(
         self,
@@ -140,6 +166,10 @@ class FailureTally:
             failed: System failure per case.
             case_classes: Class of each *cancer* case, in batch order
                 (length = number of cancer cases in the batch).
+
+        Raises:
+            SimulationError: on mismatched lengths or a class outside
+                :attr:`classes`.
         """
         positions = np.flatnonzero(has_cancer)
         if len(case_classes) != positions.size:
@@ -151,89 +181,48 @@ class FailureTally:
             raise SimulationError(
                 f"got {len(failed)} failure flags for {len(has_cancer)} cases"
             )
-        index: dict[CaseClass, int] = {}
-        codes = np.array(
-            [index.setdefault(case_class, len(index)) for case_class in case_classes],
-            dtype=np.int64,
+        codes = np.array([self._code(case_class) for case_class in case_classes], dtype=np.int64)
+        n_classes, counts = len(self.classes), np.empty_like(self.row)
+        counts[0], counts[2], counts[4 : 4 + n_classes] = count_failures(
+            np.asarray(failed), positions, codes, n_classes
         )
-        failures = count_failures(np.asarray(failed), positions, codes, len(index))
-        trials = count_trials(len(failed), positions, codes, len(index))
-        # FailureCounts order: each failure count next to its trials.
-        counts = tuple(count for pair in zip(failures, trials) for count in pair)
-        self.merge(FailureTally.from_counts(counts, tuple(index)))
-
-    @classmethod
-    def from_counts(
-        cls, counts: "FailureCounts", classes: Sequence[CaseClass]
-    ) -> "FailureTally":
-        """A tally from :func:`count_failures` and :func:`count_trials` output.
-
-        ``classes[code]`` is the class of code ``code``; classes without
-        cancer trials are left out, as :meth:`record` never creates them.
-        """
-        (
-            cancer_failures,
-            cancer_trials,
-            healthy_failures,
-            healthy_trials,
-            class_failures,
-            class_trials,
-        ) = counts
-        kept = np.flatnonzero(class_trials)
-        return cls(
-            cancer_failures=cancer_failures,
-            cancer_trials=cancer_trials,
-            healthy_failures=healthy_failures,
-            healthy_trials=healthy_trials,
-            class_failures={classes[i]: int(class_failures[i]) for i in kept},
-            class_trials={classes[i]: int(class_trials[i]) for i in kept},
+        counts[1], counts[3], counts[4 + n_classes :] = count_trials(
+            len(failed), positions, codes, n_classes
         )
-
-    def merge(self, other: "FailureTally") -> None:
-        """Fold another tally (e.g. a chunk's) into this one."""
-        self.cancer_failures += other.cancer_failures
-        self.cancer_trials += other.cancer_trials
-        self.healthy_failures += other.healthy_failures
-        self.healthy_trials += other.healthy_trials
-        for case_class, trials in other.class_trials.items():
-            self.class_trials[case_class] = (
-                self.class_trials.get(case_class, 0) + trials
-            )
-        for case_class, failures in other.class_failures.items():
-            self.class_failures[case_class] = (
-                self.class_failures.get(case_class, 0) + failures
-            )
+        self.row += counts
 
     def to_evaluation(
         self, system_name: str, workload_name: str, level: float = 0.95
     ) -> SystemEvaluation:
-        """Summarise the counts as a :class:`SystemEvaluation`."""
+        """Summarise the counts as a :class:`SystemEvaluation`.
+
+        The one conversion from counts to rates: the per-class rates are
+        keyed by the classifier's own classes, in its order, leaving out
+        classes with no cancer trial.
+        """
+        n_classes = len(self.classes)
+        cancer_failures, cancer_trials, healthy_failures, healthy_trials, *per_class = self.row.tolist()
         return SystemEvaluation(
             system_name=system_name,
             workload_name=workload_name,
             false_negative=(
-                RateEstimate.from_counts(self.cancer_failures, self.cancer_trials, level)
-                if self.cancer_trials
+                RateEstimate.from_counts(cancer_failures, cancer_trials, level)
+                if cancer_trials
                 else None
             ),
             false_positive=(
-                RateEstimate.from_counts(self.healthy_failures, self.healthy_trials, level)
-                if self.healthy_trials
+                RateEstimate.from_counts(healthy_failures, healthy_trials, level)
+                if healthy_trials
                 else None
             ),
             per_class_false_negative={
-                cls: RateEstimate.from_counts(
-                    self.class_failures[cls], self.class_trials[cls], level
+                case_class: RateEstimate.from_counts(failures, trials, level)
+                for case_class, failures, trials in zip(
+                    self.classes, per_class[:n_classes], per_class[n_classes:]
                 )
-                for cls in self.class_trials
+                if trials
             },
         )
-
-
-#: A tally's counts: ``(cancer_failures, cancer_trials, healthy_failures,
-#: healthy_trials, class_failures, class_trials)``, the last two indexed
-#: by class code.
-FailureCounts = tuple[int, int, int, int, np.ndarray, np.ndarray]
 
 
 def count_failures(
@@ -296,13 +285,17 @@ def evaluate_system(
             the evaluation reproducible regardless of prior *generator*
             state.  Non-random component state (fatigue, trust, drift) is
             not reset — stateful systems stay order-dependent.
+
+    Raises:
+        SimulationError: on an empty workload, or a cancer case that
+            ``classifier`` puts in a class it does not declare.
     """
     if len(workload) == 0:
         raise SimulationError("cannot evaluate a system on an empty workload")
     classifier = classifier if classifier is not None else DEFAULT_CLASSIFIER
     rng = np.random.default_rng(seed) if seed is not None else None
 
-    tally = FailureTally()
+    tally = FailureTally(classifier.classes)
     for case in workload:
         decision = system.decide(case, rng)
         tally.record(case, decision.is_failure(case), classifier)

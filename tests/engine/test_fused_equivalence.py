@@ -3,7 +3,7 @@
 ``run_fused_batch`` is the one kernel behind every evaluation, sweep
 shard and service dispatch.  These tests build :data:`FusedTask` tuples
 by hand and assert that every item's row of the returned count matrix,
-demultiplexed as :class:`~repro.engine.fused.FusedCounts`, rebuilds *exactly* the
+read as a :class:`~repro.system.simulate.FailureTally`, rebuilds *exactly* the
 :class:`~repro.system.simulate.SystemEvaluation` a standalone
 :func:`~repro.engine.executor.evaluate_system_batch` run of the same
 ``(seed, chunk_size)`` produces — for batch systems, stream systems,
@@ -16,7 +16,6 @@ import pytest
 from repro.cadt import Cadt
 from repro.engine import EngineRuntime, evaluate_system_batch
 from repro.engine.fused import (
-    FusedCounts,
     build_fused_item,
     cancer_class_codes,
     run_fused_batch,
@@ -24,7 +23,7 @@ from repro.engine.fused import (
 from repro.exceptions import SimulationError
 from repro.reader import MILD_BIAS, AdaptiveReader, FatiguedReader, ReaderModel, ReaderSkill
 from repro.screening import SingleClassClassifier, SubtletyClassifier
-from repro.system import AssistedDoubleReading, AssistedReading, RecallPolicy
+from repro.system import AssistedDoubleReading, AssistedReading, FailureTally, RecallPolicy
 
 from tests.engine.test_executor import make_system, make_workload
 
@@ -72,11 +71,8 @@ def fused_evaluations(workload, pairs, chunk_size, classifier=None):
         for index, (system, seed) in enumerate(pairs)
     ]
     rows = run_fused_batch(fused_task(workload, items, chunk_size, classifier)).rows
-    class_names = tuple(case_class.name for case_class in classifier.classes)
     return [
-        FusedCounts.from_row(row, class_names).evaluation(
-            system.name, workload.name
-        )
+        FailureTally(classifier.classes, row).to_evaluation(system.name, workload.name)
         for row, (system, _) in zip(rows, pairs)
     ]
 

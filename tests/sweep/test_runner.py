@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.streaming import WelfordAccumulator
-from repro.engine.fused import FusedCounts
 from repro.engine.runtime import EngineRuntime, shared_memory_available
 from repro.exceptions import SimulationError
 from repro.obs import Instrumentation
@@ -26,6 +25,7 @@ from repro.sweep import (
     resume_sweep,
     run_sweep,
 )
+from repro.system import FailureTally
 
 
 def small_grid(**overrides):
@@ -281,9 +281,9 @@ class TestShardStreamStates:
         for shard in result.plan.shards:
             state = ShardStreamState(shard=shard.index)
             for cell in result.results[shard.start : shard.stop]:
-                counts = cell.counts
-                state.fn_rate.add(counts.cancer_failures / counts.cancer_trials)
-                state.fp_rate.add(counts.healthy_failures / counts.healthy_trials)
+                fn_failures, fn_trials, fp_failures, fp_trials = cell.counts.row[:4].tolist()
+                state.fn_rate.add(fn_failures / fn_trials)
+                state.fp_rate.add(fp_failures / fp_trials)
             merged.fn_rate.merge(state.fn_rate)
             merged.fp_rate.merge(state.fp_rate)
         assert result.stream_state().fn_rate.state() == merged.fn_rate.state()
@@ -336,7 +336,7 @@ class TestResultViews:
         assert result.counts.shape == (len(result.plan), 4 + 2 * classes)
         assert result.counts.dtype == np.int64
         for cell in result.results:
-            assert cell.counts == FusedCounts.from_row(result.counts[cell.index], result.class_names)
+            assert cell.counts == FailureTally(result.classes, result.counts[cell.index])
 
     def test_evaluations_equal_an_eagerly_built_dict(self, result):
         eager = {cell.cell_id: cell.evaluation(result.level) for cell in result.results}
@@ -364,13 +364,13 @@ class TestResultViews:
 
     def test_evaluations_build_only_the_cells_read(self, result, monkeypatch):
         built = []
-        original = FusedCounts.evaluation
+        original = FailureTally.to_evaluation
 
         def counting(self, *args, **kwargs):
             built.append(self)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(FusedCounts, "evaluation", counting)
+        monkeypatch.setattr(FailureTally, "to_evaluation", counting)
         evaluations = result.evaluations()
         assert len(evaluations) == len(result.plan)
         ids = list(evaluations)
